@@ -159,8 +159,10 @@ fn bench_bound_computation(c: &mut Criterion) {
     // The candidate the search would hold mid-run: seeded at one matcher,
     // grown along the path (each grow is one expansion step).
     let mut cand = Candidate::seed(NodeId(0), 0b01);
+    let mut grown = Candidate::empty();
     for v in 1..=5u32 {
-        cand = cand.grow(NodeId(v), &query);
+        cand.grow_into(NodeId(v), &query, &mut grown);
+        std::mem::swap(&mut cand, &mut grown);
     }
     let mut flows = FlowState::default();
     compute_flows(&scorer, &query, &cand, &mut flows);

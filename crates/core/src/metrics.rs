@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use ci_search::{CacheStats, SearchStats, TruncationReason};
+use ci_search::{CacheStats, RejectionStats, SearchStats, TruncationReason};
 
 /// Upper bounds (inclusive, in microseconds) of the fixed latency
 /// histogram buckets; a final overflow bucket catches everything slower.
@@ -68,6 +68,18 @@ pub struct MetricsRegistry {
     distance_pruned: AtomicU64,
     /// Σ [`SearchStats::merges`].
     merges: AtomicU64,
+    /// Σ [`RejectionStats::structural`].
+    rejected_structural: AtomicU64,
+    /// Σ [`RejectionStats::infeasible_leaves`].
+    rejected_infeasible_leaves: AtomicU64,
+    /// Σ [`RejectionStats::duplicate`].
+    rejected_duplicate: AtomicU64,
+    /// Σ [`RejectionStats::merge_rule`].
+    merge_rule: AtomicU64,
+    /// Σ [`RejectionStats::merge_sig_disjoint`].
+    merge_sig_disjoint: AtomicU64,
+    /// Σ [`RejectionStats::merge_overlap`].
+    merge_overlap: AtomicU64,
     /// Runs truncated by the expansion budget.
     truncated_expansions: AtomicU64,
     /// Runs truncated by the wall-clock deadline.
@@ -112,6 +124,7 @@ impl MetricsRegistry {
         self.distance_pruned
             .fetch_add(to_u64(stats.distance_pruned), r);
         self.merges.fetch_add(to_u64(stats.merges), r);
+        self.record_rejections(&stats.rejections);
         match stats.truncation {
             None => {}
             Some(TruncationReason::Expansions) => {
@@ -147,6 +160,20 @@ impl MetricsRegistry {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Folds a run's rejection and merge-outcome counters into the totals.
+    fn record_rejections(&self, rej: &RejectionStats) {
+        let r = Ordering::Relaxed;
+        self.rejected_structural
+            .fetch_add(to_u64(rej.structural), r);
+        self.rejected_infeasible_leaves
+            .fetch_add(to_u64(rej.infeasible_leaves), r);
+        self.rejected_duplicate.fetch_add(to_u64(rej.duplicate), r);
+        self.merge_rule.fetch_add(to_u64(rej.merge_rule), r);
+        self.merge_sig_disjoint
+            .fetch_add(to_u64(rej.merge_sig_disjoint), r);
+        self.merge_overlap.fetch_add(to_u64(rej.merge_overlap), r);
+    }
+
     /// Folds a run's oracle-cache delta into the totals.
     fn record_cache(&self, cache: &CacheStats) {
         let r = Ordering::Relaxed;
@@ -171,6 +198,12 @@ impl MetricsRegistry {
             bound_pruned: self.bound_pruned.load(r),
             distance_pruned: self.distance_pruned.load(r),
             merges: self.merges.load(r),
+            rejected_structural: self.rejected_structural.load(r),
+            rejected_infeasible_leaves: self.rejected_infeasible_leaves.load(r),
+            rejected_duplicate: self.rejected_duplicate.load(r),
+            merge_rule: self.merge_rule.load(r),
+            merge_sig_disjoint: self.merge_sig_disjoint.load(r),
+            merge_overlap: self.merge_overlap.load(r),
             truncated_expansions: self.truncated_expansions.load(r),
             truncated_deadline: self.truncated_deadline.load(r),
             truncated_candidates: self.truncated_candidates.load(r),
@@ -205,6 +238,20 @@ pub struct MetricsSnapshot {
     pub distance_pruned: u64,
     /// Total merge attempts.
     pub merges: u64,
+    /// Candidates rejected from their shape alone (diameter or size cap).
+    pub rejected_structural: u64,
+    /// Candidates rejected because their frozen leaves admit no keyword
+    /// assignment.
+    pub rejected_infeasible_leaves: u64,
+    /// Candidates rejected as duplicates of an admitted `(root, tree)`.
+    pub rejected_duplicate: u64,
+    /// Merge attempts refused by the paper's merge rule.
+    pub merge_rule: u64,
+    /// Merge attempts accepted on disjoint node signatures, without the
+    /// exact overlap scan.
+    pub merge_sig_disjoint: u64,
+    /// Merge attempts rejected by the exact overlap scan.
+    pub merge_overlap: u64,
     /// Runs truncated by the expansion budget.
     pub truncated_expansions: u64,
     /// Runs truncated by the wall-clock deadline.
@@ -270,6 +317,20 @@ impl MetricsSnapshot {
             bound_pruned: self.bound_pruned.saturating_sub(earlier.bound_pruned),
             distance_pruned: self.distance_pruned.saturating_sub(earlier.distance_pruned),
             merges: self.merges.saturating_sub(earlier.merges),
+            rejected_structural: self
+                .rejected_structural
+                .saturating_sub(earlier.rejected_structural),
+            rejected_infeasible_leaves: self
+                .rejected_infeasible_leaves
+                .saturating_sub(earlier.rejected_infeasible_leaves),
+            rejected_duplicate: self
+                .rejected_duplicate
+                .saturating_sub(earlier.rejected_duplicate),
+            merge_rule: self.merge_rule.saturating_sub(earlier.merge_rule),
+            merge_sig_disjoint: self
+                .merge_sig_disjoint
+                .saturating_sub(earlier.merge_sig_disjoint),
+            merge_overlap: self.merge_overlap.saturating_sub(earlier.merge_overlap),
             truncated_expansions: self
                 .truncated_expansions
                 .saturating_sub(earlier.truncated_expansions),
@@ -318,6 +379,16 @@ impl MetricsSnapshot {
         field(&mut s, "bound_pruned", self.bound_pruned);
         field(&mut s, "distance_pruned", self.distance_pruned);
         field(&mut s, "merges", self.merges);
+        field(&mut s, "rejected_structural", self.rejected_structural);
+        field(
+            &mut s,
+            "rejected_infeasible_leaves",
+            self.rejected_infeasible_leaves,
+        );
+        field(&mut s, "rejected_duplicate", self.rejected_duplicate);
+        field(&mut s, "merge_rule", self.merge_rule);
+        field(&mut s, "merge_sig_disjoint", self.merge_sig_disjoint);
+        field(&mut s, "merge_overlap", self.merge_overlap);
         field(&mut s, "truncated_expansions", self.truncated_expansions);
         field(&mut s, "truncated_deadline", self.truncated_deadline);
         field(&mut s, "truncated_candidates", self.truncated_candidates);
@@ -364,6 +435,14 @@ mod tests {
                 overflow: 1,
                 entries: 7,
             }),
+            rejections: RejectionStats {
+                structural: 8,
+                infeasible_leaves: 4,
+                duplicate: 2,
+                merge_rule: 0,
+                merge_sig_disjoint: 1,
+                merge_overlap: 6,
+            },
         }
     }
 
@@ -384,6 +463,12 @@ mod tests {
         assert_eq!(s.pops, 14);
         assert_eq!(s.registered, 28);
         assert_eq!(s.merges, 6);
+        assert_eq!(s.rejected_structural, 16);
+        assert_eq!(s.rejected_infeasible_leaves, 8);
+        assert_eq!(s.rejected_duplicate, 4);
+        assert_eq!(s.merge_rule, 0);
+        assert_eq!(s.merge_sig_disjoint, 2);
+        assert_eq!(s.merge_overlap, 12);
         assert_eq!(s.truncated_deadline, 1);
         assert_eq!(s.truncated_total(), 1);
         assert_eq!(s.cache_hits, 10);
@@ -445,6 +530,8 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"queries\":1"), "{json}");
         assert!(json.contains("\"pops\":2"), "{json}");
+        assert!(json.contains("\"rejected_structural\":8"), "{json}");
+        assert!(json.contains("\"merge_overlap\":6"), "{json}");
         assert!(json.contains("\"latency_histogram_us\":["), "{json}");
         assert!(json.contains("{\"le\":50,\"count\":0}"), "{json}");
         assert!(json.contains("{\"le\":null,\"count\":0}"), "{json}");

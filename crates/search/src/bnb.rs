@@ -1,18 +1,19 @@
 use std::cmp::Ordering;
 use std::time::Instant;
 
+use ci_graph::NodeId;
 use ci_index::DistanceOracle;
 use ci_rwmp::Scorer;
 
 use crate::answer::{score_answer, Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
 use crate::budget::TruncationReason;
-use crate::candidate::Candidate;
+use crate::candidate::{Candidate, Shape};
 use crate::flows::{compute_flows, grow_flows};
 use crate::query::QuerySpec;
-use crate::scratch::{CandSlot, SearchScratch};
+use crate::scratch::{node_bit, CandSlot, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
-use crate::validity::{is_valid_answer, leaves_matchable};
+use crate::validity::candidate_leaves_matchable;
 use crate::SearchOptions;
 
 /// Counters describing one search run (either algorithm).
@@ -40,6 +41,39 @@ pub struct SearchStats {
     /// observational: identical searches produce identical counters, and
     /// no cache configuration changes any other field or any answer.
     pub cache: Option<crate::cache::CacheStats>,
+    /// Rejection and merge-outcome counters for the run. Observational
+    /// like [`SearchStats::cache`], and kept out of the replay
+    /// fingerprints, which hash only the fields above it.
+    pub rejections: RejectionStats,
+}
+
+/// What happened to the candidates and merge attempts a run did not keep:
+/// the rejection classes [`SearchStats`] does not already count
+/// (`bound_pruned` and `distance_pruned` are there), and the outcome of
+/// every merge attempt that produced no candidate.
+///
+/// A 64-bit node signature can only prove two node sets disjoint, never
+/// overlapping, so merge attempts split three ways: the signature proved
+/// them disjoint (`merge_sig_disjoint`, no scan), the exact scan found a
+/// shared node (`merge_overlap`), or the scan passed. Only the first two
+/// are counted; the third is `merges` minus the other three merge fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RejectionStats {
+    /// Candidates over the diameter or tree-size cap, rejected from their
+    /// shape alone, before being built.
+    pub structural: usize,
+    /// Candidates whose frozen leaves admit no keyword assignment.
+    pub infeasible_leaves: usize,
+    /// Candidates whose `(root, tree)` identity was already admitted.
+    pub duplicate: usize,
+    /// Merge attempts refused by the paper's merge rule (only when
+    /// [`crate::SearchOptions::allow_redundant_matchers`] is off).
+    pub merge_rule: usize,
+    /// Merge attempts whose node signatures were disjoint: accepted
+    /// without the exact overlap scan.
+    pub merge_sig_disjoint: usize,
+    /// Merge attempts the exact overlap scan rejected.
+    pub merge_overlap: usize,
 }
 
 impl SearchStats {
@@ -79,6 +113,27 @@ impl PartialOrd for HeapItem {
     }
 }
 
+/// One registration-worklist entry: a candidate still to be built. The
+/// structural pre-check reads its shape first, so a candidate the
+/// structural prune would reject is never built. The arena is append-only
+/// within a run, so merge operands stay valid while queued, and a grow
+/// always extends the current pop buffer, which no registration modifies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pending {
+    /// A matcher seed `(node, mask)`.
+    Seed(NodeId, u32),
+    /// The popped candidate grown by a new root.
+    Grow(NodeId),
+    /// Arena candidate `idx` merged with its same-root `partner`; their
+    /// non-root node sets were checked disjoint at the merge attempt.
+    Merge {
+        /// The freshly admitted operand (its positions come first).
+        idx: usize,
+        /// The older partner.
+        partner: usize,
+    },
+}
+
 /// Wall-clock polling stride: the deadline is re-read from the OS once per
 /// this many budget checks, keeping `Instant::now` off the per-candidate
 /// fast path. The first check of a run always polls, so an
@@ -93,6 +148,8 @@ struct SearchRun<'a, O: DistanceOracle> {
     scratch: &'a mut SearchScratch,
     topk: TopK,
     stats: SearchStats,
+    /// The run's wall-clock limit, armed by the prologue from the budget.
+    deadline: Option<Instant>,
     deadline_ticks: u32,
     /// Last oracle `(hits, misses)` snapshot emitted into the trace, so
     /// cache events record transitions, not every pop.
@@ -151,6 +208,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
         scratch,
         topk: TopK::new(opts.k),
         stats: SearchStats::default(),
+        deadline: opts.budget.arm(),
         deadline_ticks: 0,
         last_cache: None,
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
@@ -165,10 +223,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
     // equal-scored answers, so it must be reproducible run to run.
     for &node in query.matchers_sorted() {
         if let Some(m) = query.matcher(node) {
-            let mut slot = run.scratch.acquire();
-            slot.cand.set_seed(m.node, m.mask);
-            compute_flows(run.scorer, run.query, &slot.cand, &mut slot.flows);
-            run.register(slot);
+            run.register(Pending::Seed(m.node, m.mask));
         }
     }
     while let Some(HeapItem { ub, idx }) = run.scratch.queue.pop() {
@@ -246,10 +301,16 @@ pub fn bnb_search_in<O: DistanceOracle>(
         // debug builds, and in release under `strict-invariants`.
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         {
-            let cur = &run.scratch.pop_slot.cand;
-            let tree = cur.to_jtt();
-            if cur.mask == run.query.full_mask() && is_valid_answer(&tree, run.query) {
-                if let Some(score) = score_answer(run.scorer, run.query, &tree) {
+            let SearchScratch {
+                pop_slot,
+                has_child,
+                ..
+            } = &mut *run.scratch;
+            let cur = &pop_slot.cand;
+            if cur.mask == run.query.full_mask()
+                && candidate_leaves_matchable(cur, run.query, true, has_child)
+            {
+                if let Some(score) = score_answer(run.scorer, run.query, &cur.to_jtt()) {
                     assert!(
                         ub >= score - 1e-9,
                         "admissibility violated at pop: ub(C) = {ub} < score(C) = {score}"
@@ -265,7 +326,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
             let Some(&vj) = run.scratch.neighbors.get(i) else {
                 break;
             };
-            if run.scratch.pop_slot.cand.contains(vj) {
+            if run.scratch.pop_slot.contains(vj) {
                 continue;
             }
             if run.scratch.trace.level().full() {
@@ -274,18 +335,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
                     added: vj,
                 });
             }
-            let mut slot = run.scratch.acquire();
-            let pop = &run.scratch.pop_slot;
-            pop.cand.grow_into(vj, run.query, &mut slot.cand);
-            grow_flows(
-                run.scorer,
-                run.query,
-                &pop.cand,
-                &pop.flows,
-                &slot.cand,
-                &mut slot.flows,
-            );
-            run.register(slot);
+            run.register(Pending::Grow(vj));
         }
     }
     (run.topk.into_sorted(), run.stats)
@@ -316,31 +366,47 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// Records a [`TraceEvent::Prune`] for a rejected candidate (Full
-    /// level only).
-    fn trace_prune(&mut self, reason: PruneReason, cand: &Candidate) {
+    /// Counts a rejected candidate under its reason and, at the Full
+    /// level, records a [`TraceEvent::Prune`] for it.
+    fn prune(&mut self, reason: PruneReason, root: NodeId, size: usize, mask: u32) {
+        let r = &mut self.stats.rejections;
+        match reason {
+            PruneReason::Structural => r.structural += 1,
+            PruneReason::InfeasibleLeaves => r.infeasible_leaves += 1,
+            PruneReason::Duplicate => r.duplicate += 1,
+            PruneReason::Distance => self.stats.distance_pruned += 1,
+            PruneReason::Bound => self.stats.bound_pruned += 1,
+        }
         if self.scratch.trace.level().full() {
             self.scratch.trace.emit(TraceEvent::Prune {
                 reason,
-                root: cand.root(),
-                size: cand.size(),
-                mask: cand.mask,
+                root,
+                size,
+                mask,
             });
         }
+    }
+
+    /// [`SearchRun::prune`] for a built candidate, returning its slot to
+    /// the pool.
+    fn reject(&mut self, slot: CandSlot, reason: PruneReason) -> Option<usize> {
+        self.prune(reason, slot.cand.root(), slot.cand.size(), slot.cand.mask);
+        self.scratch.release(slot);
+        None
     }
 
     /// Polls the wall-clock deadline (strided — see
     /// [`DEADLINE_POLL_STRIDE`]) and records the truncation on expiry.
     fn deadline_hit(&mut self) -> bool {
-        if self.opts.budget.deadline.is_none() {
+        let Some(deadline) = self.deadline else {
             return false;
-        }
+        };
         let tick = self.deadline_ticks;
         self.deadline_ticks = self.deadline_ticks.wrapping_add(1);
         if !tick.is_multiple_of(DEADLINE_POLL_STRIDE) {
             return false;
         }
-        if self.opts.budget.deadline_exceeded(Instant::now()) {
+        if Instant::now() >= deadline {
             self.truncate(TruncationReason::Deadline);
             true
         } else {
@@ -348,136 +414,190 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// Validates, bounds, enqueues, and eagerly merges a new candidate.
+    /// Builds, validates, bounds, enqueues, and eagerly merges a new
+    /// candidate, then every merge that cascades from it.
     ///
-    /// Merge cascades at hub roots can register far more candidates than
-    /// the pop cap ever touches, so the expansion budget also bounds total
-    /// registrations (at 10× the pop cap), and the candidate-memory budget
-    /// bounds the live arena directly.
-    fn register(&mut self, slot: CandSlot) {
+    /// Each worklist entry passes the budget gate before anything is
+    /// built. Merge cascades at hub roots can register far more candidates
+    /// than the pop cap ever touches, so the expansion budget also bounds
+    /// total registrations (at 10× the pop cap), and the candidate-memory
+    /// budget bounds the live arena directly.
+    fn register(&mut self, entry: Pending) {
         let registration_cap = self
             .opts
             .budget
             .max_expansions
             .map(|m| m.saturating_mul(10));
-        self.scratch.worklist.push(slot);
-        while let Some(c) = self.scratch.worklist.pop() {
+        self.scratch.worklist.push(entry);
+        while let Some(entry) = self.scratch.worklist.pop() {
             if let Some(cap) = registration_cap {
                 if self.stats.registered >= cap {
                     self.truncate(TruncationReason::Expansions);
-                    self.recycle_worklist(c);
+                    self.scratch.worklist.clear();
                     return;
                 }
             }
             if let Some(cap) = self.opts.budget.max_candidates {
                 if self.scratch.arena.len() >= cap {
                     self.truncate(TruncationReason::CandidateMemory);
-                    self.recycle_worklist(c);
+                    self.scratch.worklist.clear();
                     return;
                 }
             }
             if self.deadline_hit() {
-                self.recycle_worklist(c);
+                self.scratch.worklist.clear();
                 return;
             }
-            if let Some(idx) = self.admit(c) {
-                // Merge with every known candidate sharing the root, in
-                // admission order (the chain read reverses to oldest-first,
-                // matching the per-root Vec this index used to be).
-                let root = match self.scratch.arena.get(idx) {
-                    Some(s) => s.cand.root(),
-                    None => continue,
+            let Some(slot) = self.build(entry) else {
+                continue;
+            };
+            let Some(idx) = self.admit(slot) else {
+                continue;
+            };
+            // Merge with every known candidate sharing the root, in
+            // admission order (the chain read reverses to oldest-first,
+            // matching the per-root Vec this index used to be).
+            let root = match self.scratch.arena.get(idx) {
+                Some(s) => s.cand.root(),
+                None => continue,
+            };
+            self.scratch.collect_partners(root);
+            for t in 0..self.scratch.partners.len() {
+                let Some(&p32) = self.scratch.partners.get(t) else {
+                    break;
                 };
-                self.scratch.collect_partners(root);
-                for t in 0..self.scratch.partners.len() {
-                    let Some(&p32) = self.scratch.partners.get(t) else {
-                        break;
-                    };
-                    let p = p32 as usize;
-                    if p == idx {
-                        continue;
-                    }
-                    self.stats.merges += 1;
-                    let mut out = self.scratch.acquire();
-                    let merged = match (self.scratch.arena.get(idx), self.scratch.arena.get(p)) {
-                        (Some(a), Some(b)) => {
-                            self.merge_allowed(&a.cand, &b.cand)
-                                && a.cand.merge_into(&b.cand, &mut out.cand)
-                        }
-                        _ => false,
-                    };
-                    if self.scratch.trace.level().full() {
-                        self.scratch.trace.emit(TraceEvent::Merge {
-                            root,
-                            idx,
-                            partner: p,
-                            merged,
-                        });
-                    }
-                    if merged {
-                        // Merged shapes recompute flows from scratch: the
-                        // subtree positions interleave, so no incremental
-                        // copy applies.
-                        compute_flows(self.scorer, self.query, &out.cand, &mut out.flows);
-                        self.scratch.worklist.push(out);
-                    } else {
-                        self.scratch.release(out);
-                    }
+                let partner = p32 as usize;
+                if partner == idx {
+                    continue;
+                }
+                self.stats.merges += 1;
+                let merged = self.mergeable(idx, partner);
+                if self.scratch.trace.level().full() {
+                    self.scratch.trace.emit(TraceEvent::Merge {
+                        root,
+                        idx,
+                        partner,
+                        merged,
+                    });
+                }
+                if merged {
+                    self.scratch.worklist.push(Pending::Merge { idx, partner });
                 }
             }
         }
     }
 
-    /// Returns the in-flight slot and any queued worklist slots to the
-    /// pool after a budget truncation (they will not be processed).
-    fn recycle_worklist(&mut self, current: CandSlot) {
-        self.scratch.release(current);
-        while let Some(s) = self.scratch.worklist.pop() {
-            self.scratch.release(s);
+    /// Whether arena candidates `idx` and `partner` (same root) merge: the
+    /// merge rule allows it and their non-root node sets are disjoint —
+    /// proven by disjoint signatures where possible, else by the exact
+    /// scan.
+    fn mergeable(&mut self, idx: usize, partner: usize) -> bool {
+        let (Some(a), Some(b)) = (self.scratch.arena.get(idx), self.scratch.arena.get(partner))
+        else {
+            return false;
+        };
+        let allowed = self.merge_allowed(&a.cand, &b.cand);
+        let r = &mut self.stats.rejections;
+        if !allowed {
+            r.merge_rule += 1;
+            false
+        } else if a.sig & b.sig == 0 {
+            r.merge_sig_disjoint += 1;
+            true
+        } else if a.cand.disjoint_from(&b.cand) {
+            true
+        } else {
+            r.merge_overlap += 1;
+            false
         }
     }
 
-    /// Checks a candidate against all prunes; on success stores it, offers
-    /// it to the top-k (if a valid complete answer), and returns its arena
-    /// index. Rejected slots return to the pool.
-    fn admit(&mut self, mut slot: CandSlot) -> Option<usize> {
-        if slot.cand.diameter > self.opts.diameter || slot.cand.size() > self.opts.max_tree_nodes {
-            self.trace_prune(PruneReason::Structural, &slot.cand);
-            self.scratch.release(slot);
+    /// Builds a worklist entry into a pooled slot, with its flows and node
+    /// signature — unless its shape already fails the structural prune,
+    /// which is then recorded exactly as for a built candidate.
+    fn build(&mut self, entry: Pending) -> Option<CandSlot> {
+        let (shape, root, mask) = match entry {
+            Pending::Seed(node, mask) => (Shape::SEED, node, mask),
+            Pending::Grow(v) => {
+                let pop = &self.scratch.pop_slot.cand;
+                (pop.grow_shape(), v, pop.mask | self.query.mask_of(v))
+            }
+            Pending::Merge { idx, partner } => {
+                let arena = &self.scratch.arena;
+                let (Some(a), Some(b)) = (arena.get(idx), arena.get(partner)) else {
+                    debug_assert!(false, "merge operands are live arena slots");
+                    return None;
+                };
+                (
+                    a.cand.merge_shape(&b.cand),
+                    a.cand.root(),
+                    a.cand.mask | b.cand.mask,
+                )
+            }
+        };
+        if shape.diameter > self.opts.diameter || shape.size > self.opts.max_tree_nodes {
+            self.prune(PruneReason::Structural, root, shape.size, mask);
             return None;
         }
+        let mut slot = self.scratch.acquire();
+        let SearchScratch {
+            arena, pop_slot, ..
+        } = &mut *self.scratch;
+        match entry {
+            Pending::Seed(node, mask) => {
+                slot.cand.set_seed(node, mask);
+                slot.sig = 0;
+                compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
+            }
+            Pending::Grow(v) => {
+                let pop = &*pop_slot;
+                pop.cand.grow_into(v, self.query, &mut slot.cand);
+                slot.sig = pop.sig | node_bit(pop.cand.root());
+                grow_flows(
+                    self.scorer,
+                    self.query,
+                    &pop.cand,
+                    &pop.flows,
+                    &slot.cand,
+                    &mut slot.flows,
+                );
+            }
+            Pending::Merge { idx, partner } => {
+                if let (Some(a), Some(b)) = (arena.get(idx), arena.get(partner)) {
+                    a.cand.merge_into(&b.cand, &mut slot.cand);
+                    slot.sig = a.sig | b.sig;
+                }
+                // Merged shapes recompute flows from scratch: the subtree
+                // positions interleave, so no incremental copy applies.
+                compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
+            }
+        }
+        Some(slot)
+    }
+
+    /// Checks a built candidate against the remaining prunes; on success
+    /// stores it, offers it to the top-k (if a valid complete answer), and
+    /// returns its arena index. Rejected slots return to the pool.
+    fn admit(&mut self, mut slot: CandSlot) -> Option<usize> {
         // Non-root leaves stay leaves: their keyword assignment must be
         // feasible in any extension.
-        let tree = slot.cand.to_jtt();
-        {
-            let SearchScratch {
-                counts_buf,
-                leaves_buf,
-                ..
-            } = &mut *self.scratch;
-            slot.cand.frozen_leaves_into(counts_buf, leaves_buf);
+        let feasible = {
+            let SearchScratch { has_child, .. } = &mut *self.scratch;
+            candidate_leaves_matchable(&slot.cand, self.query, false, has_child)
+        };
+        if !feasible {
+            return self.reject(slot, PruneReason::InfeasibleLeaves);
         }
-        if !leaves_matchable(&tree, self.query, &self.scratch.leaves_buf) {
-            self.trace_prune(PruneReason::InfeasibleLeaves, &slot.cand);
-            self.scratch.release(slot);
-            return None;
-        }
-        // Dedup on (root, canonical key) — the same identity
-        // `Candidate::dedup_key` computes, reusing this admission's tree.
-        if !self
-            .scratch
-            .seen
-            .insert((slot.cand.root(), tree.canonical_key()))
-        {
-            self.trace_prune(PruneReason::Duplicate, &slot.cand);
-            self.scratch.release(slot);
-            return None;
+        let fresh = {
+            let SearchScratch { dedup, key_buf, .. } = &mut *self.scratch;
+            slot.cand.identity_into(key_buf);
+            dedup.insert(key_buf)
+        };
+        if !fresh {
+            return self.reject(slot, PruneReason::Duplicate);
         }
         if distance_prune(self.query, self.oracle, &slot.cand, self.opts.diameter) {
-            self.stats.distance_pruned += 1;
-            self.trace_prune(PruneReason::Distance, &slot.cand);
-            self.scratch.release(slot);
-            return None;
+            return self.reject(slot, PruneReason::Distance);
         }
         let parts = bound_parts_from(
             self.scorer,
@@ -490,17 +610,20 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         let ub = parts.ub();
         if let Some(min) = self.topk.min_score() {
             if ub < min {
-                self.stats.bound_pruned += 1;
-                self.trace_prune(PruneReason::Bound, &slot.cand);
-                self.scratch.release(slot);
-                return None;
+                return self.reject(slot, PruneReason::Bound);
             }
         }
         // Stored for pop-time tracing: re-deriving the parts there would
         // re-probe the oracle and perturb the cache counters.
         slot.ce = parts.ce;
         slot.pe = parts.pe;
-        if slot.cand.mask == self.query.full_mask() && is_valid_answer(&tree, self.query) {
+        // A complete candidate is an answer when its mandatory nodes —
+        // leaves and a single-child root — match distinct keywords; only
+        // then is its `Jtt` built, to score and offer it.
+        if slot.cand.mask == self.query.full_mask()
+            && candidate_leaves_matchable(&slot.cand, self.query, true, &mut self.scratch.has_child)
+        {
+            let tree = slot.cand.to_jtt();
             if let Some(score) = score_answer(self.scorer, self.query, &tree) {
                 self.topk.offer(Answer { tree, score });
             }
@@ -543,6 +666,7 @@ mod tests {
     use super::*;
     use crate::budget::QueryBudget;
     use crate::query::QuerySpec;
+    use crate::validity::is_valid_answer;
     use ci_graph::{GraphBuilder, NodeId};
     use ci_index::NoIndex;
     use ci_rwmp::Dampening;

@@ -21,9 +21,17 @@ pub struct QueryBudget {
     /// hub roots can register far more candidates than the pop loop ever
     /// touches.
     pub max_expansions: Option<usize>,
-    /// Wall-clock deadline. Checked at bounded intervals, so a run may
-    /// overshoot by a few expansions but never hangs past the check.
+    /// Absolute wall-clock deadline. Checked at bounded intervals, so a
+    /// run may overshoot by a few expansions but never hangs past the
+    /// check. It holds for every run that uses this budget, so it suits a
+    /// single call; use [`QueryBudget::timeout`] for a budget reused across
+    /// queries.
     pub deadline: Option<Instant>,
+    /// Relative wall-clock limit, armed afresh at the start of every run
+    /// (`run start + timeout`). A long-lived session holding this budget
+    /// gives each query the full timeout. When both this and
+    /// [`QueryBudget::deadline`] are set, the earlier instant wins.
+    pub timeout: Option<Duration>,
     /// Cap on live candidates held in memory (the branch-and-bound arena,
     /// an upper bound on resident candidate memory).
     pub max_candidates: Option<usize>,
@@ -54,6 +62,7 @@ impl QueryBudget {
     pub const UNLIMITED: QueryBudget = QueryBudget {
         max_expansions: None,
         deadline: None,
+        timeout: None,
         max_candidates: None,
         max_cache_entries: None,
     };
@@ -78,10 +87,11 @@ impl QueryBudget {
         self
     }
 
-    /// Builder-style relative deadline (`now + timeout`).
+    /// Builder-style relative deadline: each run stops `timeout` after it
+    /// starts.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
+        self.timeout = Some(timeout);
         self
     }
 
@@ -105,12 +115,21 @@ impl QueryBudget {
     /// returns (overflowing probes fall through to the inner oracle), so
     /// a budget that only bounds the cache still runs the exact search.
     pub fn is_unlimited(&self) -> bool {
-        self.max_expansions.is_none() && self.deadline.is_none() && self.max_candidates.is_none()
+        self.max_expansions.is_none()
+            && self.deadline.is_none()
+            && self.timeout.is_none()
+            && self.max_candidates.is_none()
     }
 
-    /// True if the wall-clock deadline has passed.
-    pub(crate) fn deadline_exceeded(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
+    /// The wall-clock deadline of a run starting now: the earlier of the
+    /// absolute deadline and `now + timeout`. Reads the clock only when a
+    /// timeout is set. Called once per run, in the search prologue.
+    pub(crate) fn arm(&self) -> Option<Instant> {
+        let relative = self.timeout.map(|t| Instant::now() + t);
+        match (self.deadline, relative) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 
@@ -123,7 +142,8 @@ pub enum TruncationReason {
     /// [`QueryBudget::max_expansions`] (or its derived registration cap)
     /// was reached.
     Expansions,
-    /// [`QueryBudget::deadline`] passed mid-run.
+    /// The run's wall-clock limit ([`QueryBudget::deadline`] or
+    /// [`QueryBudget::timeout`]) passed mid-run.
     Deadline,
     /// [`QueryBudget::max_candidates`] live candidates were reached.
     CandidateMemory,
@@ -159,7 +179,7 @@ mod tests {
         );
         assert!(QueryBudget::UNLIMITED.is_unlimited());
         assert_eq!(QueryBudget::UNLIMITED.max_cache_entries, None);
-        assert!(!b.deadline_exceeded(Instant::now()));
+        assert_eq!(b.arm(), None);
     }
 
     #[test]
@@ -183,16 +203,35 @@ mod tests {
         assert_eq!(b.max_expansions, Some(10));
         assert_eq!(b.max_candidates, Some(100));
         assert!(!b.is_unlimited());
-        assert!(b.deadline_exceeded(now));
-        assert!(b.deadline_exceeded(now + Duration::from_millis(1)));
+        assert_eq!(b.arm(), Some(now));
     }
 
     #[test]
-    fn timeout_is_relative_to_now() {
-        let b = QueryBudget::default().with_timeout(Duration::from_secs(3600));
-        assert!(!b.deadline_exceeded(Instant::now()));
-        let expired = QueryBudget::default().with_timeout(Duration::ZERO);
-        assert!(expired.deadline_exceeded(Instant::now()));
+    fn timeout_is_armed_per_run() {
+        let b = QueryBudget::default().with_timeout(Duration::from_millis(20));
+        assert!(!b.is_unlimited());
+        assert_eq!(b.deadline, None, "a timeout stores no instant");
+        let first = b.arm().unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        // The same budget value, reused after its timeout elapsed, still
+        // gives the next run the whole timeout.
+        let second = b.arm().unwrap();
+        assert!(second >= first + Duration::from_millis(30));
+        assert!(second > Instant::now());
+    }
+
+    #[test]
+    fn earlier_limit_wins() {
+        let now = Instant::now();
+        let b = QueryBudget::default()
+            .with_deadline(now)
+            .with_timeout(Duration::from_secs(3600));
+        assert_eq!(b.arm(), Some(now));
+        let late = now + Duration::from_secs(7200);
+        let b = QueryBudget::default()
+            .with_deadline(late)
+            .with_timeout(Duration::ZERO);
+        assert!(b.arm().unwrap() < late);
     }
 
     #[test]

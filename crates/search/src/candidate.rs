@@ -89,16 +89,34 @@ impl Candidate {
         self.diameter = src.diameter;
     }
 
-    /// *Tree grow*: a new root `new_root` (a graph neighbor of the current
-    /// root, not already contained) adopts this candidate as its single
-    /// child subtree.
-    pub fn grow(&self, new_root: NodeId, query: &QuerySpec) -> Candidate {
-        let mut out = Candidate::empty();
-        self.grow_into(new_root, query, &mut out);
-        out
+    /// Shape of the candidate grown by one new root (see
+    /// [`Candidate::grow_into`]), known before it is built.
+    pub fn grow_shape(&self) -> Shape {
+        Shape {
+            size: self.size() + 1,
+            depth: self.depth + 1,
+            diameter: self.diameter.max(self.depth + 1),
+        }
     }
 
-    /// [`Candidate::grow`] into a reused buffer (no allocation once the
+    /// Shape of the merge of `self` and `other` (see
+    /// [`Candidate::merge_into`]), known before it is built: the two root
+    /// subtrees share only the root, so the longest new path joins the two
+    /// deepest leaves through it.
+    pub fn merge_shape(&self, other: &Candidate) -> Shape {
+        Shape {
+            size: self.size() + other.size() - 1,
+            depth: self.depth.max(other.depth),
+            diameter: self
+                .diameter
+                .max(other.diameter)
+                .max(self.depth + other.depth),
+        }
+    }
+
+    /// *Tree grow*: a new root `new_root` (a graph neighbor of the current
+    /// root, not already contained) adopts this candidate as its single
+    /// child subtree, written into a reused buffer (no allocation once the
     /// target's buffers have grown to size).
     pub fn grow_into(&self, new_root: NodeId, query: &QuerySpec, out: &mut Candidate) {
         debug_assert!(!self.contains(new_root), "grow target already in tree");
@@ -113,28 +131,30 @@ impl Candidate {
         for &p in self.parent.get(1..).unwrap_or(&[]) {
             out.parent.push(p + 1);
         }
+        let shape = self.grow_shape();
         out.mask = self.mask | query.mask_of(new_root);
-        out.depth = self.depth + 1;
-        out.diameter = self.diameter.max(self.depth + 1);
+        out.depth = shape.depth;
+        out.diameter = shape.diameter;
     }
 
-    /// *Tree merge*: combines two candidates sharing the same root. Returns
-    /// `None` when their non-root node sets intersect (the paper's sanity
-    /// check against cycles).
-    pub fn merge(&self, other: &Candidate) -> Option<Candidate> {
-        let mut out = Candidate::empty();
-        self.merge_into(other, &mut out).then_some(out)
-    }
-
-    /// [`Candidate::merge`] into a reused buffer; returns `false` (leaving
-    /// `out` unspecified) when the non-root node sets intersect.
-    pub fn merge_into(&self, other: &Candidate, out: &mut Candidate) -> bool {
+    /// True when the non-root node sets of two same-rooted candidates are
+    /// disjoint — the paper's merge sanity check against cycles.
+    pub fn disjoint_from(&self, other: &Candidate) -> bool {
         debug_assert_eq!(self.root(), other.root(), "merge requires equal roots");
-        for v in other.nodes.get(1..).unwrap_or(&[]) {
-            if self.nodes.contains(v) {
-                return false;
-            }
-        }
+        let own = self.nodes.get(1..).unwrap_or(&[]);
+        other
+            .nodes
+            .get(1..)
+            .unwrap_or(&[])
+            .iter()
+            .all(|v| !own.contains(v))
+    }
+
+    /// *Tree merge*: combines two same-rooted candidates whose non-root
+    /// node sets are disjoint ([`Candidate::disjoint_from`]) into a reused
+    /// buffer: `self`'s positions first, then `other`'s non-root ones.
+    pub fn merge_into(&self, other: &Candidate, out: &mut Candidate) {
+        debug_assert!(self.disjoint_from(other), "merge operands overlap");
         out.nodes.clear();
         out.nodes.extend_from_slice(&self.nodes);
         out.nodes
@@ -147,53 +167,28 @@ impl Candidate {
         for &p in other.parent.get(1..).unwrap_or(&[]) {
             out.parent.push(if p == 0 { 0 } else { p + offset });
         }
+        let shape = self.merge_shape(other);
         out.mask = self.mask | other.mask;
-        out.depth = self.depth.max(other.depth);
-        out.diameter = self
-            .diameter
-            .max(other.diameter)
-            .max(self.depth + other.depth);
-        true
+        out.depth = shape.depth;
+        out.diameter = shape.diameter;
     }
 
-    /// Children count per position.
-    pub fn child_counts(&self) -> Vec<u32> {
-        let mut c = vec![0u32; self.nodes.len()];
-        for &p in self.parent.iter().skip(1) {
-            if let Some(slot) = c.get_mut(p as usize) {
-                *slot += 1;
-            }
-        }
-        c
-    }
-
-    /// Non-root leaf positions (these stay leaves in every extension).
-    pub fn frozen_leaves(&self) -> Vec<usize> {
-        let mut counts = Vec::new();
-        let mut out = Vec::new();
-        self.frozen_leaves_into(&mut counts, &mut out);
-        out
-    }
-
-    /// [`Candidate::frozen_leaves`] into reused buffers (`counts` is the
-    /// child-count scratch, `out` receives the leaf positions).
-    pub fn frozen_leaves_into(&self, counts: &mut Vec<u32>, out: &mut Vec<usize>) {
-        counts.clear();
-        counts.resize(self.nodes.len(), 0);
-        for &p in self.parent.iter().skip(1) {
-            if let Some(slot) = counts.get_mut(p as usize) {
-                *slot += 1;
-            }
-        }
+    /// Writes the candidate's dedup identity into `out`: the root, then one
+    /// `child << 32 | parent` word (graph node ids) per tree edge, sorted.
+    /// Every non-root node is the child of exactly one edge, so for a fixed
+    /// root this identifies the same trees as `(root, Jtt::canonical_key)`
+    /// — the root orients every undirected edge — without building a
+    /// [`Jtt`].
+    pub fn identity_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.extend(
-            counts
-                .iter()
-                .enumerate()
-                .skip(1)
-                .filter(|(_, &c)| c == 0)
-                .map(|(i, _)| i),
-        );
+        out.push(u64::from(self.root().0));
+        for (child, &p) in self.nodes.iter().zip(&self.parent).skip(1) {
+            let parent = self.nodes.get(p as usize).map_or(u32::MAX, |v| v.0);
+            out.push((u64::from(child.0) << 32) | u64::from(parent));
+        }
+        if let Some(edges) = out.get_mut(1..) {
+            edges.sort_unstable();
+        }
     }
 
     /// Converts to an (unrooted) [`Jtt`].
@@ -211,12 +206,66 @@ impl Candidate {
         #[allow(clippy::expect_used)]
         Jtt::new(self.nodes.clone(), edges).expect("candidates are trees by construction")
     }
+}
 
-    /// Canonical identity including the root (candidates with the same tree
-    /// but different roots expand differently and are both kept).
-    pub fn dedup_key(&self) -> (NodeId, ci_rwmp::CanonicalKey) {
-        (self.root(), self.to_jtt().canonical_key())
+/// Allocating conveniences over the buffer-reusing operations, for tests.
+#[cfg(test)]
+impl Candidate {
+    /// The candidate's shape.
+    pub fn shape(&self) -> Shape {
+        Shape {
+            size: self.size(),
+            depth: self.depth,
+            diameter: self.diameter,
+        }
     }
+
+    /// [`Candidate::grow_into`] into a fresh candidate.
+    pub fn grow(&self, new_root: NodeId, query: &QuerySpec) -> Candidate {
+        let mut out = Candidate::empty();
+        self.grow_into(new_root, query, &mut out);
+        out
+    }
+
+    /// [`Candidate::merge_into`] into a fresh candidate, or `None` when the
+    /// non-root node sets intersect.
+    pub fn merge(&self, other: &Candidate) -> Option<Candidate> {
+        let mut out = Candidate::empty();
+        self.disjoint_from(other).then(|| {
+            self.merge_into(other, &mut out);
+            out
+        })
+    }
+
+    /// Non-root leaf positions (these stay leaves in every extension).
+    pub fn frozen_leaves(&self) -> Vec<usize> {
+        (1..self.size())
+            .filter(|&i| !self.parent.iter().skip(1).any(|&p| p as usize == i))
+            .collect()
+    }
+}
+
+/// Size, depth and diameter of a candidate: everything the structural
+/// prune reads. [`Candidate::grow_shape`] and [`Candidate::merge_shape`]
+/// give the shape of a grow or merge before it is built, so the search
+/// never builds a candidate the structural prune would reject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// Number of nodes.
+    pub size: usize,
+    /// Maximum root-to-leaf depth.
+    pub depth: u32,
+    /// Tree diameter.
+    pub diameter: u32,
+}
+
+impl Shape {
+    /// Shape of a seed (single-node) candidate.
+    pub const SEED: Shape = Shape {
+        size: 1,
+        depth: 0,
+        diameter: 0,
+    };
 }
 
 #[cfg(test)]
@@ -308,12 +357,43 @@ mod tests {
     }
 
     #[test]
-    fn dedup_key_distinguishes_roots() {
+    fn identity_distinguishes_roots() {
         let q = query(2, vec![(0, 0b01), (1, 0b10)]);
         // Same undirected tree {0—1}, rooted at 0 vs at 1.
         let a = Candidate::seed(NodeId(0), 0b01).grow(NodeId(1), &q);
         let b = Candidate::seed(NodeId(1), 0b10).grow(NodeId(0), &q);
-        assert_ne!(a.dedup_key(), b.dedup_key());
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        a.identity_into(&mut ka);
+        b.identity_into(&mut kb);
+        assert_ne!(ka, kb);
         assert_eq!(a.to_jtt().canonical_key(), b.to_jtt().canonical_key());
+    }
+
+    #[test]
+    fn identity_ignores_merge_order() {
+        let q = query(2, vec![(0, 0b01), (2, 0b10)]);
+        let left = Candidate::seed(NodeId(0), 0b01).grow(NodeId(9), &q);
+        let right = Candidate::seed(NodeId(2), 0b10).grow(NodeId(9), &q);
+        let (ab, ba) = (left.merge(&right).unwrap(), right.merge(&left).unwrap());
+        assert_ne!(ab.nodes, ba.nodes, "positions differ");
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        ab.identity_into(&mut ka);
+        ba.identity_into(&mut kb);
+        assert_eq!(ka, kb);
+    }
+
+    #[test]
+    fn shapes_predict_built_candidates() {
+        let q = query(2, vec![(0, 0b01), (5, 0b10)]);
+        let mut deep = Candidate::seed(NodeId(0), 0b01);
+        for v in [1, 2, 9] {
+            let want = deep.grow_shape();
+            deep = deep.grow(NodeId(v), &q);
+            assert_eq!(deep.shape(), want);
+        }
+        let shallow = Candidate::seed(NodeId(5), 0b10).grow(NodeId(9), &q);
+        let want = deep.merge_shape(&shallow);
+        assert_eq!(deep.merge(&shallow).unwrap().shape(), want);
+        assert_eq!(Candidate::seed(NodeId(5), 0b10).shape(), Shape::SEED);
     }
 }

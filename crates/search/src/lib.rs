@@ -92,7 +92,7 @@ mod trace;
 mod validity;
 
 pub use answer::{score_answer, Answer, TopK};
-pub use bnb::{bnb_search, bnb_search_in, SearchStats};
+pub use bnb::{bnb_search, bnb_search_in, RejectionStats, SearchStats};
 pub use bounds::BoundParts;
 pub use budget::{QueryBudget, TruncationReason};
 pub use cache::{CacheStats, CachedOracle, OracleCache};
@@ -108,7 +108,7 @@ pub use validity::is_valid_answer;
 #[doc(hidden)]
 pub use bounds::{bound_parts_from, upper_bound, upper_bound_from};
 #[doc(hidden)]
-pub use candidate::Candidate;
+pub use candidate::{Candidate, Shape};
 #[doc(hidden)]
 pub use flows::{compute_flows, grow_flows, FlowState};
 

@@ -15,7 +15,7 @@ use crate::SearchOptions;
 /// branch-and-bound stride: the deadline is read from the OS once per this
 /// many checks, and the first check always polls).
 struct DeadlineGate {
-    budget: QueryBudget,
+    deadline: Option<Instant>,
     ticks: u32,
     expired: bool,
 }
@@ -25,7 +25,7 @@ impl DeadlineGate {
 
     fn new(budget: QueryBudget) -> Self {
         DeadlineGate {
-            budget,
+            deadline: budget.arm(),
             ticks: 0,
             expired: false,
         }
@@ -35,15 +35,15 @@ impl DeadlineGate {
         if self.expired {
             return true;
         }
-        if self.budget.deadline.is_none() {
+        let Some(deadline) = self.deadline else {
             return false;
-        }
+        };
         let tick = self.ticks;
         self.ticks = self.ticks.wrapping_add(1);
         if !tick.is_multiple_of(Self::STRIDE) {
             return false;
         }
-        self.expired = self.budget.deadline_exceeded(Instant::now());
+        self.expired = Instant::now() >= deadline;
         self.expired
     }
 }

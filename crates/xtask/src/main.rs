@@ -34,16 +34,17 @@
 //!    spawn freely (e.g. the concurrent-serving harness).
 //! 6. **No hashed containers in the branch-and-bound inner loop** — the
 //!    files the per-candidate hot path runs through
-//!    (`crates/search/src/{bnb,bounds,cache,candidate,scratch,flows}.rs`)
-//!    must not mention `HashMap` or `BTreeMap` outside their test modules.
-//!    The query-hot-path overhaul replaced every per-candidate map with
-//!    flat generational structures (the oracle-cache slab, the intrusive
-//!    root chains); a map slipping back in would silently reintroduce
-//!    hashing or pointer-chasing per candidate. `HashSet` dedup at
-//!    admission (once per candidate, not per probe) remains legal, as
-//!    does `query.rs`'s per-query matcher map (built once per query,
-//!    outside the loop). A `LINT-EXEMPT(reason)` comment within 8 lines
-//!    above the use exempts audited cases.
+//!    (`crates/search/src/{bnb,bounds,cache,candidate,scratch,flows,validity}.rs`)
+//!    must not mention `HashMap`, `HashSet` or `BTreeMap` outside their
+//!    test modules. The query hot path replaced every per-candidate map
+//!    and set with flat structures (the oracle-cache slab, the intrusive
+//!    root chains, the open-addressing admission dedup set); a hashed
+//!    container slipping back in would silently reintroduce SipHash and
+//!    per-key allocation per candidate. `query.rs`'s per-query matcher map
+//!    (built once per query, outside the loop) and the top-k's answer set
+//!    (touched once per complete answer) are outside the rule's files. A
+//!    `LINT-EXEMPT(reason)` comment within 8 lines above the use exempts
+//!    audited cases.
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -360,11 +361,12 @@ fn check_no_dyn_oracle(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
-/// Rule 6: no `HashMap`/`BTreeMap` in the branch-and-bound inner-loop
-/// files. The hot-path overhaul replaced per-candidate maps with flat
-/// generational structures (oracle-cache slab, intrusive root chains,
-/// pooled arena); this keeps them from regressing. Tests may still use
-/// maps, and an audited use can be tagged `LINT-EXEMPT(reason)`.
+/// Rule 6: no `HashMap`/`HashSet`/`BTreeMap` in the branch-and-bound
+/// inner-loop files. The hot path replaced per-candidate maps and sets
+/// with flat structures (oracle-cache slab, intrusive root chains, pooled
+/// arena, open-addressing dedup set); this keeps them from regressing.
+/// Tests may still use them, and an audited use can be tagged
+/// `LINT-EXEMPT(reason)`.
 fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
     const INNER_LOOP_FILES: &[&str] = &[
         "crates/search/src/bnb.rs",
@@ -373,6 +375,7 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
         "crates/search/src/candidate.rs",
         "crates/search/src/scratch.rs",
         "crates/search/src/flows.rs",
+        "crates/search/src/validity.rs",
     ];
     for rel in INNER_LOOP_FILES {
         let path = root.join(rel);
@@ -382,10 +385,10 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
         };
         for n in inner_loop_map_hits(&src) {
             findings.push(format!(
-                "{}:{}: hashed/ordered map in a branch-and-bound inner-loop \
-                 file — use the flat generational structures (oracle-cache \
-                 slab, root chains, arena) or tag an audited exemption with \
-                 LINT-EXEMPT(reason)",
+                "{}:{}: hashed/ordered container in a branch-and-bound \
+                 inner-loop file — use the flat structures (oracle-cache \
+                 slab, root chains, arena, dedup set) or tag an audited \
+                 exemption with LINT-EXEMPT(reason)",
                 path.display(),
                 n
             ));
@@ -394,8 +397,8 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
 }
 
 /// 1-based line numbers in the non-test region of `src` that mention
-/// `HashMap` or `BTreeMap` outside comments, string literals, and
-/// `LINT-EXEMPT` coverage.
+/// `HashMap`, `HashSet` or `BTreeMap` outside comments, string literals,
+/// and `LINT-EXEMPT` coverage.
 fn inner_loop_map_hits(src: &str) -> Vec<usize> {
     let lines: Vec<&str> = non_test_region(src).collect();
     let mut hits = Vec::new();
@@ -404,7 +407,10 @@ fn inner_loop_map_hits(src: &str) -> Vec<usize> {
             continue;
         }
         let code = strip_strings(line);
-        if !code.contains("HashMap") && !code.contains("BTreeMap") {
+        if !["HashMap", "HashSet", "BTreeMap"]
+            .iter()
+            .any(|name| code.contains(name))
+        {
             continue;
         }
         let start = n.saturating_sub(EXEMPT_WINDOW);
@@ -579,9 +585,11 @@ mod tests {
         assert_eq!(inner_loop_map_hits(bad), vec![1]);
         let btree = "let m: BTreeMap<u32, u32> = BTreeMap::new();\n";
         assert_eq!(inner_loop_map_hits(btree), vec![1]);
-        let in_tests = "use std::collections::HashSet;\n\
+        let set = "fn f() {}\nlet seen: HashSet<u64> = HashSet::new();\n";
+        assert_eq!(inner_loop_map_hits(set), vec![2]);
+        let in_tests = "fn f() {}\n\
                         #[cfg(test)]\n\
-                        mod tests {\n    use std::collections::HashMap;\n}\n";
+                        mod tests {\n    use std::collections::{HashMap, HashSet};\n}\n";
         assert!(inner_loop_map_hits(in_tests).is_empty());
         let in_comment = "// the HashMap this slab replaced\n";
         assert!(inner_loop_map_hits(in_comment).is_empty());

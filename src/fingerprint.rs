@@ -14,7 +14,11 @@
 
 use ci_datagen::{generate_dblp, DblpConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind, QuerySession};
+use ci_rank::{
+    CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind, QuerySession, SearchTrace, TraceEvent,
+    TraceLevel,
+};
+use ci_search::PruneReason;
 
 /// FNV-1a, 64-bit: simple, stable, dependency-free.
 #[derive(Debug)]
@@ -146,6 +150,139 @@ pub fn workload_fingerprint_reused(session: &QuerySession<'_>, queries: &[String
         hash_query(&mut h, session, q);
     }
     h.0
+}
+
+/// Hash one replayed workload with a fresh session per query, each made by
+/// `open` — for pinning budgets or options other than the snapshot's
+/// defaults.
+pub fn workload_fingerprint_with<'s>(
+    snap: &'s EngineSnapshot,
+    queries: &[String],
+    open: impl Fn(&'s EngineSnapshot) -> QuerySession<'s>,
+) -> u64 {
+    let mut h = Fnv::new();
+    h.usize(queries.len());
+    for q in queries {
+        hash_query(&mut h, &open(snap), q);
+    }
+    h.0
+}
+
+/// Folds one recorded trace (every event, field by field, plus the
+/// dropped-event count) into `h`.
+fn hash_trace(h: &mut Fnv, trace: &SearchTrace) {
+    h.usize(trace.events().len());
+    h.usize(trace.dropped());
+    for e in trace.events() {
+        match *e {
+            TraceEvent::Pop {
+                idx,
+                root,
+                size,
+                mask,
+                ub,
+                ce,
+                pe,
+            } => {
+                h.byte(0);
+                h.usize(idx);
+                h.u64(u64::from(root.0));
+                h.usize(size);
+                h.u64(u64::from(mask));
+                h.u64(ub.to_bits());
+                h.u64(ce.to_bits());
+                h.u64(pe.to_bits());
+            }
+            TraceEvent::Grow { from_root, added } => {
+                h.byte(1);
+                h.u64(u64::from(from_root.0));
+                h.u64(u64::from(added.0));
+            }
+            TraceEvent::Merge {
+                root,
+                idx,
+                partner,
+                merged,
+            } => {
+                h.byte(2);
+                h.u64(u64::from(root.0));
+                h.usize(idx);
+                h.usize(partner);
+                h.byte(u8::from(merged));
+            }
+            TraceEvent::Admit {
+                idx,
+                root,
+                size,
+                mask,
+                ub,
+            } => {
+                h.byte(3);
+                h.usize(idx);
+                h.u64(u64::from(root.0));
+                h.usize(size);
+                h.u64(u64::from(mask));
+                h.u64(ub.to_bits());
+            }
+            TraceEvent::Prune {
+                reason,
+                root,
+                size,
+                mask,
+            } => {
+                h.byte(4);
+                h.byte(match reason {
+                    PruneReason::Structural => 0,
+                    PruneReason::InfeasibleLeaves => 1,
+                    PruneReason::Duplicate => 2,
+                    PruneReason::Distance => 3,
+                    PruneReason::Bound => 4,
+                });
+                h.u64(u64::from(root.0));
+                h.usize(size);
+                h.u64(u64::from(mask));
+            }
+            TraceEvent::Truncated { reason } => {
+                h.byte(5);
+                h.str(&reason.to_string());
+            }
+            TraceEvent::Cache { hits, misses } => {
+                h.byte(6);
+                h.u64(hits);
+                h.u64(misses);
+            }
+        }
+    }
+}
+
+/// Trace capacity for [`full_trace_fingerprint`]: large enough that no
+/// event of the zipf/star workload is dropped.
+pub const FULL_TRACE_CAPACITY: usize = 1 << 20;
+
+/// Candidate-memory cap of the pinned `max_candidates` replay: small
+/// enough to truncate most zipf/star queries.
+pub const SMALL_MAX_CANDIDATES: usize = 200;
+
+/// Hash the complete [`TraceLevel::Full`] event stream of a replayed
+/// workload: one reused session with trace capacity
+/// [`FULL_TRACE_CAPACITY`], every query's result and trace folded in order.
+/// Also returns the total number of events the traces dropped, so callers
+/// can check the capacity covered the whole stream.
+pub fn full_trace_fingerprint(snap: &EngineSnapshot, queries: &[String]) -> (u64, usize) {
+    let mut opts = snap.session().options().clone();
+    opts.trace = TraceLevel::Full;
+    opts.trace_capacity = FULL_TRACE_CAPACITY;
+    let session = snap.session().with_options(opts);
+    let mut h = Fnv::new();
+    let mut dropped = 0;
+    h.usize(queries.len());
+    for q in queries {
+        hash_query(&mut h, &session, q);
+        let trace = session.last_trace();
+        dropped += trace.dropped();
+        hash_trace(&mut h, &trace);
+    }
+    (h.0, dropped)
 }
 
 /// The fixed workloads under fingerprint, as (label, index, data, queries).

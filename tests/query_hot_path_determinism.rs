@@ -26,7 +26,10 @@
     clippy::indexing_slicing
 )]
 
-use ci_rank_suite::fingerprint::{build, cases, workload_fingerprint, workload_fingerprint_reused};
+use ci_rank_suite::fingerprint::{
+    build, cases, full_trace_fingerprint, workload_fingerprint, workload_fingerprint_reused,
+    workload_fingerprint_with, SMALL_MAX_CANDIDATES,
+};
 
 /// Pre-optimization baselines, one per `fingerprint::cases()` entry.
 const BASELINES: [(&str, u64); 3] = [
@@ -133,4 +136,63 @@ fn warm_session_replays_without_allocating() {
             "{label}: steady-state replay constructed new candidate slots"
         );
     }
+}
+
+/// FNV of the complete `TraceLevel::Full` event stream (every pop, grow,
+/// merge decision, admission and prune, in order) of the zipf/star
+/// workload through one reused session. Pinned before the admission path
+/// stopped building structurally dead candidates, so it proves the event
+/// stream is unchanged by that rewrite.
+const ZIPF_STAR_FULL_TRACE: u64 = 0x30b5_5439_d3eb_4268;
+
+/// FNV of the zipf/star workload under a small candidate-memory budget —
+/// the `max_candidates` truncation axis, which the pins above (all under
+/// the expansion cap) never reach. Captured with fresh sessions, before
+/// the same rewrite.
+const ZIPF_STAR_MAX_CANDIDATES: u64 = 0xbf90_4692_03b4_3d94;
+
+fn zipf_star() -> (ci_rank::EngineSnapshot, Vec<String>) {
+    let (_, kind, data, queries) = cases()
+        .into_iter()
+        .find(|c| c.0 == "zipf/star")
+        .expect("zipf/star case");
+    (build(&data.db, kind, 1).unwrap(), queries)
+}
+
+#[test]
+fn full_trace_stream_matches_pin() {
+    let (snap, queries) = zipf_star();
+    let (fp, dropped) = full_trace_fingerprint(&snap, &queries);
+    assert_eq!(dropped, 0, "trace capacity too small for the workload");
+    assert_eq!(
+        fp, ZIPF_STAR_FULL_TRACE,
+        "the Full trace event stream changed"
+    );
+}
+
+#[test]
+fn candidate_memory_budget_matches_pin() {
+    use ci_rank::QueryBudget;
+    let (snap, queries) = zipf_star();
+    let budget = QueryBudget::default().with_max_candidates(SMALL_MAX_CANDIDATES);
+    let fresh = workload_fingerprint_with(&snap, &queries, |s| s.session().with_budget(budget));
+    let session = snap.session().with_budget(budget);
+    let truncated = queries
+        .iter()
+        .filter(|q| {
+            session.search_with_stats(q).is_ok_and(|(_, s)| {
+                s.truncation == Some(ci_rank::TruncationReason::CandidateMemory)
+            })
+        })
+        .count();
+    let reused = workload_fingerprint_reused(&session, &queries);
+    assert_eq!(
+        fresh, reused,
+        "reused session diverged under max_candidates"
+    );
+    assert!(truncated > 0, "the budget must bind on some queries");
+    assert_eq!(
+        fresh, ZIPF_STAR_MAX_CANDIDATES,
+        "max_candidates replay changed"
+    );
 }

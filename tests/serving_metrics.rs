@@ -28,6 +28,11 @@ struct Expected {
     bound_pruned: u64,
     distance_pruned: u64,
     merges: u64,
+    structural: u64,
+    infeasible_leaves: u64,
+    duplicate: u64,
+    merge_sig_disjoint: u64,
+    merge_overlap: u64,
     truncated: u64,
     cache_hits: u64,
     cache_misses: u64,
@@ -46,6 +51,12 @@ fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
                 e.bound_pruned += stats.bound_pruned as u64;
                 e.distance_pruned += stats.distance_pruned as u64;
                 e.merges += stats.merges as u64;
+                let r = &stats.rejections;
+                e.structural += r.structural as u64;
+                e.infeasible_leaves += r.infeasible_leaves as u64;
+                e.duplicate += r.duplicate as u64;
+                e.merge_sig_disjoint += r.merge_sig_disjoint as u64;
+                e.merge_overlap += r.merge_overlap as u64;
                 e.truncated += u64::from(stats.truncation.is_some());
                 if let Some(c) = &stats.cache {
                     e.cache_hits += c.hits as u64;
@@ -71,6 +82,24 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
         "{label}: distance_pruned"
     );
     assert_eq!(delta.merges, e.merges, "{label}: merges");
+    assert_eq!(
+        delta.rejected_structural, e.structural,
+        "{label}: structural"
+    );
+    assert_eq!(
+        delta.rejected_infeasible_leaves, e.infeasible_leaves,
+        "{label}: infeasible leaves"
+    );
+    assert_eq!(delta.rejected_duplicate, e.duplicate, "{label}: duplicate");
+    assert_eq!(
+        delta.merge_sig_disjoint, e.merge_sig_disjoint,
+        "{label}: signature-disjoint merges"
+    );
+    assert_eq!(delta.merge_overlap, e.merge_overlap, "{label}: overlap");
+    assert!(
+        e.structural > 0 && e.merge_overlap > 0,
+        "{label}: the workload exercises the rejection counters"
+    );
     assert_eq!(delta.truncated_total(), e.truncated, "{label}: truncations");
     assert_eq!(delta.cache_hits, e.cache_hits, "{label}: cache hits");
     assert_eq!(delta.cache_misses, e.cache_misses, "{label}: cache misses");
@@ -133,6 +162,11 @@ fn metrics_are_exact_across_concurrent_sessions() {
         total.bound_pruned += e.bound_pruned;
         total.distance_pruned += e.distance_pruned;
         total.merges += e.merges;
+        total.structural += e.structural;
+        total.infeasible_leaves += e.infeasible_leaves;
+        total.duplicate += e.duplicate;
+        total.merge_sig_disjoint += e.merge_sig_disjoint;
+        total.merge_overlap += e.merge_overlap;
         total.truncated += e.truncated;
         total.cache_hits += e.cache_hits;
         total.cache_misses += e.cache_misses;
