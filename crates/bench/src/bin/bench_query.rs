@@ -50,75 +50,9 @@ use std::time::Instant;
 use ci_bench::{dblp_data, dblp_engine, imdb_data, imdb_engine};
 use ci_datagen::{dblp_workload, imdb_synthetic_workload, LabeledQuery, QueryPattern};
 use ci_rank::{EngineSnapshot, IndexKind};
+use ci_rank_suite::fingerprint::query_fingerprint;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// FNV-1a, 64-bit: simple, stable, dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-}
-
-/// Hash of everything observable about one query's outcome: bit-exact
-/// scores, result node ids, and the pre-optimization `SearchStats`
-/// counters (cache statistics deliberately excluded — they are reported
-/// through a separate optional field precisely so replay contracts do not
-/// depend on them).
-fn query_fingerprint(session: &ci_rank::QuerySession<'_>, q: &str) -> u64 {
-    let mut h = Fnv::new();
-    match session.search_with_stats(q) {
-        Ok((answers, stats)) => {
-            h.byte(1);
-            h.usize(answers.len());
-            for a in &answers {
-                h.u64(a.score.to_bits());
-                h.usize(a.nodes.len());
-                for n in &a.nodes {
-                    h.u64(u64::from(n.node.0));
-                }
-            }
-            h.usize(stats.pops);
-            h.usize(stats.registered);
-            h.usize(stats.bound_pruned);
-            h.usize(stats.distance_pruned);
-            h.usize(stats.merges);
-            h.usize(stats.candidates_peak);
-            match stats.truncation {
-                None => h.byte(0),
-                Some(r) => {
-                    h.byte(1);
-                    h.str(&r.to_string());
-                }
-            }
-        }
-        Err(e) => {
-            h.byte(2);
-            h.str(&e.to_string());
-        }
-    }
-    h.0
-}
 
 fn pattern_name(p: QueryPattern) -> &'static str {
     match p {

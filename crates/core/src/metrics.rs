@@ -34,12 +34,15 @@ use ci_search::{CacheStats, RejectionStats, SearchStats, TruncationReason};
 /// Upper bounds (inclusive, in microseconds) of the fixed latency
 /// histogram buckets; a final overflow bucket catches everything slower.
 ///
-/// The spread covers the workloads in `EXPERIMENTS.md`: warm cached
-/// queries land in the sub-millisecond buckets, cold star-oracle queries
-/// in the tens of milliseconds, and the overflow bucket flags runs that
-/// should have had a [`crate::QueryBudget`] deadline.
-pub const LATENCY_BUCKET_BOUNDS_US: [u64; 12] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+/// The bounds follow a 1–2.5–5 ladder from 50 µs to 10 s. Small lookups
+/// land in the sub-millisecond buckets; warm exact queries on the
+/// benchmark's DBLP workload sit around 14 ms (wall-clock median); and the
+/// second-scale buckets separate slow queries from runaway ones. The
+/// overflow bucket flags runs that should have had a
+/// [`crate::QueryBudget`] deadline.
+pub const LATENCY_BUCKET_BOUNDS_US: [u64; 17] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+    1_000_000, 2_500_000, 5_000_000, 10_000_000,
 ];
 
 /// Number of histogram buckets: one per bound plus the overflow bucket.
@@ -475,9 +478,10 @@ mod tests {
         assert_eq!(s.cache_misses, 14);
         assert_eq!(s.cache_overflow, 2);
         assert_eq!(s.latency_total_us, 600_120);
-        // 120µs → the 250µs bucket (index 2); 600ms → overflow.
+        // 120µs → the 250µs bucket (index 2); 600ms → the 1s bucket.
         assert_eq!(s.latency_buckets[2], 1);
-        assert_eq!(s.latency_buckets[LATENCY_BUCKETS - 1], 1);
+        assert_eq!(s.latency_buckets[13], 1);
+        assert_eq!(s.latency_buckets[LATENCY_BUCKETS - 1], 0);
         assert!((s.cache_hit_rate().unwrap() - 10.0 / 24.0).abs() < 1e-12);
         assert!((s.mean_latency_us().unwrap() - 300_060.0).abs() < 1e-9);
     }
@@ -520,6 +524,19 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.latency_buckets[0], 1, "50µs is inside the first bucket");
         assert_eq!(s.latency_buckets[1], 1, "51µs spills into the second");
+        m.record_search(&stats(0, None), 0, Duration::from_secs(10));
+        m.record_search(&stats(0, None), 0, Duration::from_micros(10_000_001));
+        let s = m.snapshot();
+        assert_eq!(
+            s.latency_buckets[LATENCY_BUCKETS - 2],
+            1,
+            "10s is the last bound"
+        );
+        assert_eq!(
+            s.latency_buckets[LATENCY_BUCKETS - 1],
+            1,
+            "past 10s overflows"
+        );
     }
 
     #[test]

@@ -175,21 +175,32 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Generates a candidate pool of up to `pool_k` answers via
-    /// branch-and-bound (see [`EngineSnapshot::candidate_pool`]).
+    /// branch-and-bound (see [`EngineSnapshot::candidate_pool`]). Recorded
+    /// in the snapshot's serving metrics like [`QuerySession::search`].
     pub fn candidate_pool(&self, query: &str, pool_k: usize) -> Result<Vec<Answer>> {
-        let spec = self.snap.query_spec(query)?;
+        let start = Instant::now();
+        let spec = match self.snap.query_spec(query) {
+            Ok(spec) => spec,
+            Err(e) => {
+                self.snap.metrics().record_error();
+                return Err(e);
+            }
+        };
         let scorer = self.snap.scorer();
         let opts = SearchOptions {
             k: pool_k,
             ..self.opts.clone()
         };
-        let (answers, _) = self.snap.with_oracle(BnbRun {
+        let (answers, stats) = self.snap.with_oracle(BnbRun {
             scorer: &scorer,
             spec: &spec,
             opts: &opts,
             cache: &self.cache,
             scratch: &self.scratch,
         });
+        self.snap
+            .metrics()
+            .record_search(&stats, answers.len(), start.elapsed());
         Ok(answers)
     }
 }

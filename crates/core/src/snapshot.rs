@@ -360,27 +360,24 @@ impl EngineSnapshot {
         let scorer = self.scorer();
         let explanation =
             ci_search::explain_answer(&scorer, &spec, tree).ok_or(CiRankError::NotAnAnswer)?;
-        let nodes = tree
-            .nodes()
-            .iter()
-            .map(|&v| AnswerNode {
-                node: v,
-                relation: self.relation_name(v),
-                text: self.node_text(v).to_owned(),
-                is_matcher: spec.matcher(v).is_some(),
-            })
-            .collect();
         Ok(ExplainReport {
             explanation,
-            nodes,
+            nodes: self.answer_nodes(&spec, tree),
             keywords: spec.keywords().to_vec(),
         })
     }
 
     pub(crate) fn to_ranked(&self, spec: &QuerySpec, answer: Answer) -> RankedAnswer {
-        let nodes = answer
-            .tree
-            .nodes()
+        RankedAnswer {
+            nodes: self.answer_nodes(spec, &answer.tree),
+            score: answer.score,
+            tree: answer.tree,
+        }
+    }
+
+    /// Display metadata of every node of `tree`, in tree position order.
+    fn answer_nodes(&self, spec: &QuerySpec, tree: &Jtt) -> Vec<AnswerNode> {
+        tree.nodes()
             .iter()
             .map(|&v| AnswerNode {
                 node: v,
@@ -388,11 +385,6 @@ impl EngineSnapshot {
                 text: self.node_text(v).to_owned(),
                 is_matcher: spec.matcher(v).is_some(),
             })
-            .collect();
-        RankedAnswer {
-            score: answer.score,
-            tree: answer.tree,
-            nodes,
-        }
+            .collect()
     }
 }

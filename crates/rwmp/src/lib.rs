@@ -19,6 +19,13 @@
 //! message type (Eq. 3), and the tree's score the mean over non-free nodes
 //! (Eq. 4).
 //!
+//! This arithmetic exists once, in [`FlowState`]: [`Scorer::fill_flows`]
+//! propagates every source over a tree in parent-array form
+//! ([`ParentTree`]), [`Scorer::grow_flows`] advances a matrix to the tree
+//! grown by a new root, and [`FlowState::reduce`] applies Eqs. 3–4. Tree
+//! scores here, and the answer scores, search bounds and score
+//! explanations of `ci-search`, all run it.
+//!
 //! # Example
 //!
 //! ```
@@ -78,5 +85,5 @@ mod tree;
 
 pub use alternatives::{score_alternative, AlternativeScore};
 pub use dampen::{dampening_rate, Dampening};
-pub use scorer::{NodeBinding, Scorer, TreeScore};
-pub use tree::{CanonicalKey, Jtt, TreeError};
+pub use scorer::{FlowState, NodeBinding, Scorer, TreeScore};
+pub use tree::{CanonicalKey, Jtt, ParentTree, TreeError};

@@ -1,7 +1,7 @@
 use ci_graph::{Graph, NodeId};
 
 use crate::dampen::{dampening_rate, Dampening};
-use crate::tree::Jtt;
+use crate::tree::{Jtt, ParentTree};
 
 /// Query-dependent information about a non-free node of a tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,48 +142,14 @@ impl<'g> Scorer<'g> {
     /// weights toward *all* tree neighbors of `v_m` — including the one the
     /// messages came from, whose share is sent back and discarded.
     pub fn flows_from(&self, tree: &Jtt, src: usize, gen: f64) -> Vec<f64> {
-        let n = tree.size();
-        let mut f = vec![0.0; n];
-        if let Some(slot) = f.get_mut(src) {
-            *slot = gen;
-        }
-        // Depth-first propagation outward from the source.
-        let mut stack: Vec<(usize, usize)> = vec![(src, src)]; // (node, came_from)
-        while let Some((m, from)) = stack.pop() {
-            let vm = tree.node(m);
-            let leaving = f.get(m).copied().unwrap_or(0.0);
-            if leaving <= 0.0 {
-                continue;
-            }
-            // Denominator: total raw weight from v_m to all tree neighbors.
-            let denom: f64 = tree
-                .adjacent(m)
-                .iter()
-                .filter_map(|&k| self.graph.edge_weight(vm, tree.node(k)))
-                .sum();
-            if denom <= 0.0 {
-                continue;
-            }
-            for &k in tree.adjacent(m) {
-                if k == from && m != src {
-                    continue; // discarded back-flow
-                }
-                if m == src && k == from {
-                    continue; // src sentinel: came_from == src itself
-                }
-                let vk = tree.node(k);
-                let w = match self.graph.edge_weight(vm, vk) {
-                    Some(w) => w,
-                    None => continue,
-                };
-                let received = leaving * w / denom;
-                if let Some(slot) = f.get_mut(k) {
-                    *slot = received * self.dampening(vk);
-                }
-                stack.push((k, m));
-            }
-        }
-        f
+        let parent = tree.parent_positions();
+        let mut flows = FlowState::default();
+        self.fill_flows(
+            ParentTree::new(tree.nodes(), &parent),
+            [(src, gen)],
+            &mut flows,
+        );
+        flows.row(0).to_vec()
     }
 
     /// Scores a JTT (Eqs. 3–4). `bindings` lists the tree's non-free nodes
@@ -202,34 +168,257 @@ impl<'g> Scorer<'g> {
             bindings.iter().all(|b| b.pos < tree.size()),
             "binding position out of range"
         );
-        if let [b] = bindings {
-            let s = self.generation(tree.node(b.pos), b.match_count, b.word_count);
-            return TreeScore {
-                node_scores: vec![s],
-                score: s,
-            };
+        let parent = tree.parent_positions();
+        let mut flows = FlowState::default();
+        let sources = bindings.iter().map(|b| {
+            let gen = self.generation(tree.node(b.pos), b.match_count, b.word_count);
+            (b.pos, gen)
+        });
+        self.fill_flows(ParentTree::new(tree.nodes(), &parent), sources, &mut flows);
+        let mut per_source = Vec::with_capacity(bindings.len());
+        let score = flows.reduce(Some(&mut per_source)).unwrap_or(f64::NAN);
+        TreeScore {
+            node_scores: per_source.into_iter().map(|(s, _)| s).collect(),
+            score,
         }
-        // Flows from every source to every tree node.
-        let flows: Vec<Vec<f64>> = bindings
-            .iter()
-            .map(|b| {
-                let gen = self.generation(tree.node(b.pos), b.match_count, b.word_count);
-                self.flows_from(tree, b.pos, gen)
-            })
-            .collect();
-        let mut node_scores = Vec::with_capacity(bindings.len());
-        for (i, bi) in bindings.iter().enumerate() {
-            let mut min_flow = f64::INFINITY;
-            for (j, fj) in flows.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                min_flow = min_flow.min(fj.get(bi.pos).copied().unwrap_or(0.0));
+    }
+
+    /// Fills `out` with the Eq. 2 flow matrix of `tree`: one row per
+    /// `(source position, generation count)`, in the order given.
+    pub fn fill_flows(
+        &self,
+        tree: ParentTree<'_>,
+        sources: impl IntoIterator<Item = (usize, f64)>,
+        out: &mut FlowState,
+    ) {
+        out.clear(tree.size());
+        for m in 0..tree.size() {
+            out.values.push(self.split_denominator(tree, m));
+        }
+        for (src, gen) in sources {
+            self.push_source(tree, src, gen, out);
+        }
+    }
+
+    /// Advances `prev`, the flow matrix of a tree `T`, to `out`, the matrix
+    /// of `grown`: `T` under a new root at position 0 that adopts `T`'s
+    /// root as its only child, every position of `T` shifted up by one.
+    /// `root_gen` is the new root's generation count when it is a source;
+    /// its row comes first, then `prev`'s rows in order.
+    ///
+    /// Bit-identical to [`Scorer::fill_flows`] over `grown`, but only the
+    /// region the new edge touches is recomputed. A flow depends only on
+    /// the split denominators of the positions before it on its path, and
+    /// the new edge changes only the denominator of `T`'s root. So a source
+    /// below `T`'s root keeps every flow up to and including `T`'s root,
+    /// and is resumed from there into the new root and the other branches.
+    pub fn grow_flows(
+        &self,
+        grown: ParentTree<'_>,
+        prev: &FlowState,
+        root_gen: Option<f64>,
+        out: &mut FlowState,
+    ) {
+        debug_assert_eq!(grown.size(), prev.size() + 1, "grown adds one node");
+        out.clear(grown.size());
+        out.values.push(self.split_denominator(grown, 0));
+        out.values.push(self.split_denominator(grown, 1));
+        out.values
+            .extend_from_slice(prev.denominators().get(1..).unwrap_or(&[]));
+        if let Some(gen) = root_gen {
+            self.push_source(grown, 0, gen, out);
+        }
+        for (s, &old) in prev.sources.iter().enumerate() {
+            let src = old as usize + 1;
+            if old == 0 {
+                // The source is `T`'s root, whose own split changed; its
+                // generation count is the row's value at the source.
+                self.push_source(grown, src, prev.value(s, 0), out);
+                continue;
             }
-            node_scores.push(min_flow);
+            out.sources.push(old + 1);
+            out.values.push(0.0);
+            out.values.extend_from_slice(prev.row(s));
+            // The branch the flow arrived through keeps its copied values.
+            let mut entry = src;
+            while let Some(p) = grown.parent(entry).filter(|&p| p > 1) {
+                entry = p;
+            }
+            let (denom, row) = out.last_row();
+            self.spread(grown, denom, row, 1, entry);
         }
-        let score = node_scores.iter().sum::<f64>() / node_scores.len() as f64;
-        TreeScore { node_scores, score }
+    }
+
+    /// Eq. 2 split denominator of position `m`: the raw edge weights from
+    /// `v_m` toward all its tree neighbors, summed in ascending position
+    /// order.
+    fn split_denominator(&self, tree: ParentTree<'_>, m: usize) -> f64 {
+        let Some(vm) = tree.node(m) else {
+            return 0.0;
+        };
+        let mut denom = 0.0;
+        for k in tree.neighbors(m) {
+            if let Some(w) = tree.node(k).and_then(|vk| self.graph.edge_weight(vm, vk)) {
+                denom += w;
+            }
+        }
+        denom
+    }
+
+    /// Appends the row of source `src` holding `gen` messages, propagated
+    /// through the whole tree.
+    fn push_source(&self, tree: ParentTree<'_>, src: usize, gen: f64, out: &mut FlowState) {
+        out.sources.push(u32::try_from(src).unwrap_or(u32::MAX));
+        let start = out.values.len();
+        out.values.resize(start + tree.size(), 0.0);
+        if let Some(slot) = out.values.get_mut(start + src) {
+            *slot = gen;
+        }
+        let (denom, row) = out.last_row();
+        self.spread(tree, denom, row, src, src);
+    }
+
+    /// The Eq. 2 propagation loop: the `row[m]` messages leaving position
+    /// `m` split over its neighbors by edge weight, each share dampened on
+    /// arrival, and on outward until the leaves. The share toward `from`,
+    /// the sender, is discarded (from the source itself, `from == m`
+    /// excludes nothing).
+    fn spread(&self, tree: ParentTree<'_>, denom: &[f64], row: &mut [f64], m: usize, from: usize) {
+        let leaving = row.get(m).copied().unwrap_or(0.0);
+        let d = denom.get(m).copied().unwrap_or(0.0);
+        let Some(vm) = tree.node(m) else {
+            return;
+        };
+        if leaving <= 0.0 || d <= 0.0 {
+            return;
+        }
+        for k in tree.neighbors(m).filter(|&k| k != from) {
+            let Some(vk) = tree.node(k) else {
+                continue;
+            };
+            let Some(w) = self.graph.edge_weight(vm, vk) else {
+                continue;
+            };
+            if let Some(slot) = row.get_mut(k) {
+                *slot = leaving * w / d * self.dampening(vk);
+            }
+            self.spread(tree, denom, row, k, m);
+        }
+    }
+}
+
+/// The Eq. 2 flow matrix of one tree: for each message source, the flow it
+/// delivers to every tree position. Filled by [`Scorer::fill_flows`] or
+/// [`Scorer::grow_flows`] and reduced to Eqs. 3–4 by
+/// [`FlowState::reduce`]. Its buffers keep their capacity, so a reused
+/// matrix does not allocate.
+#[derive(Debug, Default, Clone)]
+pub struct FlowState {
+    /// Source positions (row order of the source rows).
+    sources: Vec<u32>,
+    /// Row-major, `1 + sources.len()` rows of `n`: first each position's
+    /// split denominator, then one row per source.
+    values: Vec<f64>,
+    /// Number of tree positions (the row width).
+    n: usize,
+}
+
+impl FlowState {
+    /// Source positions, in row order.
+    pub fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    /// Number of tree positions (the row width).
+    fn size(&self) -> usize {
+        self.n
+    }
+
+    /// Flow of source row `s` at tree position `pos`. Out-of-range reads
+    /// return `+∞`, so a missing entry can never lower a bound.
+    pub fn value(&self, s: usize, pos: usize) -> f64 {
+        if pos >= self.n {
+            return f64::INFINITY;
+        }
+        self.values
+            .get(
+                s.saturating_add(1)
+                    .saturating_mul(self.n)
+                    .saturating_add(pos),
+            )
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Source row `s` (empty when out of range).
+    pub fn row(&self, s: usize) -> &[f64] {
+        self.values
+            .get(s.saturating_add(1).saturating_mul(self.n)..)
+            .and_then(|rest| rest.get(..self.n))
+            .unwrap_or(&[])
+    }
+
+    /// Overwrites `self` with a copy of `src`, reusing the buffers.
+    pub fn assign_from(&mut self, src: &FlowState) {
+        self.sources.clone_from(&src.sources);
+        self.values.clone_from(&src.values);
+        self.n = src.n;
+    }
+
+    fn clear(&mut self, n: usize) {
+        self.sources.clear();
+        self.values.clear();
+        self.n = n;
+    }
+
+    fn denominators(&self) -> &[f64] {
+        self.values.get(..self.n).unwrap_or(&[])
+    }
+
+    /// The split denominators and the last row, for propagation.
+    fn last_row(&mut self) -> (&[f64], &mut [f64]) {
+        let n = self.n;
+        let Some((denom, rest)) = self.values.split_at_mut_checked(n) else {
+            return (&[], &mut []);
+        };
+        let at = rest.len().saturating_sub(n);
+        (denom, rest.get_mut(at..).unwrap_or(&mut []))
+    }
+
+    /// The Eq. 3–4 reduction: each source's node score is the least
+    /// populous message type arriving there — the minimum over the *other*
+    /// sources' flows into its position (Eq. 3) — and the tree score is
+    /// their mean (Eq. 4). A lone source has no incoming messages and
+    /// scores its own generation count (see DESIGN.md). `None` when the
+    /// matrix has no source.
+    ///
+    /// With `per_source`, also appends each source's `(node score, row of
+    /// the source whose flow was the minimum)`; ties keep the first row.
+    pub fn reduce(&self, mut per_source: Option<&mut Vec<(f64, Option<usize>)>>) -> Option<f64> {
+        let count = self.sources.len();
+        if count == 0 {
+            return None;
+        }
+        let mut sum = 0.0;
+        for (i, &pos) in self.sources.iter().enumerate() {
+            let pos = pos as usize;
+            let (mut min, mut argmin) = (f64::INFINITY, None);
+            if count == 1 {
+                min = self.value(i, pos);
+            }
+            for j in (0..count).filter(|&j| j != i) {
+                let f = self.value(j, pos);
+                if f < min {
+                    min = f;
+                    argmin = Some(j);
+                }
+            }
+            sum += min;
+            if let Some(rec) = per_source.as_deref_mut() {
+                rec.push((min, argmin));
+            }
+        }
+        Some(sum / count as f64)
     }
 }
 

@@ -187,6 +187,29 @@ impl Jtt {
         dist
     }
 
+    /// Parent position of every tree position when the tree is rooted at
+    /// position 0 (BFS; the root is its own parent) — the
+    /// [`ParentTree`] form the RWMP flow kernel runs over.
+    pub fn parent_positions(&self) -> Vec<u32> {
+        let n = self.size();
+        let mut parent = vec![u32::MAX; n];
+        if let Some(p) = parent.get_mut(0) {
+            *p = 0;
+        }
+        let mut queue = VecDeque::from([0usize]);
+        while let Some(u) = queue.pop_front() {
+            for &v in self.adjacent(u) {
+                if let Some(p) = parent.get_mut(v) {
+                    if *p == u32::MAX {
+                        *p = u32::try_from(u).unwrap_or(u32::MAX);
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        parent
+    }
+
     /// Longest path length (in hops) between any two nodes.
     pub fn diameter(&self) -> u32 {
         if self.size() <= 1 {
@@ -271,6 +294,51 @@ impl Jtt {
         }
         path.reverse();
         path
+    }
+}
+
+/// A tree in parent-array form: `nodes[i]` sits at position `i` and hangs
+/// off position `parent[i]`; position 0 is the root (`parent[0] == 0`).
+/// Search candidates are kept in this form, and [`Jtt::parent_positions`]
+/// gives it for any JTT.
+#[derive(Debug, Clone, Copy)]
+pub struct ParentTree<'a> {
+    nodes: &'a [NodeId],
+    parent: &'a [u32],
+}
+
+impl<'a> ParentTree<'a> {
+    /// Views `nodes` with the given parent positions (equal lengths).
+    pub fn new(nodes: &'a [NodeId], parent: &'a [u32]) -> Self {
+        debug_assert_eq!(nodes.len(), parent.len(), "one parent per node");
+        ParentTree { nodes, parent }
+    }
+
+    /// Number of positions.
+    pub fn size(self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Graph node at a position.
+    pub fn node(self, pos: usize) -> Option<NodeId> {
+        self.nodes.get(pos).copied()
+    }
+
+    /// Parent position of `pos` (the root is its own parent).
+    pub(crate) fn parent(self, pos: usize) -> Option<usize> {
+        self.parent.get(pos).map(|&p| p as usize)
+    }
+
+    /// Tree neighbors of `pos` in ascending position order — the order of
+    /// [`Jtt::adjacent`], and for a candidate (`parent[i] < i`) `[parent,
+    /// children ascending]`.
+    pub(crate) fn neighbors(self, pos: usize) -> impl Iterator<Item = usize> + 'a {
+        let up = self.parent(pos);
+        self.parent
+            .iter()
+            .enumerate()
+            .filter(move |&(k, &p)| k != pos && (Some(k) == up || p as usize == pos))
+            .map(|(k, _)| k)
     }
 }
 
@@ -371,5 +439,23 @@ mod tests {
         let c = chain4();
         assert_eq!(c.position(n(12)), Some(2));
         assert_eq!(c.position(n(99)), None);
+    }
+
+    #[test]
+    fn parent_form_neighbors_follow_adjacency_order() {
+        // Rooted at position 0; positions 1 and 3 hang off position 4,
+        // which is numbered after them (not a candidate rooting).
+        let t = Jtt::new(
+            vec![n(1), n(2), n(3), n(4), n(5)],
+            vec![(0, 4), (4, 3), (4, 1), (0, 2)],
+        )
+        .unwrap();
+        let parent = t.parent_positions();
+        assert_eq!(parent, vec![0, 4, 0, 4, 0]);
+        let pt = ParentTree::new(t.nodes(), &parent);
+        for pos in 0..t.size() {
+            let ns: Vec<usize> = pt.neighbors(pos).collect();
+            assert_eq!(ns, t.adjacent(pos), "position {pos}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 use std::collections::HashSet;
 
-use ci_rwmp::{CanonicalKey, Jtt, NodeBinding, Scorer};
+use ci_rwmp::{CanonicalKey, Jtt, Scorer};
 
+use crate::flows::answer_flows;
 use crate::query::QuerySpec;
 
 /// One ranked query answer.
@@ -13,23 +14,12 @@ pub struct Answer {
     pub score: f64,
 }
 
-/// Scores a tree under the query: collects the tree's non-free nodes into
-/// RWMP bindings and evaluates Eqs. 3–4. Returns `None` if the tree holds
-/// no matcher (not a query answer at all).
+/// Scores a tree under the query: its matcher nodes are the RWMP sources,
+/// and the flow kernel evaluates Eqs. 2–4 over the tree rooted at
+/// position 0. Returns `None` if the tree holds no matcher (not a query
+/// answer at all).
 pub fn score_answer(scorer: &Scorer<'_>, query: &QuerySpec, tree: &Jtt) -> Option<f64> {
-    let bindings: Vec<NodeBinding> = (0..tree.size())
-        .filter_map(|pos| {
-            query.matcher(tree.node(pos)).map(|m| NodeBinding {
-                pos,
-                match_count: m.match_count,
-                word_count: m.word_count,
-            })
-        })
-        .collect();
-    if bindings.is_empty() {
-        return None;
-    }
-    Some(scorer.score_tree(tree, &bindings).score)
+    answer_flows(scorer, query, tree).1.reduce(None)
 }
 
 /// Bounded top-k answer list with canonical-tree deduplication.

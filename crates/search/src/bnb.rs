@@ -5,7 +5,7 @@ use ci_graph::NodeId;
 use ci_index::DistanceOracle;
 use ci_rwmp::Scorer;
 
-use crate::answer::{score_answer, Answer, TopK};
+use crate::answer::{Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
 use crate::budget::TruncationReason;
 use crate::candidate::{Candidate, Shape};
@@ -310,7 +310,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
             if cur.mask == run.query.full_mask()
                 && candidate_leaves_matchable(cur, run.query, true, has_child)
             {
-                if let Some(score) = score_answer(run.scorer, run.query, &cur.to_jtt()) {
+                if let Some(score) = pop_slot.flows.reduce(None) {
                     assert!(
                         ub >= score - 1e-9,
                         "admissibility violated at pop: ub(C) = {ub} < score(C) = {score}"
@@ -618,14 +618,18 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         slot.ce = parts.ce;
         slot.pe = parts.pe;
         // A complete candidate is an answer when its mandatory nodes —
-        // leaves and a single-child root — match distinct keywords; only
-        // then is its `Jtt` built, to score and offer it.
+        // leaves and a single-child root — match distinct keywords. Its
+        // score comes straight from the slot's flows; its `Jtt` is built
+        // only when that score enters the top-k (`TopK::offer` rejects
+        // `score <= min` before it looks at the tree).
         if slot.cand.mask == self.query.full_mask()
             && candidate_leaves_matchable(&slot.cand, self.query, true, &mut self.scratch.has_child)
         {
-            let tree = slot.cand.to_jtt();
-            if let Some(score) = score_answer(self.scorer, self.query, &tree) {
-                self.topk.offer(Answer { tree, score });
+            if let Some(score) = slot.flows.reduce(None) {
+                if self.topk.min_score().is_none_or(|min| score > min) {
+                    let tree = slot.cand.to_jtt();
+                    self.topk.offer(Answer { tree, score });
+                }
             }
         }
         let idx = self.scratch.arena.len();

@@ -21,10 +21,10 @@
 
 use ci_graph::NodeId;
 use ci_index::DistanceOracle;
-use ci_rwmp::Scorer;
+use ci_rwmp::{FlowState, Scorer};
 
 use crate::candidate::Candidate;
-use crate::flows::{compute_flows, FlowState};
+use crate::flows::compute_flows;
 use crate::query::QuerySpec;
 
 /// Computes `ub(C)` from scratch. `allow_redundant` mirrors
@@ -209,8 +209,7 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
     #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     if complete {
         let ub = parts.ub();
-        let tree = cand.to_jtt();
-        if let Some(score) = crate::answer::score_answer(scorer, query, &tree) {
+        if let Some(score) = flows.reduce(None) {
             assert!(
                 ub >= score - 1e-9,
                 "admissibility violated: ub(C) = {ub} < score(C) = {score}"

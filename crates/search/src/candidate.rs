@@ -1,5 +1,5 @@
 use ci_graph::NodeId;
-use ci_rwmp::Jtt;
+use ci_rwmp::{Jtt, ParentTree};
 
 use crate::query::QuerySpec;
 
@@ -189,6 +189,11 @@ impl Candidate {
         if let Some(edges) = out.get_mut(1..) {
             edges.sort_unstable();
         }
+    }
+
+    /// The candidate in the parent-array form the flow kernel runs over.
+    pub fn tree(&self) -> ParentTree<'_> {
+        ParentTree::new(&self.nodes, &self.parent)
     }
 
     /// Converts to an (unrooted) [`Jtt`].

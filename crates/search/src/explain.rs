@@ -1,22 +1,16 @@
 //! Score explanation: the full decomposition of one answer's CI-Rank
 //! score (`ci-obs`).
 //!
-//! [`explain_answer`] replays the exact arithmetic of
-//! [`Scorer::score_tree`] over an answer tree and keeps every
-//! intermediate the scoring discards: the per-source message generation
-//! counts (§III-C.1), the flow each source delivers to every tree node
-//! (Eq. 2 dampening applied hop by hop), which source's message type was
-//! the Eq. 3 per-node minimum, and the Eq. 4 mean. The reported `score`
-//! is **bit-identical** to [`crate::score_answer`] — explanation re-runs
-//! the same operations in the same order, it never re-derives the score a
-//! different way.
-//!
-//! In debug and `strict-invariants` builds the flow matrix is additionally
-//! cross-checked bitwise against the incremental [`crate::FlowState`]
-//! machinery ([`crate::compute_flows`]) whenever the tree admits a
-//! candidate rooting (every tree produced by the branch-and-bound search
-//! does), tying the explanation to the same ground truth the hot path is
-//! checked against.
+//! [`explain_answer`] keeps every intermediate the scoring discards: the
+//! per-source message generation counts (§III-C.1), the flow each source
+//! delivers to every tree node (Eq. 2 dampening applied hop by hop), which
+//! source's message type was the Eq. 3 per-node minimum, and the Eq. 4
+//! mean. It does not replay the arithmetic: it runs the same flow kernel
+//! as [`crate::score_answer`] and the search bounds ([`ci_rwmp::FlowState`],
+//! over the tree rooted at position 0) and asks the kernel's Eq. 3–4
+//! reducer to record each node's minimum and its arg-min source. The
+//! reported `score` is therefore bit-identical to [`crate::score_answer`]
+//! by construction.
 //!
 //! The rendered form (the `ci-rank explain` CLI subcommand) and a worked
 //! example live in `docs/observability.md`.
@@ -24,6 +18,7 @@
 use ci_graph::NodeId;
 use ci_rwmp::{Jtt, Scorer};
 
+use crate::flows::answer_flows;
 use crate::query::QuerySpec;
 
 /// One tree node of an explained answer, with the flow it receives from
@@ -108,192 +103,47 @@ pub fn explain_answer(
     query: &QuerySpec,
     tree: &Jtt,
 ) -> Option<ScoreExplanation> {
-    // Bindings exactly as `score_answer` collects them: tree positions
-    // ascending, one per matcher node.
-    let mut sources: Vec<ExplainedSource> = (0..tree.size())
-        .filter_map(|pos| {
+    let (parent, flows) = answer_flows(scorer, query, tree);
+    let mut per_source = Vec::new();
+    let score = flows.reduce(Some(&mut per_source))?;
+    let sources = flows
+        .sources()
+        .iter()
+        .zip(per_source)
+        .filter_map(|(&pos, (node_score, min_source))| {
+            let pos = pos as usize;
             let m = query.matcher(tree.node(pos))?;
             Some(ExplainedSource {
                 pos,
                 node: m.node,
                 mask: m.mask,
-                generation: scorer.generation(m.node, m.match_count, m.word_count),
-                node_score: f64::NAN,
-                min_source: None,
+                generation: m.gen,
+                node_score,
+                min_source,
             })
         })
         .collect();
-    if sources.is_empty() {
-        return None;
-    }
-
-    // Flow of every source to every node — the same `flows_from` calls, in
-    // the same order, `score_tree` makes (it skips them for a single
-    // binding; here they still describe the one source's own generation).
-    let flows: Vec<Vec<f64>> = sources
-        .iter()
-        .map(|s| scorer.flows_from(tree, s.pos, s.generation))
-        .collect();
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    cross_check_flows(scorer, query, tree, &sources, &flows);
-
-    let score = if let [only] = sources.as_mut_slice() {
-        // Single non-free node: Eq. 3 is undefined (no incoming
-        // messages); the scorer uses the generation count.
-        only.node_score = only.generation;
-        only.generation
-    } else {
-        for i in 0..sources.len() {
-            let pos_i = sources.get(i).map_or(0, |s| s.pos);
-            let mut min_flow = f64::INFINITY;
-            let mut argmin = None;
-            for (j, fj) in flows.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let f = fj.get(pos_i).copied().unwrap_or(0.0);
-                // Strictly-less keeps the first minimizer on ties and
-                // leaves `min_flow` bit-identical to the `f64::min` chain
-                // in `score_tree` (no NaNs: flows are products of finite
-                // non-negative factors).
-                if f < min_flow {
-                    min_flow = f;
-                    argmin = Some(j);
-                }
-            }
-            if let Some(s) = sources.get_mut(i) {
-                s.node_score = min_flow;
-                s.min_source = argmin;
-            }
-        }
-        let sum: f64 = sources.iter().map(|s| s.node_score).sum();
-        sum / sources.len() as f64
-    };
-
-    let parent = parent_positions(tree);
     let nodes = (0..tree.size())
         .map(|pos| {
             let node = tree.node(pos);
             ExplainedNode {
                 pos,
                 node,
-                parent: parent.get(pos).copied().unwrap_or(pos),
+                parent: parent.get(pos).map_or(pos, |&p| p as usize),
                 dampening: scorer.dampening(node),
                 importance: scorer.importance(node),
                 mask: query.mask_of(node),
-                incoming: flows
-                    .iter()
-                    .map(|f| f.get(pos).copied().unwrap_or(0.0))
+                incoming: (0..flows.sources().len())
+                    .map(|s| flows.value(s, pos))
                     .collect(),
             }
         })
         .collect();
-
     Some(ScoreExplanation {
         nodes,
         sources,
         score,
     })
-}
-
-/// Parent position of every tree position under a position-0 rooting
-/// (BFS; the root's parent is itself).
-fn parent_positions(tree: &Jtt) -> Vec<usize> {
-    let n = tree.size();
-    let mut parent = vec![usize::MAX; n];
-    if n == 0 {
-        return parent;
-    }
-    if let Some(p) = parent.get_mut(0) {
-        *p = 0;
-    }
-    let mut queue = vec![0usize];
-    let mut head = 0;
-    while head < queue.len() {
-        let Some(&u) = queue.get(head) else { break };
-        head += 1;
-        for &v in tree.adjacent(u) {
-            if parent.get(v).copied() == Some(usize::MAX) {
-                if let Some(p) = parent.get_mut(v) {
-                    *p = u;
-                }
-                queue.push(v);
-            }
-        }
-    }
-    // Disconnected positions cannot occur in a Jtt; self-parent any
-    // leftover sentinel rather than exposing usize::MAX.
-    for (i, p) in parent.iter_mut().enumerate() {
-        if *p == usize::MAX {
-            *p = i;
-        }
-    }
-    parent
-}
-
-/// Strict-invariants cross-check: whenever the tree's position numbering
-/// is a valid candidate rooting (`parent[i] < i` for every non-root, as
-/// every tree the branch-and-bound search emits satisfies — candidates
-/// preserve positions into their JTTs), rebuild the [`Candidate`] and
-/// assert the incremental-flow machinery produces the explanation's flow
-/// matrix *bit for bit*. This ties `explain` to the same [`FlowState`]
-/// ground truth the query hot path is checked against.
-#[cfg(any(debug_assertions, feature = "strict-invariants"))]
-fn cross_check_flows(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    tree: &Jtt,
-    sources: &[ExplainedSource],
-    flows: &[Vec<f64>],
-) {
-    use crate::candidate::Candidate;
-    use crate::flows::{compute_flows, FlowState};
-
-    let n = tree.size();
-    let mut parent = Vec::with_capacity(n);
-    parent.push(0u32);
-    for pos in 1..n {
-        // The candidate parent is the unique adjacent position below
-        // `pos`; more or fewer than one means this numbering is not a
-        // candidate rooting and the check does not apply.
-        let mut below = tree.adjacent(pos).iter().filter(|&&a| a < pos);
-        let (Some(&p), None) = (below.next(), below.next()) else {
-            return;
-        };
-        let Ok(p32) = u32::try_from(p) else { return };
-        parent.push(p32);
-    }
-    let cand = Candidate {
-        nodes: (0..n).map(|pos| tree.node(pos)).collect(),
-        parent,
-        mask: (0..n)
-            .map(|pos| query.mask_of(tree.node(pos)))
-            .fold(0, |a, m| a | m),
-        depth: tree.distances_from(0).into_iter().max().unwrap_or(0),
-        diameter: tree.diameter(),
-    };
-    let mut state = FlowState::default();
-    compute_flows(scorer, query, &cand, &mut state);
-    let expected: Vec<u32> = sources
-        .iter()
-        .filter_map(|s| u32::try_from(s.pos).ok())
-        .collect();
-    assert_eq!(
-        state.sources(),
-        expected.as_slice(),
-        "explain: FlowState sources diverged from the scoring bindings"
-    );
-    for (s, row) in flows.iter().enumerate() {
-        for (pos, &f) in row.iter().enumerate() {
-            assert!(
-                state.value(s, pos).to_bits() == f.to_bits(),
-                "explain: flow f_[{s},{pos}] diverged bitwise from FlowState \
-                 ({} vs {})",
-                state.value(s, pos),
-                f
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,220 +1,34 @@
-//! Incremental RWMP flow state for the branch-and-bound bounds.
+//! RWMP flow matrices for search candidates and answers.
 //!
-//! The upper bound of §IV-B needs, for every matcher ("source") inside a
-//! candidate, the per-node message flows [`Scorer::flows_from`] would
-//! compute over the candidate's JTT. Re-deriving those from scratch on
-//! every registration is the dominant cost of the bound, and it is
-//! unnecessary: a *tree grow* only adds a new root on top of the old one,
-//! so for every existing source the flows through the untouched part of
-//! the tree are literally the same floats.
+//! The bound of §IV-B needs, for every matcher ("source") inside a
+//! candidate, the flow it delivers to every node of the candidate; the
+//! score of an answer and its explanation need the same matrix for the
+//! answer tree. All of them come from one kernel in `ci-rwmp`: the
+//! [`FlowState`] matrix, filled by [`Scorer::fill_flows`] or advanced by
+//! [`Scorer::grow_flows`], and reduced to Eqs. 3–4 by
+//! [`FlowState::reduce`]. This module only names the sources — every
+//! matcher position, ascending, with its [`crate::MatcherInfo::gen`] — and
+//! hands the kernel the tree in parent-array form: a candidate as it is
+//! stored, a [`Jtt`] through [`Jtt::parent_positions`].
 //!
-//! [`FlowState`] stores the flows of one candidate (a flattened
-//! `sources × nodes` matrix), and [`grow_flows`] advances a parent
-//! candidate's state to its grown child by
-//!
-//! * copying every flow that cannot have changed — all nodes whose path
-//!   from the source does not pass *through* the old root, and the old
-//!   root itself (a node's flow depends only on the weight-split
-//!   denominators of the nodes before it on its path, and growing
-//!   changes only the old root's denominator);
-//! * recomputing exactly the region the new edge touches: the flow into
-//!   the new root and into the old root's other child subtrees (their
-//!   split share shrank because the old root gained a neighbor).
-//!
-//! Bit-identity with the from-scratch computation is non-negotiable
-//! (the replay-fingerprint tests depend on it) and rests on two facts,
-//! both asserted in debug and `strict-invariants` builds:
-//!
-//! 1. per-node flows are closed-form in the parent flow
-//!    (`received = leaving · w / denom; f = received · dampening`), so
-//!    traversal order cannot change their bits — only the denominator
-//!    summation order matters;
-//! 2. candidates keep `parent[i] < i`, so the JTT adjacency list of a
-//!    node — sorted ascending by [`ci_rwmp::Jtt::new`] — is exactly
-//!    `[parent, children ascending]`, which is the order the functions
-//!    here sum denominators in.
+//! Bounds, answer scores and explanations therefore agree bit for bit by
+//! construction. What remains to check is that a grow, which recomputes
+//! only the region the new edge touches, matches the from-scratch matrix;
+//! [`grow_flows`] asserts that in debug and `strict-invariants` builds.
 
-use ci_rwmp::Scorer;
+use ci_rwmp::{FlowState, Jtt, ParentTree, Scorer};
 
 use crate::candidate::Candidate;
 use crate::query::QuerySpec;
 
-fn pos_u32(p: usize) -> u32 {
-    debug_assert!(u32::try_from(p).is_ok(), "tree positions fit in u32");
-    u32::try_from(p).unwrap_or(u32::MAX)
-}
-
-/// Per-candidate flow matrix: for each source (matcher position, stored
-/// ascending) the flow value at every tree position, flattened row-major.
-/// Held in the search scratch arena next to its candidate and reused
-/// across candidates — all buffers keep their capacity.
-#[derive(Debug, Default, Clone)]
-pub struct FlowState {
-    /// Matcher positions, ascending (row order of `values`).
-    sources: Vec<u32>,
-    /// `sources.len() × n` flow values, row-major.
-    values: Vec<f64>,
-    /// Number of tree positions (row width).
-    n: usize,
-    /// DFS scratch (`(node, came_from)` pairs); transient, never copied.
-    stack: Vec<(u32, u32)>,
-}
-
-impl FlowState {
-    /// Source positions, ascending.
-    pub fn sources(&self) -> &[u32] {
-        &self.sources
-    }
-
-    /// Flow of source row `s` at tree position `pos`. Out-of-range reads
-    /// return `+∞`, mirroring the bound code's "a missing flow entry must
-    /// not lower the bound" convention.
-    pub fn value(&self, s: usize, pos: usize) -> f64 {
-        self.values
-            .get(s.saturating_mul(self.n).saturating_add(pos))
-            .copied()
-            .unwrap_or(f64::INFINITY)
-    }
-
-    pub(crate) fn assign_from(&mut self, src: &FlowState) {
-        self.sources.clear();
-        self.sources.extend_from_slice(&src.sources);
-        self.values.clear();
-        self.values.extend_from_slice(&src.values);
-        self.n = src.n;
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.sources.clear();
-        self.values.clear();
-        self.n = n;
-    }
-
-    /// Appends a zeroed row and returns its start offset.
-    fn push_row(&mut self) -> usize {
-        let start = self.values.len();
-        self.values.resize(start + self.n, 0.0);
-        start
-    }
-}
-
-/// Weight-split denominator of tree position `m`: the summed edge weights
-/// toward all tree neighbors, in JTT adjacency order (`[parent, children
-/// ascending]` — see the module docs).
-fn denom_of(scorer: &Scorer<'_>, cand: &Candidate, m: usize) -> f64 {
-    let graph = scorer.graph();
-    let Some(&vm) = cand.nodes.get(m) else {
-        return 0.0;
-    };
-    let mut denom = 0.0;
-    if m != 0 {
-        if let Some(&p) = cand.parent.get(m) {
-            if let Some(&vp) = cand.nodes.get(p as usize) {
-                if let Some(w) = graph.edge_weight(vm, vp) {
-                    denom += w;
-                }
-            }
-        }
-    }
-    for i in (m + 1)..cand.size() {
-        if cand.parent.get(i).copied() != Some(pos_u32(m)) {
-            continue;
-        }
-        if let Some(&vi) = cand.nodes.get(i) {
-            if let Some(w) = graph.edge_weight(vm, vi) {
-                denom += w;
-            }
-        }
-    }
-    denom
-}
-
-/// Drains the DFS stack, propagating flows outward exactly like
-/// [`Scorer::flows_from`]: per node, `received = leaving · w / denom` and
-/// `f[k] = received · dampening(v_k)`, discarding back-flow toward
-/// `came_from`.
-fn run_stack(
-    scorer: &Scorer<'_>,
-    cand: &Candidate,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    src: usize,
-) {
-    while let Some((m32, from32)) = stack.pop() {
-        let (m, from) = (m32 as usize, from32 as usize);
-        let Some(&vm) = cand.nodes.get(m) else {
-            continue;
-        };
-        let leaving = row.get(m).copied().unwrap_or(0.0);
-        if leaving <= 0.0 {
-            continue;
-        }
-        let denom = denom_of(scorer, cand, m);
-        if denom <= 0.0 {
-            continue;
-        }
-        // Neighbors in adjacency order: parent first, children ascending.
-        let parent = cand.parent.get(m).copied().unwrap_or(0) as usize;
-        if m != 0 && parent != from {
-            step(scorer, cand, row, stack, m, vm, parent, leaving, denom);
-        }
-        for k in (m + 1)..cand.size() {
-            if cand.parent.get(k).copied() != Some(m32) {
-                continue;
-            }
-            if k == from && m != src {
-                continue; // discarded back-flow
-            }
-            step(scorer, cand, row, stack, m, vm, k, leaving, denom);
-        }
-    }
-}
-
-// LINT-EXEMPT(hot-path): the flat argument list keeps the per-edge step
-// inlineable from three call sites; bundling into a context struct would
-// re-borrow per field on the innermost loop for no readability gain.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    scorer: &Scorer<'_>,
-    cand: &Candidate,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    m: usize,
-    vm: ci_graph::NodeId,
-    k: usize,
-    leaving: f64,
-    denom: f64,
-) {
-    let Some(&vk) = cand.nodes.get(k) else {
-        return;
-    };
-    let Some(w) = scorer.graph().edge_weight(vm, vk) else {
-        return;
-    };
-    let received = leaving * w / denom;
-    if let Some(slot) = row.get_mut(k) {
-        *slot = received * scorer.dampening(vk);
-    }
-    stack.push((pos_u32(k), pos_u32(m)));
-}
-
-/// Full flow propagation of one source over a candidate, into `row`
-/// (assumed zeroed). Bit-identical to `scorer.flows_from(&cand.to_jtt(),
-/// src, gen)` — see the module docs for why.
-fn propagate_from(
-    scorer: &Scorer<'_>,
-    cand: &Candidate,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    src: usize,
-    gen: f64,
-) {
-    if let Some(slot) = row.get_mut(src) {
-        *slot = gen;
-    }
-    stack.clear();
-    stack.push((pos_u32(src), pos_u32(src)));
-    run_stack(scorer, cand, row, stack, src);
+/// Fills `out` with the flow matrix of `tree` under `query`: one row per
+/// matcher position, ascending.
+fn fill(scorer: &Scorer<'_>, query: &QuerySpec, tree: ParentTree<'_>, out: &mut FlowState) {
+    let sources = (0..tree.size()).filter_map(|pos| {
+        let m = query.matcher(tree.node(pos)?)?;
+        Some((pos, m.gen))
+    });
+    scorer.fill_flows(tree, sources, out);
 }
 
 /// Computes a candidate's full [`FlowState`] from scratch (used for
@@ -226,32 +40,33 @@ pub fn compute_flows(
     cand: &Candidate,
     out: &mut FlowState,
 ) {
-    let n = cand.size();
-    out.reset(n);
-    for pos in 0..n {
-        let Some(&v) = cand.nodes.get(pos) else {
-            continue;
-        };
-        let Some(m) = query.matcher(v) else {
-            continue;
-        };
-        let gen = m.gen;
-        out.sources.push(pos_u32(pos));
-        let start = out.push_row();
-        let mut stack = std::mem::take(&mut out.stack);
-        if let Some(row) = out.values.get_mut(start..) {
-            propagate_from(scorer, cand, row, &mut stack, pos, gen);
-        }
-        out.stack = stack;
-    }
+    fill(scorer, query, cand.tree(), out);
+}
+
+/// The flow matrix of an answer tree under `query`, with the parent
+/// positions (rooted at position 0) it was computed over.
+pub(crate) fn answer_flows(
+    scorer: &Scorer<'_>,
+    query: &QuerySpec,
+    tree: &Jtt,
+) -> (Vec<u32>, FlowState) {
+    let parent = tree.parent_positions();
+    let mut flows = FlowState::default();
+    fill(
+        scorer,
+        query,
+        ParentTree::new(tree.nodes(), &parent),
+        &mut flows,
+    );
+    (parent, flows)
 }
 
 /// Advances `parent`'s flow state to the grown candidate `grown`
 /// (`grown = parent.grow(new_root)` — new root at position 0, every old
-/// position shifted by one). Copies all unchanged flows and recomputes
-/// only the region the new edge touches; bit-identical to
-/// [`compute_flows`] over `grown` (asserted in debug /
-/// `strict-invariants` builds).
+/// position shifted by one) through [`Scorer::grow_flows`], which copies
+/// all unchanged flows and recomputes only the region the new edge
+/// touches. Bit-identical to [`compute_flows`] over `grown` (asserted in
+/// debug / `strict-invariants` builds).
 pub fn grow_flows(
     scorer: &Scorer<'_>,
     query: &QuerySpec,
@@ -260,123 +75,31 @@ pub fn grow_flows(
     grown: &Candidate,
     out: &mut FlowState,
 ) {
-    let n = grown.size();
-    debug_assert_eq!(n, parent.size() + 1, "grown adds exactly one node");
-    out.reset(n);
-    let mut stack = std::mem::take(&mut out.stack);
-    // New source first (ascending positions): the new root, if a matcher.
-    if let Some(m) = query.matcher(grown.root()) {
-        let gen = m.gen;
-        out.sources.push(0);
-        let start = out.push_row();
-        if let Some(row) = out.values.get_mut(start..) {
-            propagate_from(scorer, grown, row, &mut stack, 0, gen);
-        }
-    }
-    // Existing sources, shifted by one.
-    for (s, &op32) in parent_flows.sources.iter().enumerate() {
-        let op = op32 as usize;
-        let np = op + 1;
-        out.sources.push(pos_u32(np));
-        let start = out.push_row();
-        let Some(row) = out.values.get_mut(start..) else {
-            continue;
-        };
-        let Some(&src_node) = grown.nodes.get(np) else {
-            continue;
-        };
-        let Some(m) = query.matcher(src_node) else {
-            debug_assert!(false, "flow source is always a matcher");
-            continue;
-        };
-        if op == 0 {
-            // The source *is* the old root: its own split denominator
-            // changed, so everything downstream must be recomputed.
-            propagate_from(scorer, grown, row, &mut stack, np, m.gen);
-        } else {
-            incremental_row(scorer, grown, parent_flows, s, row, &mut stack, np);
-        }
-    }
-    out.stack = stack;
+    debug_assert_eq!(
+        grown.size(),
+        parent.size() + 1,
+        "grown adds exactly one node"
+    );
+    let root_gen = query.matcher(grown.root()).map(|m| m.gen);
+    scorer.grow_flows(grown.tree(), parent_flows, root_gen, out);
     #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     {
         let mut fresh = FlowState::default();
         compute_flows(scorer, query, grown, &mut fresh);
         assert_eq!(
-            fresh.sources, out.sources,
+            fresh.sources(),
+            out.sources(),
             "incremental grow must keep the source rows"
         );
-        let same = fresh.values.len() == out.values.len()
-            && fresh
-                .values
-                .iter()
-                .zip(out.values.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+        let same = (0..fresh.sources().len()).all(|s| {
+            let (a, b) = (fresh.row(s), out.row(s));
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        });
         assert!(
             same,
             "incremental grow diverged bitwise from the from-scratch flows"
         );
     }
-}
-
-/// One shifted source row: copy the unchanged flows, then recompute the
-/// flow out of the old root (now position 1) — whose denominator gained
-/// the new-root edge — into the new root and into every child subtree
-/// other than the one the flow arrived through.
-fn incremental_row(
-    scorer: &Scorer<'_>,
-    grown: &Candidate,
-    parent_flows: &FlowState,
-    s: usize,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    np: usize,
-) {
-    let n = grown.size();
-    // Copy: old position i → new position i + 1. Position 0 stays 0.0.
-    for i in 0..(n - 1) {
-        if let Some(slot) = row.get_mut(i + 1) {
-            *slot = parent_flows.value(s, i);
-        }
-    }
-    // The flow *into* the old root is unchanged (it depends only on the
-    // denominators of nodes nearer the source). If nothing leaves it,
-    // nothing downstream changes either.
-    let leaving = row.get(1).copied().unwrap_or(0.0);
-    if leaving <= 0.0 {
-        return;
-    }
-    let Some(&v1) = grown.nodes.get(1) else {
-        return;
-    };
-    let denom = denom_of(scorer, grown, 1);
-    if denom <= 0.0 {
-        // The old root had a zero denominator in the old tree too (edge
-        // weights are non-negative), so the copied zeros stand.
-        return;
-    }
-    // Branch-entry child: the old root's neighbor on the path toward the
-    // source — back-flow toward it is discarded, its subtree keeps the
-    // copied values.
-    let mut entry = np;
-    while grown.parent.get(entry).copied() != Some(1) {
-        let Some(&p) = grown.parent.get(entry) else {
-            debug_assert!(false, "source path must reach the old root");
-            return;
-        };
-        entry = p as usize;
-    }
-    // Old-root out-edges in adjacency order (parent 0 first, children
-    // ascending), skipping the branch-entry child.
-    stack.clear();
-    step(scorer, grown, row, stack, 1, v1, 0, leaving, denom);
-    for k in 2..n {
-        if grown.parent.get(k).copied() != Some(1) || k == entry {
-            continue;
-        }
-        step(scorer, grown, row, stack, 1, v1, k, leaving, denom);
-    }
-    run_stack(scorer, grown, row, stack, np);
 }
 
 #[cfg(test)]

@@ -110,7 +110,9 @@ pub use bounds::{bound_parts_from, upper_bound, upper_bound_from};
 #[doc(hidden)]
 pub use candidate::{Candidate, Shape};
 #[doc(hidden)]
-pub use flows::{compute_flows, grow_flows, FlowState};
+pub use ci_rwmp::FlowState;
+#[doc(hidden)]
+pub use flows::{compute_flows, grow_flows};
 
 /// Tuning knobs shared by both search algorithms.
 #[derive(Debug, Clone)]

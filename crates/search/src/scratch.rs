@@ -27,10 +27,10 @@
 use std::collections::BinaryHeap;
 
 use ci_graph::NodeId;
+use ci_rwmp::FlowState;
 
 use crate::bnb::{HeapItem, Pending};
 use crate::candidate::Candidate;
-use crate::flows::FlowState;
 use crate::trace::SearchTrace;
 
 /// Sentinel for "no arena index" in the root chains.

@@ -14,7 +14,9 @@
 use ci_graph::{Graph, GraphBuilder, NodeId};
 use ci_index::{detect_star_relations, DistanceOracle, NaiveIndex, NoIndex, StarIndex};
 use ci_rwmp::{Dampening, Scorer};
-use ci_search::{bnb_search, naive_search, QuerySpec, SearchOptions};
+use ci_search::{
+    bnb_search, explain_answer, naive_search, score_answer, Answer, QuerySpec, SearchOptions,
+};
 use proptest::prelude::*;
 
 /// A random connected graph description: node importance values plus extra
@@ -97,6 +99,31 @@ fn build_query(scorer: &Scorer<'_>, case: &RandomCase) -> Option<QuerySpec> {
         vec!["a".into(), "b".into()],
         matches,
     ))
+}
+
+/// Every answer's ranked score, its re-score and its explanation agree bit
+/// for bit, and the explanation's incoming flows are `Scorer::flows_from`'s.
+fn assert_scores_agree(name: &str, scorer: &Scorer<'_>, query: &QuerySpec, answers: &[Answer]) {
+    for a in answers {
+        let rescore = score_answer(scorer, query, &a.tree).expect("answers have matchers");
+        assert_eq!(rescore.to_bits(), a.score.to_bits(), "{name}: score_answer");
+        let ex = explain_answer(scorer, query, &a.tree).expect("answers have matchers");
+        assert_eq!(
+            ex.score.to_bits(),
+            a.score.to_bits(),
+            "{name}: explain_answer"
+        );
+        for (s, src) in ex.sources.iter().enumerate() {
+            let flows = scorer.flows_from(&a.tree, src.pos, src.generation);
+            for (pos, node) in ex.nodes.iter().enumerate() {
+                assert_eq!(
+                    node.incoming[s].to_bits(),
+                    flows[pos].to_bits(),
+                    "{name}: flow of source {s} into position {pos}"
+                );
+            }
+        }
+    }
 }
 
 fn assert_equivalent(name: &str, left: &[ci_search::Answer], right: &[ci_search::Answer]) {
@@ -200,6 +227,33 @@ proptest! {
         let star = StarIndex::build(&graph, &damp, opts.diameter, &star_rels).into_oracle(&graph);
         let (starred, _) = bnb_search(&scorer, &query, &star, &opts);
         assert_equivalent("three-kw-star", &oracle_answers, &starred);
+    }
+
+    /// One flow kernel: for every answer of either search, the ranked
+    /// score, `score_answer` and `explain_answer` agree bitwise, and the
+    /// explanation's flows equal `Scorer::flows_from`. Naive-search trees
+    /// are numbered by path union, so they cover trees whose positions are
+    /// not a candidate rooting.
+    #[test]
+    fn answer_scores_agree_bitwise(case in random_case(8)) {
+        let graph = build_graph(&case);
+        let p = case.importance.clone();
+        let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+        let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
+        let Some(query) = build_query(&scorer, &case) else { return Ok(()); };
+        if !query.answerable() { return Ok(()); }
+        let opts = SearchOptions {
+            diameter: 4,
+            k: 8,
+            max_tree_nodes: 8,
+            naive_max_paths: 100_000,
+            naive_max_combinations: 1_000_000,
+            ..Default::default()
+        };
+        let (naive, _) = naive_search(&scorer, &query, &opts);
+        assert_scores_agree("naive", &scorer, &query, &naive);
+        let (bnb, _) = bnb_search(&scorer, &query, &NoIndex, &opts);
+        assert_scores_agree("bnb", &scorer, &query, &bnb);
     }
 
     /// Index bounds are consistent with ground truth on random graphs:

@@ -45,6 +45,13 @@
 //!    (touched once per complete answer) are outside the rule's files. A
 //!    `LINT-EXEMPT(reason)` comment within 8 lines above the use exempts
 //!    audited cases.
+//! 7. **One Eq. 2 kernel** — non-test code in `crates/search/src` and
+//!    `crates/rwmp/src` may call `edge_weight(` only in
+//!    `crates/rwmp/src/scorer.rs`. Bounds, answer scores and score
+//!    explanations all read the RWMP flow kernel there (`FlowState`,
+//!    `Scorer::fill_flows`, `FlowState::reduce`) and agree bit for bit by
+//!    construction; a second weight-split loop elsewhere would have to be
+//!    kept equal by hand again.
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -109,6 +116,7 @@ fn lint() -> ExitCode {
     }
     check_no_dyn_oracle(&root, &mut findings);
     check_no_inner_loop_maps(&root, &mut findings);
+    check_single_flow_kernel(&root, &mut findings);
 
     if findings.is_empty() {
         println!("xtask lint: ok");
@@ -396,6 +404,45 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Rule 7: the Eq. 2 weight split lives only in the flow kernel. Outside
+/// `crates/rwmp/src/scorer.rs`, non-test code in the scoring and search
+/// crates must not read edge weights (`edge_weight(`).
+fn check_single_flow_kernel(root: &Path, findings: &mut Vec<String>) {
+    const KERNEL: &str = "crates/rwmp/src/scorer.rs";
+    for krate in ["rwmp", "search"] {
+        for path in rust_files(&root.join("crates").join(krate).join("src")) {
+            if path == root.join(KERNEL) {
+                continue;
+            }
+            let Ok(src) = fs::read_to_string(&path) else {
+                findings.push(format!("{}: cannot read file", path.display()));
+                continue;
+            };
+            for n in edge_weight_hits(&src) {
+                findings.push(format!(
+                    "{}:{}: `edge_weight(` outside the flow kernel — compute \
+                     RWMP flows through {KERNEL} (Scorer::fill_flows / \
+                     grow_flows) instead of splitting weights here",
+                    path.display(),
+                    n
+                ));
+            }
+        }
+    }
+}
+
+/// 1-based line numbers in the non-test region of `src` that call
+/// `edge_weight(` outside comments and string literals.
+fn edge_weight_hits(src: &str) -> Vec<usize> {
+    non_test_region(src)
+        .enumerate()
+        .filter(|(_, line)| {
+            !line.trim_start().starts_with("//") && strip_strings(line).contains("edge_weight(")
+        })
+        .map(|(n, _)| n + 1)
+        .collect()
+}
+
 /// 1-based line numbers in the non-test region of `src` that mention
 /// `HashMap`, `HashSet` or `BTreeMap` outside comments, string literals,
 /// and `LINT-EXEMPT` coverage.
@@ -596,6 +643,22 @@ mod tests {
         let exempted = "// LINT-EXEMPT(demo): audited cold-path map\n\
                         use std::collections::HashMap;\n";
         assert!(inner_loop_map_hits(exempted).is_empty());
+    }
+
+    #[test]
+    fn edge_weight_flagged_outside_tests_only() {
+        let bad = "fn f() {}\nlet w = graph.edge_weight(u, v);\n";
+        assert_eq!(edge_weight_hits(bad), vec![2]);
+        let in_tests = "fn f() {}\n\
+                        #[cfg(test)]\n\
+                        mod tests {\n    let w = g.edge_weight(u, v);\n}\n";
+        assert!(edge_weight_hits(in_tests).is_empty());
+        let in_comment = "// the old copy called edge_weight(vm, vk) here\n";
+        assert!(edge_weight_hits(in_comment).is_empty());
+        let in_string = "let msg = \"edge_weight( is kernel-only\";\n";
+        assert!(edge_weight_hits(in_string).is_empty());
+        let other = "let w = graph.edge_norm_weight(u, v);\n";
+        assert!(edge_weight_hits(other).is_empty());
     }
 
     #[test]

@@ -94,6 +94,16 @@ pub fn build(
     .build(db)
 }
 
+/// Hash of one query's outcome through `session`: bit-exact scores, result
+/// node ids and the pre-optimization `SearchStats` counters, or the error.
+/// Cache statistics are left out, so replay contracts do not depend on
+/// them.
+pub fn query_fingerprint(session: &QuerySession<'_>, q: &str) -> u64 {
+    let mut h = Fnv::new();
+    hash_query(&mut h, session, q);
+    h.0
+}
+
 /// Folds one query's outcome through the given session into `h`.
 fn hash_query(h: &mut Fnv, session: &QuerySession<'_>, q: &str) {
     match session.search_with_stats(q) {

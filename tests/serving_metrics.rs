@@ -176,3 +176,24 @@ fn metrics_are_exact_across_concurrent_sessions() {
     assert_agrees(&delta, &total, label);
     assert_eq!(delta.queries, (THREADS as u64) * per_thread[0].queries);
 }
+
+#[test]
+fn candidate_pool_runs_and_errors_are_recorded() {
+    let (label, kind, data, mut queries) = cases().remove(1); // zipf/star
+    queries.push(String::new()); // rejected by query parsing
+                                 // The pool run at the configured k is the run `search_with_stats`
+                                 // makes, so a replay on an identical snapshot gives the expectation.
+    let expected = replay(
+        &build(&data.db, kind.clone(), 1).unwrap().session(),
+        &queries,
+    );
+    assert_eq!(expected.errors, 1, "{label}: the empty query errors");
+    let snap = build(&data.db, kind, 1).unwrap();
+    let before = snap.metrics().snapshot();
+    let session = snap.session();
+    for q in &queries {
+        let _ = session.candidate_pool(q, 5);
+    }
+    let delta = snap.metrics().snapshot().delta_since(&before);
+    assert_agrees(&delta, &expected, label);
+}
