@@ -8,7 +8,7 @@
 //!   workload; per-query wall-clock is bucketed by the structural query
 //!   class ([`ci_datagen::QueryPattern`]) and reported as p50 / p95 / mean.
 //!   A warm-up pass precedes measurement so the session's oracle cache and
-//!   candidate pool are in their steady state (the state a serving system
+//!   candidate store are in their steady state (the state a serving system
 //!   lives in).
 //! * **Multi-threaded throughput** — the same `Arc<EngineSnapshot>` serves
 //!   1, 2, and 4 threads, each with its own session, each replaying the
@@ -23,6 +23,12 @@
 //! publishing it invites misreading. Skipped sweep points are recorded in
 //! the JSON as `"skipped": true` with the machine's parallelism, so a
 //! reader of the artifact can tell "not parallel here" from "not run".
+//!
+//! The warm-up pass also totals each query class's rejections — the
+//! candidates and merge attempts the search discarded, by reason
+//! ([`ci_search::SearchStats`] and its [`ci_search::RejectionStats`]) —
+//! reported under `"rejections"`, so a change in where the search spends
+//! its work shows up per class.
 //!
 //! After the sweeps, each dataset's serving-metrics snapshot
 //! ([`ci_rank::MetricsRegistry`]) is embedded under `"metrics"` — the
@@ -51,6 +57,7 @@ use ci_bench::{dblp_data, dblp_engine, imdb_data, imdb_engine};
 use ci_datagen::{dblp_workload, imdb_synthetic_workload, LabeledQuery, QueryPattern};
 use ci_rank::{EngineSnapshot, IndexKind};
 use ci_rank_suite::fingerprint::query_fingerprint;
+use ci_search::SearchStats;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -81,6 +88,51 @@ struct ClassLatency {
     mean_ms: f64,
 }
 
+/// Rejection totals of one query class over the warm-up pass.
+struct ClassRejections {
+    class: &'static str,
+    /// `(name, total)` per rejection reason, in report order.
+    totals: [(&'static str, usize); 9],
+}
+
+impl ClassRejections {
+    fn new(class: &'static str) -> ClassRejections {
+        let names = [
+            "structural",
+            "infeasible_leaves",
+            "duplicate",
+            "distance",
+            "bound",
+            "merge_rule",
+            "merge_sig_disjoint",
+            "merge_matcher_overlap",
+            "merge_overlap",
+        ];
+        ClassRejections {
+            class,
+            totals: names.map(|n| (n, 0)),
+        }
+    }
+
+    fn add(&mut self, stats: &SearchStats) {
+        let r = &stats.rejections;
+        let counts = [
+            r.structural,
+            r.infeasible_leaves,
+            r.duplicate,
+            stats.distance_pruned,
+            stats.bound_pruned,
+            r.merge_rule,
+            r.merge_sig_disjoint,
+            r.merge_matcher_overlap,
+            r.merge_overlap,
+        ];
+        for ((_, total), c) in self.totals.iter_mut().zip(counts) {
+            *total += c;
+        }
+    }
+}
+
 /// One point of the throughput sweep: measured, or skipped because the
 /// thread count exceeds the machine's hardware parallelism.
 enum ThroughputPoint {
@@ -92,6 +144,7 @@ struct DatasetReport {
     name: &'static str,
     queries: usize,
     latency: Vec<ClassLatency>,
+    rejections: Vec<ClassRejections>,
     throughput: Vec<ThroughputPoint>,
     /// Serving-metrics JSON snapshot accumulated over every query the
     /// bench ran against this dataset's snapshot.
@@ -99,17 +152,31 @@ struct DatasetReport {
 }
 
 /// Single-thread replay: one warm session, per-query latency bucketed by
-/// query class, plus the per-query reference fingerprints the throughput
-/// threads must reproduce bit-for-bit.
+/// query class, the warm-up pass's per-class rejection totals, plus the
+/// per-query reference fingerprints the throughput threads must reproduce
+/// bit-for-bit.
 fn single_thread_pass(
     snap: &EngineSnapshot,
     workload: &[(String, QueryPattern)],
-) -> (Vec<ClassLatency>, Vec<u64>) {
+) -> (Vec<ClassLatency>, Vec<ClassRejections>, Vec<u64>) {
     let session = snap.session();
-    // Warm-up: oracle cache rows, candidate pool, text-index structures.
-    for (q, _) in workload {
-        let _ = session.search_with_stats(q);
+    // Warm-up: oracle cache rows, candidate store, text-index structures.
+    let mut rejections: Vec<ClassRejections> = Vec::new();
+    for (q, pattern) in workload {
+        let Ok((_, stats)) = session.search_with_stats(q) else {
+            continue;
+        };
+        let class = pattern_name(*pattern);
+        match rejections.iter_mut().find(|c| c.class == class) {
+            Some(c) => c.add(&stats),
+            None => {
+                let mut c = ClassRejections::new(class);
+                c.add(&stats);
+                rejections.push(c);
+            }
+        }
     }
+    rejections.sort_by_key(|c| c.class);
     let warm_slots = session.scratch_slots_allocated();
 
     let mut fingerprints = Vec::with_capacity(workload.len());
@@ -127,7 +194,7 @@ fn single_thread_pass(
     assert_eq!(
         session.scratch_slots_allocated(),
         warm_slots,
-        "steady-state replay must not construct new candidate slots"
+        "steady-state replay must not grow the candidate store"
     );
 
     let mut latency: Vec<ClassLatency> = by_class
@@ -141,7 +208,7 @@ fn single_thread_pass(
         })
         .collect();
     latency.sort_by_key(|c| c.class);
-    (latency, fingerprints)
+    (latency, rejections, fingerprints)
 }
 
 /// Multi-thread replay over a shared snapshot: each thread owns a session
@@ -180,12 +247,16 @@ fn run_dataset(
     hardware_threads: usize,
 ) -> DatasetReport {
     eprintln!("bench_query: {name}: {} queries", workload.len());
-    let (latency, reference) = single_thread_pass(snap, workload);
+    let (latency, rejections, reference) = single_thread_pass(snap, workload);
     for c in &latency {
         eprintln!(
             "  {name:5} {:13} n={:3}  p50 {:.3}ms  p95 {:.3}ms  mean {:.3}ms",
             c.class, c.count, c.p50_ms, c.p95_ms, c.mean_ms
         );
+    }
+    for c in &rejections {
+        let totals: Vec<String> = c.totals.iter().map(|(n, t)| format!("{n} {t}")).collect();
+        eprintln!("  {name:5} {:13} rejected: {}", c.class, totals.join(", "));
     }
 
     let mut throughput = Vec::new();
@@ -208,6 +279,7 @@ fn run_dataset(
         name,
         queries: workload.len(),
         latency,
+        rejections,
         throughput,
         metrics_json: snap.metrics().snapshot().to_json(),
     }
@@ -229,6 +301,22 @@ fn json(reports: &[DatasetReport], hardware_threads: usize, quick: bool) -> Stri
                 "        \"{}\": {{\"count\": {}, \"p50\": {:.6}, \"p95\": {:.6}, \
                  \"mean\": {:.6}}}{comma}",
                 c.class, c.count, c.p50_ms, c.p95_ms, c.mean_ms
+            );
+        }
+        out.push_str("      },\n");
+        out.push_str("      \"rejections\": {\n");
+        for (j, c) in r.rejections.iter().enumerate() {
+            let comma = if j + 1 < r.rejections.len() { "," } else { "" };
+            let fields: Vec<String> = c
+                .totals
+                .iter()
+                .map(|(n, t)| format!("\"{n}\": {t}"))
+                .collect();
+            let _ = writeln!(
+                out,
+                "        \"{}\": {{{}}}{comma}",
+                c.class,
+                fields.join(", ")
             );
         }
         out.push_str("      },\n");

@@ -81,6 +81,8 @@ pub struct MetricsRegistry {
     merge_rule: AtomicU64,
     /// Σ [`RejectionStats::merge_sig_disjoint`].
     merge_sig_disjoint: AtomicU64,
+    /// Σ [`RejectionStats::merge_matcher_overlap`].
+    merge_matcher_overlap: AtomicU64,
     /// Σ [`RejectionStats::merge_overlap`].
     merge_overlap: AtomicU64,
     /// Runs truncated by the expansion budget.
@@ -174,6 +176,8 @@ impl MetricsRegistry {
         self.merge_rule.fetch_add(to_u64(rej.merge_rule), r);
         self.merge_sig_disjoint
             .fetch_add(to_u64(rej.merge_sig_disjoint), r);
+        self.merge_matcher_overlap
+            .fetch_add(to_u64(rej.merge_matcher_overlap), r);
         self.merge_overlap.fetch_add(to_u64(rej.merge_overlap), r);
     }
 
@@ -206,6 +210,7 @@ impl MetricsRegistry {
             rejected_duplicate: self.rejected_duplicate.load(r),
             merge_rule: self.merge_rule.load(r),
             merge_sig_disjoint: self.merge_sig_disjoint.load(r),
+            merge_matcher_overlap: self.merge_matcher_overlap.load(r),
             merge_overlap: self.merge_overlap.load(r),
             truncated_expansions: self.truncated_expansions.load(r),
             truncated_deadline: self.truncated_deadline.load(r),
@@ -253,6 +258,9 @@ pub struct MetricsSnapshot {
     /// Merge attempts accepted on disjoint node signatures, without the
     /// exact overlap scan.
     pub merge_sig_disjoint: u64,
+    /// Merge attempts rejected without the scan: both operands hold the
+    /// same non-root matcher.
+    pub merge_matcher_overlap: u64,
     /// Merge attempts rejected by the exact overlap scan.
     pub merge_overlap: u64,
     /// Runs truncated by the expansion budget.
@@ -333,6 +341,9 @@ impl MetricsSnapshot {
             merge_sig_disjoint: self
                 .merge_sig_disjoint
                 .saturating_sub(earlier.merge_sig_disjoint),
+            merge_matcher_overlap: self
+                .merge_matcher_overlap
+                .saturating_sub(earlier.merge_matcher_overlap),
             merge_overlap: self.merge_overlap.saturating_sub(earlier.merge_overlap),
             truncated_expansions: self
                 .truncated_expansions
@@ -391,6 +402,7 @@ impl MetricsSnapshot {
         field(&mut s, "rejected_duplicate", self.rejected_duplicate);
         field(&mut s, "merge_rule", self.merge_rule);
         field(&mut s, "merge_sig_disjoint", self.merge_sig_disjoint);
+        field(&mut s, "merge_matcher_overlap", self.merge_matcher_overlap);
         field(&mut s, "merge_overlap", self.merge_overlap);
         field(&mut s, "truncated_expansions", self.truncated_expansions);
         field(&mut s, "truncated_deadline", self.truncated_deadline);
@@ -444,6 +456,7 @@ mod tests {
                 duplicate: 2,
                 merge_rule: 0,
                 merge_sig_disjoint: 1,
+                merge_matcher_overlap: 9,
                 merge_overlap: 6,
             },
         }
@@ -471,6 +484,7 @@ mod tests {
         assert_eq!(s.rejected_duplicate, 4);
         assert_eq!(s.merge_rule, 0);
         assert_eq!(s.merge_sig_disjoint, 2);
+        assert_eq!(s.merge_matcher_overlap, 18);
         assert_eq!(s.merge_overlap, 12);
         assert_eq!(s.truncated_deadline, 1);
         assert_eq!(s.truncated_total(), 1);
@@ -549,6 +563,7 @@ mod tests {
         assert!(json.contains("\"pops\":2"), "{json}");
         assert!(json.contains("\"rejected_structural\":8"), "{json}");
         assert!(json.contains("\"merge_overlap\":6"), "{json}");
+        assert!(json.contains("\"merge_matcher_overlap\":9"), "{json}");
         assert!(json.contains("\"latency_histogram_us\":["), "{json}");
         assert!(json.contains("{\"le\":50,\"count\":0}"), "{json}");
         assert!(json.contains("{\"le\":null,\"count\":0}"), "{json}");

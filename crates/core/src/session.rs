@@ -94,12 +94,20 @@ impl<'s> QuerySession<'s> {
         &self.cache
     }
 
-    /// Diagnostics: candidate slots the session's search scratch has
-    /// constructed so far. Constant across repeated identical queries once
-    /// warm — the steady-state no-allocation property of the candidate
-    /// pool (asserted by the query hot-path tests).
+    /// Diagnostics: the most candidates one run of the session has stored
+    /// ([`SearchScratch::slots_allocated`]). Constant across repeated
+    /// identical queries once warm — the steady-state no-allocation
+    /// property of the candidate store (asserted by the query hot-path
+    /// tests).
     pub fn scratch_slots_allocated(&self) -> usize {
         self.scratch.borrow().slots_allocated()
+    }
+
+    /// Diagnostics: heap bytes held by the session's search scratch
+    /// ([`SearchScratch::capacity_bytes`]). Replaying a workload leaves it
+    /// constant after the first pass.
+    pub fn scratch_capacity_bytes(&self) -> usize {
+        self.scratch.borrow().capacity_bytes()
     }
 
     /// The trace recorded by the session's most recent branch-and-bound

@@ -358,11 +358,28 @@ impl FlowState {
             .unwrap_or(&[])
     }
 
-    /// Overwrites `self` with a copy of `src`, reusing the buffers.
-    pub fn assign_from(&mut self, src: &FlowState) {
-        self.sources.clone_from(&src.sources);
-        self.values.clone_from(&src.values);
-        self.n = src.n;
+    /// The matrix's raw parts — source positions, then the row-major
+    /// values (the denominator row first, then one row per source) — for
+    /// flat storage outside the matrix. [`FlowState::assign_parts`]
+    /// restores them.
+    pub fn parts(&self) -> (&[u32], &[f64]) {
+        (&self.sources, &self.values)
+    }
+
+    /// Overwrites `self` with parts read from [`FlowState::parts`] of a
+    /// matrix over `n` tree positions, reusing the buffers.
+    pub fn assign_parts(&mut self, sources: &[u32], values: &[f64], n: usize) {
+        debug_assert_eq!(values.len(), (sources.len() + 1) * n, "row-major parts");
+        self.clear(n);
+        self.sources.extend_from_slice(sources);
+        self.values.extend_from_slice(values);
+    }
+
+    /// Heap bytes the matrix's buffers hold (their capacity, not their
+    /// length).
+    pub fn capacity_bytes(&self) -> usize {
+        self.sources.capacity() * std::mem::size_of::<u32>()
+            + self.values.capacity() * std::mem::size_of::<f64>()
     }
 
     fn clear(&mut self, n: usize) {

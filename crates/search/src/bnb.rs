@@ -11,7 +11,7 @@ use crate::budget::TruncationReason;
 use crate::candidate::{Candidate, Shape};
 use crate::flows::{compute_flows, grow_flows};
 use crate::query::QuerySpec;
-use crate::scratch::{node_bit, CandSlot, SearchScratch};
+use crate::scratch::{Overlap, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
 use crate::validity::candidate_leaves_matchable;
 use crate::SearchOptions;
@@ -52,11 +52,12 @@ pub struct SearchStats {
 /// (`bound_pruned` and `distance_pruned` are there), and the outcome of
 /// every merge attempt that produced no candidate.
 ///
-/// A 64-bit node signature can only prove two node sets disjoint, never
-/// overlapping, so merge attempts split three ways: the signature proved
-/// them disjoint (`merge_sig_disjoint`, no scan), the exact scan found a
-/// shared node (`merge_overlap`), or the scan passed. Only the first two
-/// are counted; the third is `merges` minus the other three merge fields.
+/// Merge attempts the merge rule allows split four ways: the 64-bit node
+/// signatures proved them disjoint (`merge_sig_disjoint`, no scan), the
+/// matcher signatures proved them overlapping (`merge_matcher_overlap`, no
+/// scan), the exact scan found a shared node (`merge_overlap`), or the scan
+/// passed. Only the first three are counted; the last is `merges` minus
+/// the four merge fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionStats {
     /// Candidates over the diameter or tree-size cap, rejected from their
@@ -72,6 +73,9 @@ pub struct RejectionStats {
     /// Merge attempts whose node signatures were disjoint: accepted
     /// without the exact overlap scan.
     pub merge_sig_disjoint: usize,
+    /// Merge attempts whose matcher signatures shared a bit — both
+    /// operands hold the same non-root matcher: rejected without the scan.
+    pub merge_matcher_overlap: usize,
     /// Merge attempts the exact overlap scan rejected.
     pub merge_overlap: usize,
 }
@@ -115,9 +119,10 @@ impl PartialOrd for HeapItem {
 
 /// One registration-worklist entry: a candidate still to be built. The
 /// structural pre-check reads its shape first, so a candidate the
-/// structural prune would reject is never built. The arena is append-only
-/// within a run, so merge operands stay valid while queued, and a grow
-/// always extends the current pop buffer, which no registration modifies.
+/// structural prune would reject is never built. The candidate store is
+/// append-only within a run, so merge operands stay valid while queued,
+/// and a grow always extends the current pop slot, which no registration
+/// modifies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Pending {
     /// A matcher seed `(node, mask)`.
@@ -217,14 +222,12 @@ pub fn bnb_search_in<O: DistanceOracle>(
     if !query.answerable() {
         return (Vec::new(), run.stats);
     }
-    // Seed in the spec's deterministic matcher order (not `matchers()`,
-    // whose iteration order is an implementation detail): registration
-    // order is the heap's tie-break and the top-k's order among
-    // equal-scored answers, so it must be reproducible run to run.
-    for &node in query.matchers_sorted() {
-        if let Some(m) = query.matcher(node) {
-            run.register(Pending::Seed(m.node, m.mask));
-        }
+    // Seed in the spec's deterministic matcher order (`matchers()` follows
+    // `matchers_sorted()`): registration order is the heap's tie-break and
+    // the top-k's order among equal-scored answers, so it must be
+    // reproducible run to run.
+    for m in query.matchers() {
+        run.register(Pending::Seed(m.node, m.mask));
     }
     while let Some(HeapItem { ub, idx }) = run.scratch.queue.pop() {
         // Documented heap order (see `HeapItem::cmp`): equal-bound pops
@@ -262,19 +265,13 @@ pub fn bnb_search_in<O: DistanceOracle>(
             break;
         }
         run.stats.pops += 1;
-        // Copy into the pop buffer: the arena may grow (and reallocate)
+        // Copy into the pop slot: the store grows (and may reallocate)
         // underneath while this candidate's expansions register.
         let found = {
             let SearchScratch {
-                arena, pop_slot, ..
+                store, pop_slot, ..
             } = &mut *run.scratch;
-            match arena.get(idx) {
-                Some(slot) => {
-                    pop_slot.assign_from(slot);
-                    true
-                }
-                None => false,
-            }
+            store.load(idx, pop_slot)
         };
         if !found {
             debug_assert!(false, "queue references a missing arena slot");
@@ -387,11 +384,10 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// [`SearchRun::prune`] for a built candidate, returning its slot to
-    /// the pool.
-    fn reject(&mut self, slot: CandSlot, reason: PruneReason) -> Option<usize> {
-        self.prune(reason, slot.cand.root(), slot.cand.size(), slot.cand.mask);
-        self.scratch.release(slot);
+    /// [`SearchRun::prune`] for the candidate in the build slot.
+    fn reject(&mut self, reason: PruneReason) -> Option<usize> {
+        let cand = &self.scratch.build_slot.cand;
+        self.prune(reason, cand.root(), cand.size(), cand.mask);
         None
     }
 
@@ -438,7 +434,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 }
             }
             if let Some(cap) = self.opts.budget.max_candidates {
-                if self.scratch.arena.len() >= cap {
+                if self.scratch.store.len() >= cap {
                     self.truncate(TruncationReason::CandidateMemory);
                     self.scratch.worklist.clear();
                     return;
@@ -448,19 +444,15 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 self.scratch.worklist.clear();
                 return;
             }
-            let Some(slot) = self.build(entry) else {
+            if !self.build(entry) {
                 continue;
-            };
-            let Some(idx) = self.admit(slot) else {
+            }
+            let Some(idx) = self.admit() else {
                 continue;
             };
             // Merge with every known candidate sharing the root, in
-            // admission order (the chain read reverses to oldest-first,
-            // matching the per-root Vec this index used to be).
-            let root = match self.scratch.arena.get(idx) {
-                Some(s) => s.cand.root(),
-                None => continue,
-            };
+            // admission order (the chain read reverses to oldest-first).
+            let root = self.scratch.build_slot.cand.root();
             self.scratch.collect_partners(root);
             for t in 0..self.scratch.partners.len() {
                 let Some(&p32) = self.scratch.partners.get(t) else {
@@ -488,71 +480,70 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     }
 
     /// Whether arena candidates `idx` and `partner` (same root) merge: the
-    /// merge rule allows it and their non-root node sets are disjoint —
-    /// proven by disjoint signatures where possible, else by the exact
-    /// scan.
+    /// merge rule allows it and their non-root node sets are disjoint.
+    /// Reads only the dense merge keys unless the signatures leave the
+    /// overlap open, which the exact scan then settles.
     fn mergeable(&mut self, idx: usize, partner: usize) -> bool {
-        let (Some(a), Some(b)) = (self.scratch.arena.get(idx), self.scratch.arena.get(partner))
-        else {
+        let store = &self.scratch.store;
+        let (Some(a), Some(b)) = (store.key(idx), store.key(partner)) else {
             return false;
         };
-        let allowed = self.merge_allowed(&a.cand, &b.cand);
         let r = &mut self.stats.rejections;
-        if !allowed {
+        if !merge_allowed(self.opts, a.mask, b.mask) {
             r.merge_rule += 1;
-            false
-        } else if a.sig & b.sig == 0 {
-            r.merge_sig_disjoint += 1;
-            true
-        } else if a.cand.disjoint_from(&b.cand) {
-            true
-        } else {
-            r.merge_overlap += 1;
-            false
+            return false;
         }
+        let overlap = store.overlap(idx, a, partner, b);
+        match overlap {
+            Overlap::SigDisjoint => r.merge_sig_disjoint += 1,
+            Overlap::SharedMatcher => r.merge_matcher_overlap += 1,
+            Overlap::ScanShared => r.merge_overlap += 1,
+            Overlap::ScanDisjoint => {}
+        }
+        overlap.disjoint()
     }
 
-    /// Builds a worklist entry into a pooled slot, with its flows and node
-    /// signature — unless its shape already fails the structural prune,
-    /// which is then recorded exactly as for a built candidate.
-    fn build(&mut self, entry: Pending) -> Option<CandSlot> {
+    /// Builds a worklist entry into the build slot, with its flows and
+    /// signatures — unless its shape already fails the structural prune,
+    /// which is then recorded exactly as for a built candidate. Returns
+    /// whether it was built.
+    fn build(&mut self, entry: Pending) -> bool {
+        let SearchScratch {
+            store,
+            pop_slot,
+            build_slot: slot,
+            ..
+        } = &mut *self.scratch;
         let (shape, root, mask) = match entry {
             Pending::Seed(node, mask) => (Shape::SEED, node, mask),
             Pending::Grow(v) => {
-                let pop = &self.scratch.pop_slot.cand;
+                let pop = &pop_slot.cand;
                 (pop.grow_shape(), v, pop.mask | self.query.mask_of(v))
             }
             Pending::Merge { idx, partner } => {
-                let arena = &self.scratch.arena;
-                let (Some(a), Some(b)) = (arena.get(idx), arena.get(partner)) else {
-                    debug_assert!(false, "merge operands are live arena slots");
-                    return None;
+                let (Some(a), Some(b)) = (store.view(idx), store.view(partner)) else {
+                    debug_assert!(false, "merge operands are stored candidates");
+                    return false;
                 };
-                (
-                    a.cand.merge_shape(&b.cand),
-                    a.cand.root(),
-                    a.cand.mask | b.cand.mask,
-                )
+                let root = a.nodes.first().copied().unwrap_or(NodeId(u32::MAX));
+                (Candidate::merge_shape(a, b), root, a.mask | b.mask)
             }
         };
         if shape.diameter > self.opts.diameter || shape.size > self.opts.max_tree_nodes {
             self.prune(PruneReason::Structural, root, shape.size, mask);
-            return None;
+            return false;
         }
-        let mut slot = self.scratch.acquire();
-        let SearchScratch {
-            arena, pop_slot, ..
-        } = &mut *self.scratch;
         match entry {
             Pending::Seed(node, mask) => {
                 slot.cand.set_seed(node, mask);
                 slot.sig = 0;
+                slot.msig = 0;
                 compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
             }
             Pending::Grow(v) => {
                 let pop = &*pop_slot;
                 pop.cand.grow_into(v, self.query, &mut slot.cand);
-                slot.sig = pop.sig | node_bit(pop.cand.root());
+                slot.grow_sigs(pop, self.query);
                 grow_flows(
                     self.scorer,
                     self.query,
@@ -563,41 +554,45 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 );
             }
             Pending::Merge { idx, partner } => {
-                if let (Some(a), Some(b)) = (arena.get(idx), arena.get(partner)) {
-                    a.cand.merge_into(&b.cand, &mut slot.cand);
-                    slot.sig = a.sig | b.sig;
+                if let (Some(a), Some(b), Some(ka), Some(kb)) = (
+                    store.view(idx),
+                    store.view(partner),
+                    store.key(idx),
+                    store.key(partner),
+                ) {
+                    slot.cand.merge_into(a, b);
+                    slot.merge_sigs(ka, kb);
                 }
                 // Merged shapes recompute flows from scratch: the subtree
                 // positions interleave, so no incremental copy applies.
                 compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
             }
         }
-        Some(slot)
+        true
     }
 
-    /// Checks a built candidate against the remaining prunes; on success
-    /// stores it, offers it to the top-k (if a valid complete answer), and
-    /// returns its arena index. Rejected slots return to the pool.
-    fn admit(&mut self, mut slot: CandSlot) -> Option<usize> {
+    /// Checks the build slot's candidate against the remaining prunes; on
+    /// success copies it into the store, offers it to the top-k (if a valid
+    /// complete answer), and returns its arena index.
+    fn admit(&mut self) -> Option<usize> {
+        let SearchScratch {
+            build_slot: slot,
+            has_child,
+            dedup,
+            key_buf,
+            ..
+        } = &mut *self.scratch;
         // Non-root leaves stay leaves: their keyword assignment must be
         // feasible in any extension.
-        let feasible = {
-            let SearchScratch { has_child, .. } = &mut *self.scratch;
-            candidate_leaves_matchable(&slot.cand, self.query, false, has_child)
-        };
-        if !feasible {
-            return self.reject(slot, PruneReason::InfeasibleLeaves);
+        if !candidate_leaves_matchable(&slot.cand, self.query, false, has_child) {
+            return self.reject(PruneReason::InfeasibleLeaves);
         }
-        let fresh = {
-            let SearchScratch { dedup, key_buf, .. } = &mut *self.scratch;
-            slot.cand.identity_into(key_buf);
-            dedup.insert(key_buf)
-        };
-        if !fresh {
-            return self.reject(slot, PruneReason::Duplicate);
+        slot.cand.identity_into(key_buf);
+        if !dedup.insert(key_buf) {
+            return self.reject(PruneReason::Duplicate);
         }
         if distance_prune(self.query, self.oracle, &slot.cand, self.opts.diameter) {
-            return self.reject(slot, PruneReason::Distance);
+            return self.reject(PruneReason::Distance);
         }
         let parts = bound_parts_from(
             self.scorer,
@@ -610,7 +605,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         let ub = parts.ub();
         if let Some(min) = self.topk.min_score() {
             if ub < min {
-                return self.reject(slot, PruneReason::Bound);
+                return self.reject(PruneReason::Bound);
             }
         }
         // Stored for pop-time tracing: re-deriving the parts there would
@@ -623,7 +618,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         // only when that score enters the top-k (`TopK::offer` rejects
         // `score <= min` before it looks at the tree).
         if slot.cand.mask == self.query.full_mask()
-            && candidate_leaves_matchable(&slot.cand, self.query, true, &mut self.scratch.has_child)
+            && candidate_leaves_matchable(&slot.cand, self.query, true, has_child)
         {
             if let Some(score) = slot.flows.reduce(None) {
                 if self.topk.min_score().is_none_or(|min| score > min) {
@@ -632,12 +627,10 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 }
             }
         }
-        let idx = self.scratch.arena.len();
-        let root = slot.cand.root();
-        let size = slot.cand.size();
-        let mask = slot.cand.mask;
-        self.scratch.arena.push(slot);
-        self.stats.candidates_peak = self.stats.candidates_peak.max(self.scratch.arena.len());
+        let idx = self.scratch.store.push(&self.scratch.build_slot);
+        let cand = &self.scratch.build_slot.cand;
+        let (root, size, mask) = (cand.root(), cand.size(), cand.mask);
+        self.stats.candidates_peak = self.stats.candidates_peak.max(self.scratch.store.len());
         self.scratch.push_root_chain(root, idx);
         self.scratch.queue.push(HeapItem { ub, idx });
         self.stats.registered += 1;
@@ -652,17 +645,13 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
         Some(idx)
     }
+}
 
-    fn merge_allowed(&self, a: &Candidate, b: &Candidate) -> bool {
-        if self.opts.allow_redundant_matchers {
-            true
-        } else {
-            // Paper wording: the merge must cover more keywords than
-            // either operand.
-            let union = a.mask | b.mask;
-            union != a.mask && union != b.mask
-        }
-    }
+/// The paper's merge rule, unless redundant matchers are allowed: the
+/// merge must cover more keywords than either operand.
+fn merge_allowed(opts: &SearchOptions, a: u32, b: u32) -> bool {
+    let union = a | b;
+    opts.allow_redundant_matchers || (union != a && union != b)
 }
 
 #[cfg(test)]

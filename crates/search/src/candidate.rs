@@ -54,8 +54,9 @@ impl Candidate {
 
     /// An empty candidate shell — only useful as the target of
     /// [`Candidate::set_seed`] / [`Candidate::grow_into`] /
-    /// [`Candidate::merge_into`]. The search scratch pool holds these so
-    /// candidate construction in the inner loop reuses their buffers.
+    /// [`Candidate::merge_into`]. The search scratch's build and pop slots
+    /// hold these so candidate construction in the inner loop reuses
+    /// their buffers.
     pub fn empty() -> Candidate {
         Candidate {
             nodes: Vec::new(),
@@ -79,14 +80,25 @@ impl Candidate {
     }
 
     /// Overwrites `self` with a copy of `src`, reusing the buffers.
-    pub fn assign_from(&mut self, src: &Candidate) {
+    pub fn assign(&mut self, src: CandidateRef<'_>) {
         self.nodes.clear();
-        self.nodes.extend_from_slice(&src.nodes);
+        self.nodes.extend_from_slice(src.nodes);
         self.parent.clear();
-        self.parent.extend_from_slice(&src.parent);
+        self.parent.extend_from_slice(src.parent);
         self.mask = src.mask;
         self.depth = src.depth;
         self.diameter = src.diameter;
+    }
+
+    /// The candidate as a borrowed view.
+    pub fn view(&self) -> CandidateRef<'_> {
+        CandidateRef {
+            nodes: &self.nodes,
+            parent: &self.parent,
+            mask: self.mask,
+            depth: self.depth,
+            diameter: self.diameter,
+        }
     }
 
     /// Shape of the candidate grown by one new root (see
@@ -99,18 +111,15 @@ impl Candidate {
         }
     }
 
-    /// Shape of the merge of `self` and `other` (see
-    /// [`Candidate::merge_into`]), known before it is built: the two root
-    /// subtrees share only the root, so the longest new path joins the two
-    /// deepest leaves through it.
-    pub fn merge_shape(&self, other: &Candidate) -> Shape {
+    /// Shape of the merge of `a` and `b` (see [`Candidate::merge_into`]),
+    /// known before it is built: the two root subtrees share only the
+    /// root, so the longest new path joins the two deepest leaves through
+    /// it.
+    pub fn merge_shape(a: CandidateRef<'_>, b: CandidateRef<'_>) -> Shape {
         Shape {
-            size: self.size() + other.size() - 1,
-            depth: self.depth.max(other.depth),
-            diameter: self
-                .diameter
-                .max(other.diameter)
-                .max(self.depth + other.depth),
+            size: a.nodes.len() + b.nodes.len() - 1,
+            depth: a.depth.max(b.depth),
+            diameter: a.diameter.max(b.diameter).max(a.depth + b.depth),
         }
     }
 
@@ -139,38 +148,42 @@ impl Candidate {
 
     /// True when the non-root node sets of two same-rooted candidates are
     /// disjoint — the paper's merge sanity check against cycles.
-    pub fn disjoint_from(&self, other: &Candidate) -> bool {
-        debug_assert_eq!(self.root(), other.root(), "merge requires equal roots");
-        let own = self.nodes.get(1..).unwrap_or(&[]);
-        other
-            .nodes
+    pub fn disjoint_from(a: CandidateRef<'_>, b: CandidateRef<'_>) -> bool {
+        debug_assert_eq!(
+            a.nodes.first(),
+            b.nodes.first(),
+            "merge requires equal roots"
+        );
+        let own = a.nodes.get(1..).unwrap_or(&[]);
+        b.nodes
             .get(1..)
             .unwrap_or(&[])
             .iter()
             .all(|v| !own.contains(v))
     }
 
-    /// *Tree merge*: combines two same-rooted candidates whose non-root
-    /// node sets are disjoint ([`Candidate::disjoint_from`]) into a reused
-    /// buffer: `self`'s positions first, then `other`'s non-root ones.
-    pub fn merge_into(&self, other: &Candidate, out: &mut Candidate) {
-        debug_assert!(self.disjoint_from(other), "merge operands overlap");
-        out.nodes.clear();
-        out.nodes.extend_from_slice(&self.nodes);
-        out.nodes
-            .extend_from_slice(other.nodes.get(1..).unwrap_or(&[]));
-        out.parent.clear();
-        out.parent.extend_from_slice(&self.parent);
-        let offset = u32::try_from(self.nodes.len())
+    /// *Tree merge*: overwrites `self` with the merge of two same-rooted
+    /// candidates whose non-root node sets are disjoint
+    /// ([`Candidate::disjoint_from`]), reusing the buffers: `a`'s
+    /// positions first, then `b`'s non-root ones.
+    pub fn merge_into(&mut self, a: CandidateRef<'_>, b: CandidateRef<'_>) {
+        debug_assert!(Candidate::disjoint_from(a, b), "merge operands overlap");
+        self.nodes.clear();
+        self.nodes.extend_from_slice(a.nodes);
+        self.nodes
+            .extend_from_slice(b.nodes.get(1..).unwrap_or(&[]));
+        self.parent.clear();
+        self.parent.extend_from_slice(a.parent);
+        let offset = u32::try_from(a.nodes.len())
             .unwrap_or(u32::MAX)
             .saturating_sub(1);
-        for &p in other.parent.get(1..).unwrap_or(&[]) {
-            out.parent.push(if p == 0 { 0 } else { p + offset });
+        for &p in b.parent.get(1..).unwrap_or(&[]) {
+            self.parent.push(if p == 0 { 0 } else { p + offset });
         }
-        let shape = self.merge_shape(other);
-        out.mask = self.mask | other.mask;
-        out.depth = shape.depth;
-        out.diameter = shape.diameter;
+        let shape = Candidate::merge_shape(a, b);
+        self.mask = a.mask | b.mask;
+        self.depth = shape.depth;
+        self.diameter = shape.diameter;
     }
 
     /// Writes the candidate's dedup identity into `out`: the root, then one
@@ -236,8 +249,8 @@ impl Candidate {
     /// non-root node sets intersect.
     pub fn merge(&self, other: &Candidate) -> Option<Candidate> {
         let mut out = Candidate::empty();
-        self.disjoint_from(other).then(|| {
-            self.merge_into(other, &mut out);
+        Candidate::disjoint_from(self.view(), other.view()).then(|| {
+            out.merge_into(self.view(), other.view());
             out
         })
     }
@@ -248,6 +261,24 @@ impl Candidate {
             .filter(|&i| !self.parent.iter().skip(1).any(|&p| p as usize == i))
             .collect()
     }
+}
+
+/// A borrowed candidate: the tree arrays and shape fields of a
+/// [`Candidate`], wherever they are stored. The search keeps admitted
+/// candidates in flat per-run buffers and merges them through this view,
+/// so one merge implementation serves owned and stored operands.
+#[derive(Debug, Clone, Copy)]
+pub struct CandidateRef<'a> {
+    /// Graph nodes; `nodes[0]` is the root.
+    pub nodes: &'a [NodeId],
+    /// Parent position per node; `parent[0] == 0`.
+    pub parent: &'a [u32],
+    /// Union of matched keyword bits.
+    pub mask: u32,
+    /// Maximum root-to-leaf depth.
+    pub depth: u32,
+    /// Tree diameter.
+    pub diameter: u32,
 }
 
 /// Size, depth and diameter of a candidate: everything the structural
@@ -397,7 +428,7 @@ mod tests {
             assert_eq!(deep.shape(), want);
         }
         let shallow = Candidate::seed(NodeId(5), 0b10).grow(NodeId(9), &q);
-        let want = deep.merge_shape(&shallow);
+        let want = Candidate::merge_shape(deep.view(), shallow.view());
         assert_eq!(deep.merge(&shallow).unwrap().shape(), want);
         assert_eq!(Candidate::seed(NodeId(5), 0b10).shape(), Shape::SEED);
     }

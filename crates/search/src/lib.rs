@@ -108,7 +108,7 @@ pub use validity::is_valid_answer;
 #[doc(hidden)]
 pub use bounds::{bound_parts_from, upper_bound, upper_bound_from};
 #[doc(hidden)]
-pub use candidate::{Candidate, Shape};
+pub use candidate::{Candidate, CandidateRef, Shape};
 #[doc(hidden)]
 pub use ci_rwmp::FlowState;
 #[doc(hidden)]

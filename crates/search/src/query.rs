@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use ci_graph::NodeId;
 use ci_rwmp::Scorer;
 
@@ -34,10 +32,19 @@ pub const MAX_KEYWORDS: usize = 32;
 /// Queries carry between 1 and [`MAX_KEYWORDS`] keywords; the cap comes
 /// from the `u32` keyword bitmask (bit `k` ⇔ keyword `k`), and
 /// [`QuerySpec::new`] panics beyond it.
+///
+/// Matchers are looked up on every flow, bound and grow step, so they sit
+/// in one flat open-addressing table rather than a hashed map: a single
+/// probe answers [`QuerySpec::matcher`], [`QuerySpec::mask_of`] and the
+/// matcher's ordinal in [`QuerySpec::matchers_sorted`] order.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     keywords: Vec<String>,
-    matchers: HashMap<NodeId, MatcherInfo>,
+    /// Every matcher, in [`QuerySpec::matchers_sorted`] order.
+    infos: Vec<MatcherInfo>,
+    /// Open-addressing table over `infos`: `node << 32 | (ordinal + 1)`
+    /// per occupied slot, 0 when empty. Power-of-two length, load ≤ ½.
+    table: Vec<u64>,
     /// Matchers of each keyword, sorted by descending generation count.
     per_keyword: Vec<Vec<NodeId>>,
     /// `R_k`: the largest generation count among keyword `k`'s matchers.
@@ -46,10 +53,51 @@ pub struct QuerySpec {
     all_sorted: Vec<NodeId>,
 }
 
+/// Home slot of `node` in a table of `len` slots, a power of two ≥ 2
+/// (Fibonacci hashing: the top bits of a multiplicative hash).
+fn home(node: NodeId, len: usize) -> usize {
+    let bits = len.trailing_zeros();
+    let h = u64::from(node.0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    usize::try_from(h >> (64 - bits)).unwrap_or(0)
+}
+
+/// Where `node` sits in a table: its slot, or the empty slot it would
+/// take. Load ≤ ½ keeps an empty slot on every probe sequence.
+fn slot_of(table: &[u64], node: NodeId) -> usize {
+    let mask = table.len().saturating_sub(1);
+    let mut i = home(node, table.len());
+    while table
+        .get(i)
+        .is_some_and(|&w| w != 0 && w >> 32 != u64::from(node.0))
+    {
+        i = (i + 1) & mask;
+    }
+    i
+}
+
+/// The flat table over `infos` (see [`QuerySpec`]); a repeated node keeps
+/// its last position.
+fn table_for(infos: &[MatcherInfo]) -> Vec<u64> {
+    let mut table = vec![0u64; (infos.len() * 2).next_power_of_two().max(2)];
+    for (ord, m) in infos.iter().enumerate() {
+        let i = slot_of(&table, m.node);
+        if let Some(w) = table.get_mut(i) {
+            *w = (u64::from(m.node.0) << 32) | (ord as u64 + 1);
+        }
+    }
+    table
+}
+
+/// Position of `node` in the `infos` a table was built over.
+fn probe(table: &[u64], node: NodeId) -> Option<usize> {
+    let w = *table.get(slot_of(table, node))?;
+    usize::try_from(w & 0xffff_ffff).ok()?.checked_sub(1)
+}
+
 impl QuerySpec {
     /// Builds a query spec. `keyword_count` ≤ [`MAX_KEYWORDS`] (masks are
     /// `u32`); every matcher's mask must be a non-empty subset of the
-    /// keyword range.
+    /// keyword range. A node listed twice keeps its last entry.
     pub fn new(keywords: Vec<String>, matchers: Vec<MatcherInfo>) -> Self {
         let kc = keywords.len();
         assert!(
@@ -57,10 +105,9 @@ impl QuerySpec {
             "between 1 and 32 keywords supported"
         );
         let full = Self::full_mask_for(kc);
-        let mut map = HashMap::with_capacity(matchers.len());
         let mut per_keyword = vec![Vec::new(); kc];
         let mut best_gen = vec![0.0f64; kc];
-        for m in matchers {
+        for m in &matchers {
             assert!(
                 m.mask != 0 && m.mask & !full == 0,
                 "matcher mask out of range"
@@ -80,29 +127,33 @@ impl QuerySpec {
                     }
                 }
             }
-            map.insert(m.node, m);
         }
-        let gen_of =
-            |map: &HashMap<NodeId, MatcherInfo>, v: &NodeId| map.get(v).map_or(0.0, |m| m.gen);
+        // A repeated node keeps its last entry: a table over the raw list
+        // maps each node to its last position.
+        let raw = table_for(&matchers);
+        let mut infos: Vec<MatcherInfo> = matchers
+            .iter()
+            .enumerate()
+            .filter(|&(i, m)| probe(&raw, m.node) == Some(i))
+            .map(|(_, m)| *m)
+            .collect();
+        infos.sort_unstable_by(|a, b| b.gen.total_cmp(&a.gen).then(a.node.0.cmp(&b.node.0)));
+        let table = table_for(&infos);
+        let gen_of = |v: NodeId| {
+            probe(&table, v)
+                .and_then(|i| infos.get(i))
+                .map_or(0.0, |m| m.gen)
+        };
         for list in per_keyword.iter_mut() {
-            list.sort_unstable_by(|a, b| {
-                gen_of(&map, b)
-                    .total_cmp(&gen_of(&map, a))
-                    .then(a.0.cmp(&b.0))
-            });
+            list.sort_unstable_by(|a, b| gen_of(*b).total_cmp(&gen_of(*a)).then(a.0.cmp(&b.0)));
         }
-        let mut all_sorted: Vec<NodeId> = map.keys().copied().collect();
-        all_sorted.sort_unstable_by(|a, b| {
-            gen_of(&map, b)
-                .total_cmp(&gen_of(&map, a))
-                .then(a.0.cmp(&b.0))
-        });
         QuerySpec {
             keywords,
-            matchers: map,
+            all_sorted: infos.iter().map(|m| m.node).collect(),
+            infos,
+            table,
             per_keyword,
             best_gen,
-            all_sorted,
         }
     }
 
@@ -152,24 +203,40 @@ impl QuerySpec {
         Self::full_mask_for(self.keywords.len())
     }
 
+    /// Position of `node` in [`QuerySpec::matchers_sorted`], if it is a
+    /// matcher: one probe of the flat table.
+    pub(crate) fn ordinal(&self, node: NodeId) -> Option<usize> {
+        probe(&self.table, node)
+    }
+
     /// Matcher info for a node, if it is a matcher.
     pub fn matcher(&self, node: NodeId) -> Option<&MatcherInfo> {
-        self.matchers.get(&node)
+        self.infos.get(self.ordinal(node)?)
     }
 
     /// Keyword mask of a node (0 for free nodes).
     pub fn mask_of(&self, node: NodeId) -> u32 {
-        self.matchers.get(&node).map(|m| m.mask).unwrap_or(0)
+        self.matcher(node).map_or(0, |m| m.mask)
     }
 
-    /// All matchers.
+    /// The node's bit in a candidate's matcher signature: bit `i` for the
+    /// `i`-th matcher of [`QuerySpec::matchers_sorted`] when `i < 64`,
+    /// else 0 (free nodes and matchers past the 64th have no bit).
+    pub(crate) fn matcher_bit(&self, node: NodeId) -> u64 {
+        match self.ordinal(node) {
+            Some(i) if i < 64 => 1 << i,
+            _ => 0,
+        }
+    }
+
+    /// All matchers, in [`QuerySpec::matchers_sorted`] order.
     pub fn matchers(&self) -> impl Iterator<Item = &MatcherInfo> {
-        self.matchers.values()
+        self.infos.iter()
     }
 
     /// Number of matcher nodes.
     pub fn matcher_count(&self) -> usize {
-        self.matchers.len()
+        self.infos.len()
     }
 
     /// Matchers of keyword `k` (`En(k)`), sorted by descending generation.
@@ -198,6 +265,8 @@ impl QuerySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn mi(node: u32, mask: u32, gen: f64) -> MatcherInfo {
         MatcherInfo {
@@ -268,5 +337,43 @@ mod tests {
         // silently truncating keyword 32's coverage bit.
         let keywords: Vec<String> = (0..=MAX_KEYWORDS).map(|k| format!("k{k}")).collect();
         QuerySpec::new(keywords, vec![mi(0, 0b1, 1.0)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The flat table answers like a `HashMap` keyed by node (a node
+        /// listed twice keeps its last entry) for matchers and non-matchers
+        /// alike, and `matchers()` yields `matchers_sorted` order.
+        #[test]
+        fn flat_table_agrees_with_hash_map(
+            raw in proptest::collection::vec((0u32..300, 1u32..8, 0u32..40), 0..120),
+            big in proptest::collection::vec(1_000u32..u32::MAX, 0..8),
+            probes in proptest::collection::vec(0u32..400, 0..64),
+        ) {
+            let infos: Vec<MatcherInfo> = raw
+                .iter()
+                .copied()
+                .chain(big.iter().map(|&v| (v, 0b100, 3)))
+                .map(|(v, mask, g)| mi(v, mask, f64::from(g) / 4.0))
+                .collect();
+            let reference: HashMap<NodeId, MatcherInfo> =
+                infos.iter().map(|m| (m.node, *m)).collect();
+            let q = QuerySpec::new(vec!["a".into(), "b".into(), "c".into()], infos);
+            prop_assert_eq!(q.matcher_count(), reference.len());
+            let order: Vec<NodeId> = q.matchers().map(|m| m.node).collect();
+            prop_assert_eq!(order.as_slice(), q.matchers_sorted());
+            for v in probes.iter().chain(&big).map(|&v| NodeId(v)) {
+                prop_assert_eq!(q.matcher(v), reference.get(&v));
+                prop_assert_eq!(q.mask_of(v), reference.get(&v).map_or(0, |m| m.mask));
+                if let Some(i) = q.ordinal(v) {
+                    prop_assert_eq!(q.matchers_sorted()[i], v);
+                }
+            }
+            for (i, &v) in q.matchers_sorted().iter().enumerate() {
+                prop_assert_eq!(q.ordinal(v), Some(i));
+                prop_assert_eq!(q.matcher(v), reference.get(&v));
+            }
+        }
     }
 }

@@ -1,42 +1,65 @@
 //! Reusable branch-and-bound working memory.
 //!
 //! Every structure the search loop touches per candidate lives here and is
-//! recycled across runs: the candidate arena, the priority queue, the
-//! flat dedup set, the per-root partner chains, the registration worklist,
-//! and a freelist ("pool") of candidate slots. [`crate::bnb_search_in`] takes a `&mut SearchScratch`;
-//! the engine's query session owns one per session, so repeated queries
-//! reach a steady state where candidate construction (grow/merge/seed)
-//! performs **no heap allocation at all** — slots come from the pool and
-//! their `Vec` buffers retain capacity. [`SearchScratch::slots_allocated`]
-//! counts slot constructions so tests can assert that steady state.
+//! recycled across runs: the candidate store, the priority queue, the flat
+//! dedup set, the per-root partner chains, the registration worklist, and
+//! two working slots. [`crate::bnb_search_in`] takes a `&mut
+//! SearchScratch`; the engine's query session owns one per session, so
+//! repeated queries reach a steady state where candidate construction
+//! (grow/merge/seed) performs **no heap allocation at all**.
+//!
+//! **The candidate store.** Within a run the set of admitted candidates
+//! only grows, and an admitted candidate never changes. So [`CandStore`]
+//! keeps each one as a fixed-size [`Record`] — offsets into run-wide
+//! `nodes`/`parent`/flow-source/flow-value buffers, plus its shape, mask
+//! and stored bounds — and a dense [`MergeKey`] per arena index holding
+//! everything a merge attempt reads first. A candidate is built into the
+//! reusable build slot, checked there, and copied into the store only if
+//! admitted; the candidate being expanded is copied back out into the pop
+//! slot. Merges read their operands through [`CandidateRef`] views of the
+//! store. The buffers keep their capacity across runs, so a session's
+//! memory is the largest query's live set.
+//! [`SearchScratch::slots_allocated`] and [`SearchScratch::capacity_bytes`]
+//! let tests assert that steady state.
+//!
+//! **Merge keys.** A merge attempt needs only `(sig, msig, mask)`: the
+//! keyword masks decide the paper's merge rule, the 64-bit node signature
+//! `sig` (bit `node % 64` per non-root node) proves most pairs disjoint,
+//! and the matcher signature `msig` (bit `i` per non-root node that is the
+//! `i`-th matcher of [`crate::QuerySpec::matchers_sorted`], `i < 64`)
+//! proves most of the rest overlapping. Only pairs neither settles reach
+//! the exact scan ([`Candidate::disjoint_from`]).
 //!
 //! The per-root partner index is an intrusive linked list over arena
 //! indices (`root_head[node] → next_same_root[idx] → …`), dense by node
 //! id with a run-generation stamp instead of per-run clearing — the same
 //! design as the flat oracle cache, and for the same reason: no hashing
 //! and no `HashMap` churn in the inner loop. Chains are built newest-first
-//! and reversed into a buffer on read, preserving the admission-order
-//! iteration the previous `HashMap<NodeId, Vec<usize>>` provided (the
-//! merge order is observable through `SearchStats::merges` and the
-//! replay fingerprints, so it must not change).
+//! and reversed into a buffer on read, preserving admission-order
+//! iteration (the merge order is observable through
+//! `SearchStats::merges` and the replay fingerprints, so it must not
+//! change).
 //!
 //! The admission dedup set ([`DedupSet`]) follows the same pattern: a flat
 //! open-addressing table of run-stamped entry indices over one shared key
 //! buffer, with every hash hit verified by an exact key comparison.
 
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 use ci_graph::NodeId;
 use ci_rwmp::FlowState;
 
 use crate::bnb::{HeapItem, Pending};
-use crate::candidate::Candidate;
-use crate::trace::SearchTrace;
+use crate::candidate::{Candidate, CandidateRef};
+use crate::query::QuerySpec;
+use crate::trace::{SearchTrace, TraceEvent};
 
 /// Sentinel for "no arena index" in the root chains.
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
-/// A pooled candidate plus its incrementally maintained flow state.
+/// A working candidate — the build slot or the pop slot — with its
+/// incrementally maintained flow state.
 #[derive(Debug)]
 pub(crate) struct CandSlot {
     pub(crate) cand: Candidate,
@@ -48,13 +71,13 @@ pub(crate) struct CandSlot {
     /// Damped potential estimate `pe(C)` stored at admission
     /// (`-inf` when the potential path was not applicable).
     pub(crate) pe: f64,
-    /// 64-bit bloom signature of the candidate's non-root nodes (bit
-    /// `node % 64`): disjoint signatures prove disjoint node sets, so most
-    /// merge attempts skip the exact overlap scan.
+    /// Node signature (see [`MergeKey::sig`]).
     pub(crate) sig: u64,
+    /// Matcher signature (see [`MergeKey::msig`]).
+    pub(crate) msig: u64,
 }
 
-/// The signature bit of one node (see [`CandSlot::sig`]).
+/// The signature bit of one node (see [`MergeKey::sig`]).
 #[inline]
 pub(crate) fn node_bit(node: NodeId) -> u64 {
     1 << (node.0 % 64)
@@ -62,34 +85,227 @@ pub(crate) fn node_bit(node: NodeId) -> u64 {
 
 impl Default for CandSlot {
     fn default() -> CandSlot {
-        CandSlot::new()
-    }
-}
-
-impl CandSlot {
-    fn new() -> CandSlot {
         CandSlot {
             cand: Candidate::empty(),
             flows: FlowState::default(),
             ce: f64::NAN,
             pe: f64::NAN,
             sig: 0,
+            msig: 0,
         }
     }
+}
 
+impl CandSlot {
     /// True if the graph node appears in the candidate; the signature
     /// answers most misses without scanning.
     pub(crate) fn contains(&self, node: NodeId) -> bool {
         node == self.cand.root() || (self.sig & node_bit(node) != 0 && self.cand.contains(node))
     }
 
-    /// Buffer-reusing copy of another slot's contents.
-    pub(crate) fn assign_from(&mut self, src: &CandSlot) {
-        self.cand.assign_from(&src.cand);
-        self.flows.assign_from(&src.flows);
-        self.ce = src.ce;
-        self.pe = src.pe;
-        self.sig = src.sig;
+    /// Sets the signatures of a candidate grown from `pop` by a new root:
+    /// `pop`'s root becomes a non-root node.
+    pub(crate) fn grow_sigs(&mut self, pop: &CandSlot, query: &QuerySpec) {
+        let old_root = pop.cand.root();
+        self.sig = pop.sig | node_bit(old_root);
+        self.msig = pop.msig | query.matcher_bit(old_root);
+    }
+
+    /// Sets the signatures of the merge of two candidates: their non-root
+    /// node sets are united.
+    pub(crate) fn merge_sigs(&mut self, a: MergeKey, b: MergeKey) {
+        self.sig = a.sig | b.sig;
+        self.msig = a.msig | b.msig;
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.cand.nodes.capacity() * size_of::<NodeId>()
+            + self.cand.parent.capacity() * size_of::<u32>()
+            + self.flows.capacity_bytes()
+    }
+}
+
+/// What a merge attempt reads before it touches a candidate: one dense
+/// entry per arena index.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MergeKey {
+    /// 64-bit bloom signature of the non-root nodes (bit `node % 64`):
+    /// disjoint signatures prove disjoint node sets.
+    pub(crate) sig: u64,
+    /// Exact signature of the non-root matcher nodes: bit `i` for the
+    /// `i`-th matcher of [`crate::QuerySpec::matchers_sorted`], `i < 64`.
+    /// A shared bit proves a shared node; matchers past the 64th have no
+    /// bit, so pairs sharing only those fall through to the scan.
+    pub(crate) msig: u64,
+    /// Union of matched keyword bits.
+    pub(crate) mask: u32,
+}
+
+/// How a merge attempt's overlap test was settled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Overlap {
+    /// Disjoint node signatures: disjoint, no scan.
+    SigDisjoint,
+    /// A shared matcher-signature bit: overlapping, no scan.
+    SharedMatcher,
+    /// The exact scan found a shared node.
+    ScanShared,
+    /// The exact scan found none.
+    ScanDisjoint,
+}
+
+impl Overlap {
+    /// True when the two candidates' non-root node sets are disjoint.
+    pub(crate) fn disjoint(self) -> bool {
+        matches!(self, Overlap::SigDisjoint | Overlap::ScanDisjoint)
+    }
+}
+
+/// One admitted candidate in the [`CandStore`]: where its arrays live in
+/// the run-wide buffers, and its fixed-size fields.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// Start of its positions in `nodes` and `parent`.
+    at: usize,
+    /// Start of its source positions in `flow_sources`.
+    src_at: usize,
+    /// Start of its row-major flow matrix in `flow_values`.
+    val_at: usize,
+    /// Number of nodes (the flow matrix's row width).
+    size: u32,
+    /// Number of flow sources.
+    sources: u32,
+    mask: u32,
+    depth: u32,
+    diameter: u32,
+    ce: f64,
+    pe: f64,
+}
+
+/// The admitted candidates of one run, flat: append-only within a run,
+/// emptied (keeping capacity) by [`SearchScratch::begin`].
+#[derive(Debug, Default)]
+pub(crate) struct CandStore {
+    records: Vec<Record>,
+    /// Merge keys, parallel to `records`.
+    keys: Vec<MergeKey>,
+    nodes: Vec<NodeId>,
+    parent: Vec<u32>,
+    flow_sources: Vec<u32>,
+    flow_values: Vec<f64>,
+}
+
+impl CandStore {
+    fn clear(&mut self) {
+        self.records.clear();
+        self.keys.clear();
+        self.nodes.clear();
+        self.parent.clear();
+        self.flow_sources.clear();
+        self.flow_values.clear();
+    }
+
+    /// Number of stored candidates (the next arena index).
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Stores a copy of `slot` and returns its arena index.
+    pub(crate) fn push(&mut self, slot: &CandSlot) -> usize {
+        let idx = self.records.len();
+        let cand = &slot.cand;
+        let (sources, values) = slot.flows.parts();
+        self.records.push(Record {
+            at: self.nodes.len(),
+            src_at: self.flow_sources.len(),
+            val_at: self.flow_values.len(),
+            size: u32::try_from(cand.size()).unwrap_or(u32::MAX),
+            sources: u32::try_from(sources.len()).unwrap_or(u32::MAX),
+            mask: cand.mask,
+            depth: cand.depth,
+            diameter: cand.diameter,
+            ce: slot.ce,
+            pe: slot.pe,
+        });
+        self.keys.push(MergeKey {
+            sig: slot.sig,
+            msig: slot.msig,
+            mask: cand.mask,
+        });
+        self.nodes.extend_from_slice(&cand.nodes);
+        self.parent.extend_from_slice(&cand.parent);
+        self.flow_sources.extend_from_slice(sources);
+        self.flow_values.extend_from_slice(values);
+        idx
+    }
+
+    /// The merge key of arena index `idx`.
+    pub(crate) fn key(&self, idx: usize) -> Option<MergeKey> {
+        self.keys.get(idx).copied()
+    }
+
+    /// Arena index `idx` as a borrowed candidate.
+    pub(crate) fn view(&self, idx: usize) -> Option<CandidateRef<'_>> {
+        let r = self.records.get(idx)?;
+        let span = r.at..r.at + r.size as usize;
+        Some(CandidateRef {
+            nodes: self.nodes.get(span.clone())?,
+            parent: self.parent.get(span)?,
+            mask: r.mask,
+            depth: r.depth,
+            diameter: r.diameter,
+        })
+    }
+
+    /// Copies arena index `idx` into a working slot; false if absent.
+    pub(crate) fn load(&self, idx: usize, out: &mut CandSlot) -> bool {
+        let (Some(r), Some(key), Some(view)) =
+            (self.records.get(idx), self.keys.get(idx), self.view(idx))
+        else {
+            return false;
+        };
+        let n = r.size as usize;
+        let sources = self
+            .flow_sources
+            .get(r.src_at..r.src_at + r.sources as usize);
+        let values = self
+            .flow_values
+            .get(r.val_at..r.val_at + (r.sources as usize + 1) * n);
+        let (Some(sources), Some(values)) = (sources, values) else {
+            return false;
+        };
+        out.cand.assign(view);
+        out.flows.assign_parts(sources, values, n);
+        out.ce = r.ce;
+        out.pe = r.pe;
+        out.sig = key.sig;
+        out.msig = key.msig;
+        true
+    }
+
+    /// Settles whether same-rooted arena candidates `a` and `b` (with
+    /// merge keys `ka`, `kb`) have disjoint non-root node sets: node
+    /// signatures, then matcher signatures, then the exact scan.
+    pub(crate) fn overlap(&self, a: usize, ka: MergeKey, b: usize, kb: MergeKey) -> Overlap {
+        if ka.sig & kb.sig == 0 {
+            return Overlap::SigDisjoint;
+        }
+        if ka.msig & kb.msig != 0 {
+            return Overlap::SharedMatcher;
+        }
+        match (self.view(a), self.view(b)) {
+            (Some(va), Some(vb)) if Candidate::disjoint_from(va, vb) => Overlap::ScanDisjoint,
+            _ => Overlap::ScanShared,
+        }
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.records.capacity() * size_of::<Record>()
+            + self.keys.capacity() * size_of::<MergeKey>()
+            + self.nodes.capacity() * size_of::<NodeId>()
+            + self.parent.capacity() * size_of::<u32>()
+            + self.flow_sources.capacity() * size_of::<u32>()
+            + self.flow_values.capacity() * size_of::<f64>()
     }
 }
 
@@ -98,13 +314,10 @@ impl CandSlot {
 /// scratch that warms up over the first queries.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// Freelist of candidate slots (buffers keep their capacity).
-    pool: Vec<CandSlot>,
-    /// Total slots ever constructed — stable once the pool covers the
-    /// working set (the steady-state no-allocation property).
-    allocated: usize,
-    /// Live candidates of the current run, append-only within a run.
-    pub(crate) arena: Vec<CandSlot>,
+    /// Admitted candidates of the current run, by arena index.
+    pub(crate) store: CandStore,
+    /// Most candidates any finished run stored.
+    high_water: usize,
     /// Max-heap over `(ub, arena idx)`.
     pub(crate) queue: BinaryHeap<HeapItem>,
     /// Dedup set over candidate identities (`Candidate::identity_into`).
@@ -127,9 +340,10 @@ pub struct SearchScratch {
     pub(crate) partners: Vec<u32>,
     /// Root-neighbor read buffer for the expansion loop.
     pub(crate) neighbors: Vec<NodeId>,
-    /// Copy of the currently popped candidate (the arena may grow — and
-    /// reallocate — underneath while its expansions register).
+    /// Copy of the currently popped candidate, which its grows extend.
     pub(crate) pop_slot: CandSlot,
+    /// Where each worklist entry is built and checked before admission.
+    pub(crate) build_slot: CandSlot,
     /// Bounded per-run trace event buffer, re-armed by the search prologue
     /// from [`crate::SearchOptions::trace`]. Stays unallocated for scratches
     /// that only ever run at [`crate::TraceLevel::Off`].
@@ -142,11 +356,32 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Number of candidate slots constructed over the scratch's lifetime.
-    /// Once warm, repeated identical searches leave this constant — the
-    /// allocation-free steady state the pool exists for.
+    /// The most candidates one run through this scratch has stored — the
+    /// candidate records its store has had to hold. Once warm, repeated
+    /// identical searches leave this constant: the store's buffers already
+    /// fit, so no run allocates.
     pub fn slots_allocated(&self) -> usize {
-        self.allocated
+        self.high_water.max(self.store.len())
+    }
+
+    /// Heap bytes the scratch's buffers hold (their capacity, not their
+    /// length). Buffers never shrink, so this is the high-water memory of
+    /// the runs so far; repeating a workload leaves it constant.
+    pub fn capacity_bytes(&self) -> usize {
+        self.store.capacity_bytes()
+            + self.queue.capacity() * size_of::<HeapItem>()
+            + self.dedup.capacity_bytes()
+            + self.key_buf.capacity() * size_of::<u64>()
+            + self.has_child.capacity() * size_of::<u64>()
+            + self.root_head.capacity() * size_of::<u32>()
+            + self.root_gen.capacity() * size_of::<u64>()
+            + self.next_same_root.capacity() * size_of::<u32>()
+            + self.worklist.capacity() * size_of::<Pending>()
+            + self.partners.capacity() * size_of::<u32>()
+            + self.neighbors.capacity() * size_of::<NodeId>()
+            + self.pop_slot.capacity_bytes()
+            + self.build_slot.capacity_bytes()
+            + self.trace.buffer_capacity() * size_of::<TraceEvent>()
     }
 
     /// The trace recorded by the most recent run through this scratch —
@@ -156,8 +391,8 @@ impl SearchScratch {
         &self.trace
     }
 
-    /// Prepares for a new run: recycles all live slots into the pool and
-    /// empties every per-run structure, keeping allocations.
+    /// Prepares for a new run: empties the store and every per-run
+    /// structure, keeping allocations.
     pub(crate) fn begin(&mut self) {
         self.run_gen = self.run_gen.wrapping_add(1);
         if self.run_gen == 0 {
@@ -165,26 +400,14 @@ impl SearchScratch {
             self.root_gen.fill(0);
             self.run_gen = 1;
         }
-        self.pool.append(&mut self.arena);
+        self.high_water = self.slots_allocated();
+        self.store.clear();
         self.worklist.clear();
         self.queue.clear();
         self.dedup.clear();
         self.next_same_root.clear();
         self.partners.clear();
         self.neighbors.clear();
-    }
-
-    /// Takes a slot from the pool, constructing one only when empty.
-    pub(crate) fn acquire(&mut self) -> CandSlot {
-        self.pool.pop().unwrap_or_else(|| {
-            self.allocated += 1;
-            CandSlot::new()
-        })
-    }
-
-    /// Returns a slot to the pool.
-    pub(crate) fn release(&mut self, slot: CandSlot) {
-        self.pool.push(slot);
     }
 
     /// Head of the root chain for `node` in the current run.
@@ -276,6 +499,12 @@ impl DedupSet {
             self.table.fill(0);
             self.stamp = 1;
         }
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>()
+            + self.entries.capacity() * size_of::<(u64, usize, usize)>()
+            + self.table.capacity() * size_of::<u64>()
     }
 
     fn hash(&self, key: &[u64]) -> u64 {
@@ -438,21 +667,174 @@ mod tests {
         }
     }
 
+    /// A small weighted graph and a query over it, for candidates with
+    /// real flow matrices.
+    fn path_fixture() -> (ci_graph::Graph, Vec<f64>) {
+        let mut b = ci_graph::GraphBuilder::new();
+        let n: Vec<NodeId> = (0..5).map(|_| b.add_node(0, vec![])).collect();
+        for w in n.windows(2) {
+            b.add_pair(w[0], w[1], 1.0, 0.5);
+        }
+        (b.build(), vec![0.3, 0.1, 0.2, 0.15, 0.25])
+    }
+
     #[test]
-    fn pool_reuses_slots_across_runs() {
+    fn store_round_trips_and_reuses_buffers_across_runs() {
+        use crate::flows::{compute_flows, grow_flows};
+        let (g, p) = path_fixture();
+        let scorer = ci_rwmp::Scorer::new(&g, &p, 0.1, ci_rwmp::Dampening::paper_default());
+        let q = QuerySpec::from_matches(
+            &scorer,
+            vec!["a".into(), "b".into()],
+            vec![(NodeId(0), 0b01, 1), (NodeId(4), 0b10, 1)],
+        );
+        // A grow chain from node 0, each step stored as admission would.
+        let run = |s: &mut SearchScratch| {
+            s.begin();
+            let mut pop = CandSlot::default();
+            pop.cand.set_seed(NodeId(0), 0b01);
+            compute_flows(&scorer, &q, &pop.cand, &mut pop.flows);
+            s.store.push(&pop);
+            for v in 1..5u32 {
+                let mut grown = CandSlot::default();
+                pop.cand.grow_into(NodeId(v), &q, &mut grown.cand);
+                grown.grow_sigs(&pop, &q);
+                grow_flows(
+                    &scorer,
+                    &q,
+                    &pop.cand,
+                    &pop.flows,
+                    &grown.cand,
+                    &mut grown.flows,
+                );
+                grown.ce = f64::from(v);
+                s.store.push(&grown);
+                pop = grown;
+            }
+        };
         let mut s = SearchScratch::new();
+        run(&mut s);
+        assert_eq!(s.slots_allocated(), 5);
+        let mut out = CandSlot::default();
+        assert!(s.store.load(4, &mut out));
+        assert_eq!(
+            out.cand.nodes,
+            (0..5u32).rev().map(NodeId).collect::<Vec<_>>()
+        );
+        assert_eq!(out.ce, 4.0);
+        assert_eq!(out.sig, 0b1111);
+        assert_eq!(out.msig, 1 << q.ordinal(NodeId(0)).unwrap());
+        let mut fresh = FlowState::default();
+        compute_flows(&scorer, &q, &out.cand, &mut fresh);
+        assert_eq!(out.flows.parts(), fresh.parts(), "flows survive the store");
+        assert!(!s.store.load(5, &mut out), "no record past the end");
+        // A second identical run reuses every buffer.
+        let bytes = s.capacity_bytes();
+        run(&mut s);
+        assert_eq!(s.capacity_bytes(), bytes);
+        assert_eq!(s.slots_allocated(), 5);
+        // A smaller run keeps the high-water mark.
         s.begin();
-        let a = s.acquire();
-        let b = s.acquire();
-        assert_eq!(s.slots_allocated(), 2);
-        s.arena.push(a);
-        s.release(b);
-        s.begin(); // recycles the arena
-        let _a = s.acquire();
-        let _b = s.acquire();
-        assert_eq!(s.slots_allocated(), 2, "no new slots in steady state");
-        let _c = s.acquire();
-        assert_eq!(s.slots_allocated(), 3);
+        assert_eq!(s.store.len(), 0);
+        assert_eq!(s.slots_allocated(), 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Random candidates built by grows and merges over up to 96
+        /// matchers (so some have no matcher-signature bit, and node
+        /// signatures collide): every candidate's `msig` is the brute-force
+        /// bit set of its non-root matcher ordinals, and for every
+        /// same-rooted pair the store's merge-key decision agrees with the
+        /// exact `Candidate::disjoint_from`.
+        #[test]
+        fn merge_keys_settle_overlap_exactly(
+            sel in proptest::collection::vec(0u8..5, 96),
+            ops in proptest::collection::vec((0u8..3, 0usize..512, 0usize..512, 0u32..96), 1..90),
+        ) {
+            let matchers: Vec<MatcherInfo> = (0..96u32)
+                .filter(|&v| sel[v as usize] != 0)
+                .map(|v| MatcherInfo {
+                    node: NodeId(v),
+                    mask: 1,
+                    match_count: 1,
+                    word_count: 1,
+                    gen: f64::from(sel[v as usize]) + f64::from(v % 7),
+                })
+                .collect();
+            if matchers.is_empty() {
+                return Ok(());
+            }
+            let q = QuerySpec::new(vec!["a".into()], matchers);
+            let ordinal = |v: NodeId| q.matchers_sorted().iter().position(|&m| m == v);
+            let mut slots: Vec<CandSlot> = q
+                .matchers_sorted()
+                .iter()
+                .take(12)
+                .map(|&v| {
+                    let mut slot = CandSlot::default();
+                    slot.cand.set_seed(v, 1);
+                    slot
+                })
+                .collect();
+            let mut store = CandStore::default();
+            for slot in &slots {
+                store.push(slot);
+            }
+            for &(op, a, b, v) in &ops {
+                let x = &slots[a % slots.len()];
+                let mut out = CandSlot::default();
+                match op {
+                    // Grow to any node, or to one of four hub roots so
+                    // that many candidates share a root.
+                    0 | 1 => {
+                        let v = NodeId(if op == 0 { v } else { v % 4 });
+                        if x.cand.contains(v) || x.cand.size() >= 7 {
+                            continue;
+                        }
+                        x.cand.grow_into(v, &q, &mut out.cand);
+                        out.grow_sigs(x, &q);
+                    }
+                    _ => {
+                        let i = a % slots.len();
+                        let Some(j) = (0..slots.len())
+                            .map(|k| (b + k) % slots.len())
+                            .find(|&j| j != i && slots[j].cand.root() == x.cand.root())
+                        else {
+                            continue;
+                        };
+                        let (va, vb) = (x.cand.view(), slots[j].cand.view());
+                        if !Candidate::disjoint_from(va, vb) || x.cand.size() + slots[j].cand.size() > 9 {
+                            continue;
+                        }
+                        out.cand.merge_into(va, vb);
+                        out.merge_sigs(store.key(i).unwrap(), store.key(j).unwrap());
+                    }
+                }
+                store.push(&out);
+                slots.push(out);
+            }
+            for (i, x) in slots.iter().enumerate() {
+                let want = x.cand.nodes[1..]
+                    .iter()
+                    .filter_map(|&v| ordinal(v).filter(|&o| o < 64))
+                    .fold(0u64, |m, o| m | 1 << o);
+                prop_assert_eq!(store.key(i).unwrap().msig, want);
+                for (j, y) in slots.iter().enumerate().skip(i + 1) {
+                    if x.cand.root() != y.cand.root() {
+                        continue;
+                    }
+                    let (ki, kj) = (store.key(i).unwrap(), store.key(j).unwrap());
+                    let decided = store.overlap(i, ki, j, kj);
+                    prop_assert_eq!(
+                        decided.disjoint(),
+                        Candidate::disjoint_from(x.cand.view(), y.cand.view()),
+                        "{:?} vs {:?}: {:?}", x.cand.nodes, y.cand.nodes, decided
+                    );
+                }
+            }
+        }
     }
 
     #[test]

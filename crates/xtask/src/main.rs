@@ -369,22 +369,25 @@ fn check_no_dyn_oracle(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// The branch-and-bound inner-loop files rule 6 covers.
+const INNER_LOOP_FILES: &[&str] = &[
+    "crates/search/src/bnb.rs",
+    "crates/search/src/bounds.rs",
+    "crates/search/src/cache.rs",
+    "crates/search/src/candidate.rs",
+    "crates/search/src/scratch.rs",
+    "crates/search/src/flows.rs",
+    "crates/search/src/query.rs",
+    "crates/search/src/validity.rs",
+];
+
 /// Rule 6: no `HashMap`/`HashSet`/`BTreeMap` in the branch-and-bound
 /// inner-loop files. The hot path replaced per-candidate maps and sets
-/// with flat structures (oracle-cache slab, intrusive root chains, pooled
-/// arena, open-addressing dedup set); this keeps them from regressing.
-/// Tests may still use them, and an audited use can be tagged
-/// `LINT-EXEMPT(reason)`.
+/// with flat structures (oracle-cache slab, intrusive root chains, the
+/// flat per-run candidate store, open-addressing dedup set and matcher
+/// table); this keeps them from regressing. Tests may still use them, and
+/// an audited use can be tagged `LINT-EXEMPT(reason)`.
 fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
-    const INNER_LOOP_FILES: &[&str] = &[
-        "crates/search/src/bnb.rs",
-        "crates/search/src/bounds.rs",
-        "crates/search/src/cache.rs",
-        "crates/search/src/candidate.rs",
-        "crates/search/src/scratch.rs",
-        "crates/search/src/flows.rs",
-        "crates/search/src/validity.rs",
-    ];
     for rel in INNER_LOOP_FILES {
         let path = root.join(rel);
         let Ok(src) = fs::read_to_string(&path) else {
@@ -395,8 +398,8 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
             findings.push(format!(
                 "{}:{}: hashed/ordered container in a branch-and-bound \
                  inner-loop file — use the flat structures (oracle-cache \
-                 slab, root chains, arena, dedup set) or tag an audited \
-                 exemption with LINT-EXEMPT(reason)",
+                 slab, root chains, candidate store, dedup set, matcher \
+                 table) or tag an audited exemption with LINT-EXEMPT(reason)",
                 path.display(),
                 n
             ));
@@ -643,6 +646,15 @@ mod tests {
         let exempted = "// LINT-EXEMPT(demo): audited cold-path map\n\
                         use std::collections::HashMap;\n";
         assert!(inner_loop_map_hits(exempted).is_empty());
+    }
+
+    #[test]
+    fn inner_loop_files_exist_and_include_the_matcher_table() {
+        assert!(INNER_LOOP_FILES.contains(&"crates/search/src/query.rs"));
+        let root = workspace_root();
+        for rel in INNER_LOOP_FILES {
+            assert!(root.join(rel).is_file(), "{rel} is listed but missing");
+        }
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   bit-deterministic, so the query layer sees identical inputs);
 //! * a fresh `QuerySession` per query (the semantics the constants were
 //!   captured under) and one session reused across the whole workload
-//!   (warm oracle cache + warm candidate pool — both must be observably
+//!   (warm oracle cache + warm candidate store — both must be observably
 //!   transparent).
 //!
 //! A warm reused session must also reach an allocation steady state: a
-//! second replay of the same workload may not construct a single new
-//! candidate slot ([`ci_rank::QuerySession::scratch_slots_allocated`]).
+//! second replay of the same workload may not grow the candidate store
+//! ([`ci_rank::QuerySession::scratch_slots_allocated`]), and further
+//! replays may not grow any scratch buffer
+//! ([`ci_rank::QuerySession::scratch_capacity_bytes`]).
 
 // LINT-EXEMPT(tests): integration tests may unwrap/index freely; the
 // workspace lint wall applies to library code only (ISSUE 1).
@@ -123,7 +125,7 @@ fn warm_session_replays_without_allocating() {
     for (label, kind, data, queries) in cases() {
         let snap = build(&data.db, kind, 1).unwrap();
         let session = snap.session();
-        // First replay warms the pool up to the workload's working set.
+        // First replay warms the store up to the workload's working set.
         let first = workload_fingerprint_reused(&session, &queries);
         let warm_slots = session.scratch_slots_allocated();
         assert!(warm_slots > 0, "{label}: the workload searches for real");
@@ -133,8 +135,33 @@ fn warm_session_replays_without_allocating() {
         assert_eq!(
             session.scratch_slots_allocated(),
             warm_slots,
-            "{label}: steady-state replay constructed new candidate slots"
+            "{label}: steady-state replay grew the candidate store"
         );
+    }
+}
+
+/// A long-lived session must behave like a fresh one in memory too: once
+/// the first pass has sized the scratch for the workload's largest query,
+/// replaying the same queries holds exactly as many buffer bytes. (A pool
+/// of per-candidate buffers fails this: each pooled slot keeps the largest
+/// candidate it ever held, and which slot holds which candidate changes
+/// from pass to pass, so the total ratchets up.)
+#[test]
+fn warm_session_memory_stays_flat() {
+    for (label, kind, data, queries) in cases() {
+        let snap = build(&data.db, kind, 1).unwrap();
+        let session = snap.session();
+        workload_fingerprint_reused(&session, &queries);
+        let warm = session.scratch_capacity_bytes();
+        assert!(warm > 0, "{label}: the workload searches for real");
+        for pass in 2..=5 {
+            workload_fingerprint_reused(&session, &queries);
+            assert_eq!(
+                session.scratch_capacity_bytes(),
+                warm,
+                "{label}: pass {pass} grew the scratch's buffers"
+            );
+        }
     }
 }
 

@@ -32,6 +32,7 @@ struct Expected {
     infeasible_leaves: u64,
     duplicate: u64,
     merge_sig_disjoint: u64,
+    merge_matcher_overlap: u64,
     merge_overlap: u64,
     truncated: u64,
     cache_hits: u64,
@@ -56,6 +57,7 @@ fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
                 e.infeasible_leaves += r.infeasible_leaves as u64;
                 e.duplicate += r.duplicate as u64;
                 e.merge_sig_disjoint += r.merge_sig_disjoint as u64;
+                e.merge_matcher_overlap += r.merge_matcher_overlap as u64;
                 e.merge_overlap += r.merge_overlap as u64;
                 e.truncated += u64::from(stats.truncation.is_some());
                 if let Some(c) = &stats.cache {
@@ -95,9 +97,13 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
         delta.merge_sig_disjoint, e.merge_sig_disjoint,
         "{label}: signature-disjoint merges"
     );
+    assert_eq!(
+        delta.merge_matcher_overlap, e.merge_matcher_overlap,
+        "{label}: matcher-signature overlaps"
+    );
     assert_eq!(delta.merge_overlap, e.merge_overlap, "{label}: overlap");
     assert!(
-        e.structural > 0 && e.merge_overlap > 0,
+        e.structural > 0 && e.merge_matcher_overlap > 0 && e.merge_overlap > 0,
         "{label}: the workload exercises the rejection counters"
     );
     assert_eq!(delta.truncated_total(), e.truncated, "{label}: truncations");
@@ -166,6 +172,7 @@ fn metrics_are_exact_across_concurrent_sessions() {
         total.infeasible_leaves += e.infeasible_leaves;
         total.duplicate += e.duplicate;
         total.merge_sig_disjoint += e.merge_sig_disjoint;
+        total.merge_matcher_overlap += e.merge_matcher_overlap;
         total.merge_overlap += e.merge_overlap;
         total.truncated += e.truncated;
         total.cache_hits += e.cache_hits;
