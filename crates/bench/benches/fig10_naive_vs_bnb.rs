@@ -44,17 +44,18 @@ fn bench(c: &mut Criterion) {
             .into_iter()
             .map(|q| q.keywords.join(" "))
             .collect();
+        let session = engine.session();
         group.bench_function("imdb/naive", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search_naive(q));
+                    let _ = std::hint::black_box(session.search_naive(q));
                 }
             })
         });
         group.bench_function("imdb/bnb", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search(q));
+                    let _ = std::hint::black_box(session.search(q));
                 }
             })
         });
@@ -84,17 +85,18 @@ fn bench(c: &mut Criterion) {
             .into_iter()
             .map(|q| q.keywords.join(" "))
             .collect();
+        let session = engine.session();
         group.bench_function("dblp/naive", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search_naive(q));
+                    let _ = std::hint::black_box(session.search_naive(q));
                 }
             })
         });
         group.bench_function("dblp/bnb", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search(q));
+                    let _ = std::hint::black_box(session.search(q));
                 }
             })
         });

@@ -25,6 +25,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for &d in &[4u32, 5, 6] {
         let plain = imdb_engine(&imdb, d, IndexKind::None);
+        let plain = plain.session();
         group.bench_with_input(BenchmarkId::new("upbound", d), &d, |b, _| {
             b.iter(|| {
                 for q in &imdb_qs {
@@ -33,6 +34,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         let indexed = imdb_engine(&imdb, d, IndexKind::Star { relations: None });
+        let indexed = indexed.session();
         group.bench_with_input(BenchmarkId::new("upbound_index", d), &d, |b, _| {
             b.iter(|| {
                 for q in &imdb_qs {
@@ -47,6 +49,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for &d in &[4u32, 5, 6] {
         let plain = dblp_engine(&dblp, d, IndexKind::None);
+        let plain = plain.session();
         group.bench_with_input(BenchmarkId::new("upbound", d), &d, |b, _| {
             b.iter(|| {
                 for q in &dblp_qs {
@@ -55,6 +58,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         let indexed = dblp_engine(&dblp, d, IndexKind::Star { relations: None });
+        let indexed = indexed.session();
         group.bench_with_input(BenchmarkId::new("upbound_index", d), &d, |b, _| {
             b.iter(|| {
                 for q in &dblp_qs {

@@ -6,10 +6,10 @@
 //!   matcher rows probed against a sweep of candidate roots, with heavy
 //!   repetition (every candidate sharing a root repeats its matchers'
 //!   probes).
-//! * **Bound computation** — [`ci_search::upper_bound`] recomputing flows
-//!   from scratch versus [`ci_search::upper_bound_from`] reusing the
-//!   incrementally maintained [`ci_search::FlowState`] a candidate carries,
-//!   which is what the search loop actually does per admission.
+//! * **Bound computation** — [`ci_search::bound_parts_from`] over flows
+//!   refilled from scratch ([`ci_rwmp::Scorer::fill_flows`]) versus over
+//!   the incrementally maintained [`ci_search::FlowState`] a candidate
+//!   carries, which is what the search loop actually does per admission.
 //!
 //! These use the `#[doc(hidden)]` hot-path re-exports from `ci-search`;
 //! they are not a stable API.
@@ -29,10 +29,7 @@ use std::collections::HashMap;
 use ci_graph::{GraphBuilder, NodeId};
 use ci_index::{DistanceOracle, NoIndex};
 use ci_rwmp::{Dampening, Scorer};
-use ci_search::{
-    compute_flows, upper_bound, upper_bound_from, CachedOracle, Candidate, FlowState, OracleCache,
-    QuerySpec,
-};
+use ci_search::{bound_parts_from, CachedOracle, Candidate, FlowState, OracleCache, QuerySpec};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// A synthetic oracle with a small arithmetic cost per probe — enough that
@@ -164,19 +161,22 @@ fn bench_bound_computation(c: &mut Criterion) {
         cand.grow_into(NodeId(v), &query, &mut grown);
         std::mem::swap(&mut cand, &mut grown);
     }
+    let fill = |out: &mut FlowState| {
+        scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), out);
+    };
     let mut flows = FlowState::default();
-    compute_flows(&scorer, &query, &cand, &mut flows);
+    fill(&mut flows);
 
     group.bench_function("from_scratch", |b| {
-        b.iter(|| black_box(upper_bound(&scorer, &query, &oracle, &cand, true)))
+        b.iter(|| {
+            let mut fresh = FlowState::default();
+            fill(&mut fresh);
+            black_box(bound_parts_from(&scorer, &query, &oracle, &cand, &fresh, true).ub())
+        })
     });
 
     group.bench_function("incremental_flows", |b| {
-        b.iter(|| {
-            black_box(upper_bound_from(
-                &scorer, &query, &oracle, &cand, &flows, true,
-            ))
-        })
+        b.iter(|| black_box(bound_parts_from(&scorer, &query, &oracle, &cand, &flows, true).ub()))
     });
 
     group.finish();

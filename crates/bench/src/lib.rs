@@ -122,8 +122,9 @@ mod tests {
         let queries = dblp_queries(&data, 3);
         assert!(!queries.is_empty());
         // Each query must run without error.
+        let session = engine.session();
         for q in &queries {
-            let _ = engine.search(q).expect("bench query runs");
+            let _ = session.search(q).expect("bench query runs");
         }
     }
 }

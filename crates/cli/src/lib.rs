@@ -288,6 +288,7 @@ fn search(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "note: --trace instruments the ci ranker only");
         }
         engine
+            .session()
             .search_ranked(&query, ranker, cfg_pool(&flags)?)
             .map_err(|e| CliError(format!("search failed: {e}")))?
     };
@@ -332,6 +333,7 @@ fn explain(args: &[String]) -> Result<String, CliError> {
     let engine =
         Engine::build(&db, cfg).map_err(|e| CliError(format!("engine build failed: {e}")))?;
     let answers = engine
+        .session()
         .search(&query)
         .map_err(|e| CliError(format!("search failed: {e}")))?;
     if answers.is_empty() {

@@ -1,5 +1,5 @@
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_search::SearchOptions;
+use ci_search::{QueryBudget, SearchOptions};
 
 /// How node importance (Eq. 1) is computed.
 #[derive(Debug, Clone)]
@@ -107,6 +107,18 @@ impl CiRankConfig {
             ..Default::default()
         }
     }
+
+    /// The default per-session [`QueryBudget`] implied by this
+    /// configuration: the branch-and-bound expansion cap when one is set,
+    /// otherwise unlimited (preserving the exactness guarantee). Deadlines
+    /// and memory caps are per-query decisions — set them on the session
+    /// via [`crate::QuerySession::with_budget`].
+    pub fn query_budget(&self) -> QueryBudget {
+        match self.max_expansions {
+            Some(n) => QueryBudget::default().with_max_expansions(n),
+            None => QueryBudget::UNLIMITED,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -134,5 +146,19 @@ mod tests {
         let o = c.search_options();
         assert_eq!(o.diameter, 6);
         assert_eq!(o.k, 5);
+    }
+
+    #[test]
+    fn config_maps_expansion_cap_into_the_budget() {
+        let unlimited = CiRankConfig::default();
+        assert!(unlimited.query_budget().is_unlimited());
+        let capped = CiRankConfig {
+            max_expansions: Some(500),
+            ..Default::default()
+        };
+        let b = capped.query_budget();
+        assert_eq!(b.max_expansions, Some(500));
+        assert!(b.deadline.is_none());
+        assert!(!b.is_unlimited());
     }
 }

@@ -11,12 +11,12 @@ use crate::Result;
 
 /// The CI-Rank search engine: an [`EngineSnapshot`] behind an `Arc`.
 ///
-/// Build once per database, then issue any number of queries; all query
-/// methods take `&self`. The engine dereferences to its snapshot, so every
-/// [`EngineSnapshot`] method is available directly; clone the engine (or
-/// [`Engine::snapshot`]) to share the same immutable snapshot across
-/// threads — it is `Send + Sync` and queries never block each other. See
-/// the crate docs for an end-to-end example.
+/// Build once per database, then query through sessions
+/// ([`EngineSnapshot::session`]). The engine dereferences to its snapshot,
+/// so every [`EngineSnapshot`] method is available directly; clone the
+/// engine (or [`Engine::snapshot`]) to share the same immutable snapshot
+/// across threads — it is `Send + Sync` and queries never block each
+/// other. See the crate docs for an end-to-end example.
 #[derive(Clone)]
 pub struct Engine {
     snapshot: Arc<EngineSnapshot>,
@@ -62,15 +62,10 @@ impl Engine {
     /// Builds the engine through the staged pipeline: maps the database to
     /// the data graph, indexes the text, solves the random walk, computes
     /// the dampening vector, and constructs the configured distance index
-    /// (see [`EngineBuilder`] for the stage-by-stage form).
+    /// (see [`EngineBuilder`] for the stage-by-stage form, with
+    /// build-progress callbacks).
     pub fn build(db: &Database, cfg: CiRankConfig) -> Result<Engine> {
         Ok(Engine::from(EngineBuilder::new(cfg).build(db)?))
-    }
-
-    /// The staged builder with this configuration — for callers that want
-    /// build-progress callbacks.
-    pub fn builder(cfg: CiRankConfig) -> EngineBuilder {
-        EngineBuilder::new(cfg)
     }
 
     /// The shared snapshot; clone the `Arc` to hand the same immutable
@@ -153,7 +148,7 @@ mod tests {
     #[test]
     fn tsimmis_example_ranks_the_cited_paper_first() {
         let e = engine();
-        let answers = e.search("papakonstantinou ullman").unwrap();
+        let answers = e.session().search("papakonstantinou ullman").unwrap();
         assert_eq!(answers.len(), 2, "two connecting papers");
         let top_paper = answers[0]
             .nodes
@@ -171,7 +166,10 @@ mod tests {
     #[test]
     fn empty_query_rejected() {
         let e = engine();
-        assert_eq!(e.search("  ...  ").unwrap_err(), CiRankError::EmptyQuery);
+        assert_eq!(
+            e.session().search("  ...  ").unwrap_err(),
+            CiRankError::EmptyQuery
+        );
     }
 
     #[test]
@@ -184,15 +182,16 @@ mod tests {
     #[test]
     fn unmatched_keyword_yields_no_answers() {
         let e = engine();
-        let answers = e.search("papakonstantinou zzzzz").unwrap();
+        let answers = e.session().search("papakonstantinou zzzzz").unwrap();
         assert!(answers.is_empty());
     }
 
     #[test]
     fn naive_and_bnb_agree_end_to_end() {
         let e = engine();
-        let bnb = e.search("papakonstantinou ullman").unwrap();
-        let (naive, stats) = e.search_naive("papakonstantinou ullman").unwrap();
+        let session = e.session();
+        let bnb = session.search("papakonstantinou ullman").unwrap();
+        let (naive, stats) = session.search_naive("papakonstantinou ullman").unwrap();
         assert!(!stats.truncated());
         assert_eq!(bnb.len(), naive.len());
         for (a, b) in bnb.iter().zip(&naive) {
@@ -203,7 +202,8 @@ mod tests {
     #[test]
     fn banks_search_end_to_end() {
         let e = engine();
-        let answers = e.search_banks("papakonstantinou ullman").unwrap();
+        let session = e.session();
+        let answers = session.search_banks("papakonstantinou ullman").unwrap();
         assert!(!answers.is_empty());
         for a in &answers {
             // Every BANKS answer covers both keywords.
@@ -222,13 +222,16 @@ mod tests {
             assert!(w[0].score >= w[1].score);
         }
         // Unanswerable query is clean.
-        assert!(e.search_banks("papakonstantinou zzz").unwrap().is_empty());
+        assert!(session
+            .search_banks("papakonstantinou zzz")
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn explain_breaks_down_the_score() {
         let e = engine();
-        let answers = e.search("papakonstantinou ullman").unwrap();
+        let answers = e.session().search("papakonstantinou ullman").unwrap();
         let report = e
             .explain("papakonstantinou ullman", &answers[0].tree)
             .unwrap();
@@ -256,7 +259,7 @@ mod tests {
     #[test]
     fn ranked_answers_display() {
         let e = engine();
-        let answers = e.search("tsimmis").unwrap();
+        let answers = e.session().search("tsimmis").unwrap();
         assert!(!answers.is_empty());
         let s = answers[0].to_string();
         assert!(s.contains("paper"));
@@ -279,7 +282,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let answers = e.search("papakonstantinou ullman").unwrap();
+            let answers = e.session().search("papakonstantinou ullman").unwrap();
             assert_eq!(answers.len(), 2);
             assert!(answers[0]
                 .nodes
@@ -302,7 +305,7 @@ mod tests {
             },
         )
         .unwrap();
-        let answers = e.search("papakonstantinou ullman").unwrap();
+        let answers = e.session().search("papakonstantinou ullman").unwrap();
         assert_eq!(answers.len(), 2);
         assert!(answers[0]
             .nodes
@@ -338,7 +341,7 @@ mod tests {
             },
         )
         .unwrap();
-        let answers = biased.search("papakonstantinou ullman").unwrap();
+        let answers = biased.session().search("papakonstantinou ullman").unwrap();
         let top_paper = answers[0]
             .nodes
             .iter()
@@ -372,7 +375,7 @@ mod tests {
             assert_eq!(stored[v.idx()], scorer.dampening(v));
             assert_eq!(stored[v.idx()], fresh.dampening(v));
         }
-        let answers = e.search("papakonstantinou ullman").unwrap();
+        let answers = e.session().search("papakonstantinou ullman").unwrap();
         let report = e
             .explain("papakonstantinou ullman", &answers[0].tree)
             .unwrap();
@@ -469,8 +472,8 @@ mod tests {
         let e2 = e.clone();
         assert!(Arc::ptr_eq(e.snapshot(), e2.snapshot()));
         assert_eq!(
-            e.search("tsimmis").unwrap().len(),
-            e2.search("tsimmis").unwrap().len()
+            e.session().search("tsimmis").unwrap().len(),
+            e2.session().search("tsimmis").unwrap().len()
         );
     }
 }

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn report_score_matches_ranked_score_bitwise() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search("yu shi").unwrap();
         assert_eq!(answers.len(), 1);
         let report = engine.explain("yu shi", &answers[0].tree).unwrap();
         assert_eq!(report.score().to_bits(), answers[0].score.to_bits());
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn render_annotates_every_node() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search("yu shi").unwrap();
         let report = engine.explain("yu shi", &answers[0].tree).unwrap();
         let text = report.render();
         assert!(text.starts_with("score "), "{text}");
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn tree_without_matchers_is_rejected() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search("yu shi").unwrap();
         // A singleton tree on the free paper node matches neither keyword.
         let free = answers[0]
             .tree
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn single_matcher_report_renders_the_convention() {
         let engine = coauthor_engine();
-        let answers = engine.search("rank").unwrap();
+        let answers = engine.session().search("rank").unwrap();
         assert!(!answers.is_empty());
         let report = engine.explain("rank", &answers[0].tree).unwrap();
         let text = report.render();

@@ -145,7 +145,7 @@ mod tests {
         let base = Engine::build(&db, cfg.clone()).unwrap();
 
         // Without feedback the two connecting papers are symmetric.
-        let answers = base.search("crane quill").unwrap();
+        let answers = base.session().search("crane quill").unwrap();
         assert_eq!(answers.len(), 2);
         assert!((answers[0].score - answers[1].score).abs() < 1e-9);
 
@@ -161,7 +161,7 @@ mod tests {
             },
         )
         .unwrap();
-        let answers = biased.search("crane quill").unwrap();
+        let answers = biased.session().search("crane quill").unwrap();
         assert!(answers[0].nodes.iter().any(|n| n.text.contains("first")));
         assert!(answers[0].score > answers[1].score);
         let _ = p2;

@@ -33,7 +33,7 @@
 //!    of one database. The snapshot owns everything queries share: the
 //!    graph, the text index, the importance/prestige vectors, the
 //!    precomputed dampening rates, and the distance index. Share it
-//!    across threads behind an `Arc`; every query method takes `&self`.
+//!    across threads behind an `Arc`.
 //! 3. [`QuerySession`] holds what a single caller must *not* share:
 //!    the per-query [`QueryBudget`] (expansion / wall-clock /
 //!    candidate-memory limits, reported uniformly through
@@ -42,7 +42,10 @@
 //!
 //! [`Engine`] is the convenience façade: an `Arc<EngineSnapshot>` that
 //! dereferences to the snapshot, so the three layers collapse to
-//! `Engine::build(..)` + `engine.search(..)` when the defaults fit.
+//! `Engine::build(..)` + `engine.session().search(..)` when the defaults
+//! fit. Every query method lives on the session and feeds the snapshot's
+//! [`MetricsRegistry`]; hold one session per thread and reuse it across
+//! queries.
 //!
 //! # Quickstart
 //!
@@ -66,7 +69,7 @@
 //!     ..Default::default()
 //! };
 //! let engine = Engine::build(&db, cfg).unwrap();
-//! let answers = engine.search("yu shi").unwrap();
+//! let answers = engine.session().search("yu shi").unwrap();
 //! assert_eq!(answers.len(), 1);
 //! assert_eq!(answers[0].nodes.len(), 3); // author — paper — author
 //! ```
@@ -88,7 +91,6 @@
     )
 )]
 
-mod budget;
 mod builder;
 mod config;
 mod engine;
@@ -100,7 +102,6 @@ mod ranker;
 mod session;
 mod snapshot;
 
-pub use budget::{QueryBudget, TruncationReason};
 pub use builder::{BuildStage, EngineBuilder, StageReport};
 pub use config::{CiRankConfig, ImportanceMethod, IndexKind};
 pub use engine::Engine;
@@ -118,6 +119,10 @@ pub use ci_search::{
     ExplainedNode, ExplainedSource, ScoreExplanation, SearchTrace, TraceCounts, TraceEvent,
     TraceLevel,
 };
+
+// The per-query budget vocabulary, enforced inside the search loops;
+// sessions take a budget through [`QuerySession::with_budget`].
+pub use ci_search::{QueryBudget, TruncationReason};
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CiRankError>;

@@ -182,16 +182,17 @@ mod tests {
     #[test]
     fn rankers_disagree_as_the_paper_describes() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
+        let s = e.session();
+        let pool = s.candidate_pool("crane quill", 10).unwrap();
         assert_eq!(pool.len(), 2);
 
-        let ci = e.rank("crane quill", &pool, Ranker::CiRank).unwrap();
+        let ci = s.rank("crane quill", &pool, Ranker::CiRank).unwrap();
         assert!(
             ci[0].nodes.iter().any(|n| n.text.contains("famous")),
             "CI-Rank prefers the cited connector"
         );
 
-        let spark = e.rank("crane quill", &pool, Ranker::Spark).unwrap();
+        let spark = s.rank("crane quill", &pool, Ranker::Spark).unwrap();
         assert!(
             spark[0].nodes.iter().any(|n| n.text.contains("short")),
             "SPARK prefers the shorter title (the §II-B flaw)"
@@ -201,7 +202,8 @@ mod tests {
     #[test]
     fn all_rankers_produce_full_rankings() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
+        let s = e.session();
+        let pool = s.candidate_pool("crane quill", 10).unwrap();
         for ranker in [
             Ranker::CiRank,
             Ranker::Spark,
@@ -210,7 +212,7 @@ mod tests {
             Ranker::Hybrid { ci_weight: 0.5 },
             Ranker::Alternative(AlternativeScore::AvgAllImportance),
         ] {
-            let ranked = e.rank("crane quill", &pool, ranker).unwrap();
+            let ranked = s.rank("crane quill", &pool, ranker).unwrap();
             assert_eq!(ranked.len(), pool.len(), "{ranker:?}");
             for w in ranked.windows(2) {
                 assert!(w[0].score >= w[1].score, "{ranker:?} not sorted");
@@ -221,11 +223,12 @@ mod tests {
     #[test]
     fn hybrid_interpolates_between_parents() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
-        let pure_ci = e
+        let s = e.session();
+        let pool = s.candidate_pool("crane quill", 10).unwrap();
+        let pure_ci = s
             .rank("crane quill", &pool, Ranker::Hybrid { ci_weight: 1.0 })
             .unwrap();
-        let pure_ir = e
+        let pure_ir = s
             .rank("crane quill", &pool, Ranker::Hybrid { ci_weight: 0.0 })
             .unwrap();
         assert!(pure_ci[0].nodes.iter().any(|n| n.text.contains("famous")));

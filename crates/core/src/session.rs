@@ -1,6 +1,8 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
+use ci_baselines::{banks_score, banks_search, BanksConfig};
+use ci_graph::NodeId;
 use ci_index::{DistanceOracle, OracleVisitor};
 use ci_rwmp::Scorer;
 use ci_search::{
@@ -8,6 +10,7 @@ use ci_search::{
     SearchOptions, SearchScratch, SearchStats, SearchTrace, TraceLevel,
 };
 
+use crate::ranker::{rank_pool, Ranker};
 use crate::snapshot::{EngineSnapshot, RankedAnswer};
 use crate::Result;
 
@@ -117,19 +120,6 @@ impl<'s> QuerySession<'s> {
         self.scratch.borrow().trace().clone()
     }
 
-    /// Branch-and-bound top-k under this session's options and budget,
-    /// returning raw answers plus statistics.
-    pub fn run_bnb(&self, spec: &QuerySpec) -> (Vec<Answer>, SearchStats) {
-        let scorer = self.snap.scorer();
-        self.snap.with_oracle(BnbRun {
-            scorer: &scorer,
-            spec,
-            opts: &self.opts,
-            cache: &self.cache,
-            scratch: &self.scratch,
-        })
-    }
-
     /// Top-k search with the CI-Rank scoring function (branch-and-bound).
     pub fn search(&self, query: &str) -> Result<Vec<RankedAnswer>> {
         self.search_with_stats(query).map(|(a, _)| a)
@@ -138,78 +128,158 @@ impl<'s> QuerySession<'s> {
     /// Like [`QuerySession::search`], also returning search statistics
     /// (including [`SearchStats::truncation`] when the budget cut the run
     /// short). Every call — success or error — is folded into the
-    /// snapshot's [`crate::MetricsRegistry`].
+    /// snapshot's [`crate::MetricsRegistry`], as for every query method of
+    /// the session.
     pub fn search_with_stats(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
-        let start = Instant::now();
-        let spec = match self.snap.query_spec(query) {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.snap.metrics().record_error();
-                return Err(e);
-            }
-        };
-        let (answers, stats) = self.run_bnb(&spec);
-        let ranked: Vec<RankedAnswer> = answers
-            .into_iter()
-            .map(|a| self.snap.to_ranked(&spec, a))
-            .collect();
-        self.snap
-            .metrics()
-            .record_search(&stats, ranked.len(), start.elapsed());
-        Ok((ranked, stats))
+        self.metered(query, |spec| {
+            let (answers, stats) = self.run_bnb(spec, self.opts.k);
+            (self.materialize(spec, answers), stats)
+        })
     }
 
-    /// Top-k search with the naive algorithm of §IV-A. Recorded in the
-    /// snapshot's serving metrics like the branch-and-bound path.
+    /// Top-k search with the naive algorithm of §IV-A (for the Fig. 10
+    /// comparison). The stats report whether enumeration caps or the
+    /// budget cut the run short.
     pub fn search_naive(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
-        let start = Instant::now();
-        let spec = match self.snap.query_spec(query) {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.snap.metrics().record_error();
-                return Err(e);
-            }
-        };
-        let scorer = self.snap.scorer();
-        let (answers, stats) = naive_search(&scorer, &spec, &self.opts);
-        let ranked: Vec<RankedAnswer> = answers
-            .into_iter()
-            .map(|a| self.snap.to_ranked(&spec, a))
-            .collect();
-        self.snap
-            .metrics()
-            .record_search(&stats, ranked.len(), start.elapsed());
-        Ok((ranked, stats))
+        self.metered(query, |spec| {
+            let (answers, stats) = naive_search(&self.snap.scorer(), spec, &self.opts);
+            (self.materialize(spec, answers), stats)
+        })
     }
 
-    /// Generates a candidate pool of up to `pool_k` answers via
-    /// branch-and-bound (see [`EngineSnapshot::candidate_pool`]). Recorded
-    /// in the snapshot's serving metrics like [`QuerySession::search`].
+    /// Generates a candidate pool of up to `pool_k` answers (the top
+    /// `pool_k` by CI score, via branch-and-bound under the session's
+    /// other options). The evaluation harness re-ranks this common pool
+    /// with every competing scoring function ([`QuerySession::rank`]),
+    /// mirroring the paper's §VI setup where all rankers score the same
+    /// generated answers.
     pub fn candidate_pool(&self, query: &str, pool_k: usize) -> Result<Vec<Answer>> {
+        self.metered(query, |spec| self.run_bnb(spec, pool_k))
+            .map(|(pool, _)| pool)
+    }
+
+    /// Re-ranks a candidate pool with the chosen ranker. Only a query
+    /// parse error is recorded: the run that generated the pool was
+    /// already counted.
+    pub fn rank(&self, query: &str, pool: &[Answer], ranker: Ranker) -> Result<Vec<RankedAnswer>> {
+        let spec = self.resolve(query)?;
+        Ok(self.rerank(&spec, pool, ranker))
+    }
+
+    /// Pool generation plus re-ranking in one call, resolving the query
+    /// once and counting one query.
+    pub fn search_ranked(
+        &self,
+        query: &str,
+        ranker: Ranker,
+        pool_k: usize,
+    ) -> Result<Vec<RankedAnswer>> {
+        self.metered(query, |spec| {
+            let (pool, stats) = self.run_bnb(spec, pool_k);
+            (self.rerank(spec, &pool, ranker), stats)
+        })
+        .map(|(ranked, _)| ranked)
+    }
+
+    /// Runs BANKS end to end as an independent search strategy: backward
+    /// expanding search from every matcher (§II-B.2's citation), answers
+    /// scored with the BANKS ranking function at their emission root, `k`
+    /// and the diameter `D` read from the session's options. Provided for
+    /// completeness alongside [`QuerySession::rank`]'s pool-re-ranking
+    /// mode, which is what the paper's evaluation uses. Counted as one
+    /// query with zero branch-and-bound counters.
+    pub fn search_banks(&self, query: &str) -> Result<Vec<RankedAnswer>> {
+        self.metered(query, |spec| (self.banks(spec), SearchStats::default()))
+            .map(|(answers, _)| answers)
+    }
+
+    /// The one metered run path every query method takes: resolves
+    /// `query`, hands the spec to `run`, and records the run's statistics,
+    /// answer count and latency in the snapshot's registry.
+    fn metered<T>(
+        &self,
+        query: &str,
+        run: impl FnOnce(&QuerySpec) -> (Vec<T>, SearchStats),
+    ) -> Result<(Vec<T>, SearchStats)> {
         let start = Instant::now();
-        let spec = match self.snap.query_spec(query) {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.snap.metrics().record_error();
-                return Err(e);
-            }
-        };
-        let scorer = self.snap.scorer();
-        let opts = SearchOptions {
-            k: pool_k,
-            ..self.opts.clone()
-        };
-        let (answers, stats) = self.snap.with_oracle(BnbRun {
-            scorer: &scorer,
-            spec: &spec,
-            opts: &opts,
-            cache: &self.cache,
-            scratch: &self.scratch,
-        });
+        let spec = self.resolve(query)?;
+        let (answers, stats) = run(&spec);
         self.snap
             .metrics()
             .record_search(&stats, answers.len(), start.elapsed());
-        Ok(answers)
+        Ok((answers, stats))
+    }
+
+    /// Resolves `query` against the snapshot, recording a parse error.
+    fn resolve(&self, query: &str) -> Result<QuerySpec> {
+        self.snap
+            .query_spec(query)
+            .inspect_err(|_| self.snap.metrics().record_error())
+    }
+
+    /// Branch-and-bound top-`k` under the session's other options, over
+    /// the session's oracle cache and scratch — the one launch site.
+    fn run_bnb(&self, spec: &QuerySpec, k: usize) -> (Vec<Answer>, SearchStats) {
+        let scorer = self.snap.scorer();
+        let opts = SearchOptions {
+            k,
+            ..self.opts.clone()
+        };
+        self.snap.with_oracle(BnbRun {
+            scorer: &scorer,
+            spec,
+            opts: &opts,
+            cache: &self.cache,
+            scratch: &self.scratch,
+        })
+    }
+
+    fn materialize(&self, spec: &QuerySpec, answers: Vec<Answer>) -> Vec<RankedAnswer> {
+        answers
+            .into_iter()
+            .map(|a| self.snap.to_ranked(spec, a))
+            .collect()
+    }
+
+    fn rerank(&self, spec: &QuerySpec, pool: &[Answer], ranker: Ranker) -> Vec<RankedAnswer> {
+        let snap = self.snap;
+        rank_pool(
+            &snap.scorer(),
+            spec,
+            snap.text_index(),
+            snap.graph(),
+            snap.prestige(),
+            pool,
+            ranker,
+        )
+        .into_iter()
+        .map(|(tree, score)| snap.to_ranked(spec, Answer { tree, score }))
+        .collect()
+    }
+
+    fn banks(&self, spec: &QuerySpec) -> Vec<RankedAnswer> {
+        if !spec.answerable() {
+            return Vec::new();
+        }
+        let (graph, prestige) = (self.snap.graph(), self.snap.prestige());
+        let matchers: Vec<Vec<NodeId>> = (0..spec.keyword_count())
+            .map(|k| spec.matchers_of(k).to_vec())
+            .collect();
+        let cfg = BanksConfig {
+            max_answers: self.opts.k * 4,
+            max_hops: self.opts.diameter,
+            ..Default::default()
+        };
+        let mut answers: Vec<RankedAnswer> = banks_search(graph, &matchers, &cfg)
+            .into_iter()
+            .map(|(tree, root)| {
+                let score = banks_score(graph, prestige, &tree, root, cfg.lambda);
+                self.snap.to_ranked(spec, Answer { tree, score })
+            })
+            .collect();
+        answers.sort_by(|a, b| b.score.total_cmp(&a.score));
+        answers.truncate(self.opts.k);
+        answers
     }
 }
 

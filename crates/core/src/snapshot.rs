@@ -5,16 +5,13 @@ use ci_graph::{Graph, NodeId};
 use ci_index::{DistIndex, OracleVisitor};
 use ci_rwmp::{Dampening, Jtt, Scorer};
 use ci_search::{Answer, QuerySpec, SearchStats, MAX_KEYWORDS};
-use ci_storage::Database;
 use ci_text::{tokenize, InvertedIndex};
 use ci_walk::Importance;
 
-use crate::builder::EngineBuilder;
 use crate::config::CiRankConfig;
 use crate::error::CiRankError;
 use crate::explain::ExplainReport;
 use crate::metrics::MetricsRegistry;
-use crate::ranker::{rank_pool, Ranker};
 use crate::session::QuerySession;
 use crate::Result;
 
@@ -60,12 +57,12 @@ impl fmt::Display for RankedAnswer {
 /// index, importance and prestige vectors, the precomputed dampening
 /// rates, and the configured distance index.
 ///
-/// Snapshots are produced by [`EngineBuilder`]'s staged pipeline, never
-/// mutated afterwards, and are `Send + Sync` — wrap one in an
-/// [`std::sync::Arc`] and serve queries from as many threads as you like;
-/// every query method takes `&self`. Per-query mutable state (budgets,
-/// oracle caches) lives in [`QuerySession`], created per thread via
-/// [`EngineSnapshot::session`].
+/// Snapshots are produced by [`crate::EngineBuilder`]'s staged pipeline,
+/// never mutated afterwards, and are `Send + Sync` — wrap one in an
+/// [`std::sync::Arc`] and serve queries from as many threads as you like.
+/// Queries run through a [`QuerySession`], opened per thread with
+/// [`EngineSnapshot::session`]; it holds the per-query mutable state
+/// (options, budget, oracle cache, search scratch).
 pub struct EngineSnapshot {
     cfg: CiRankConfig,
     graph: Graph,
@@ -102,12 +99,6 @@ impl fmt::Debug for EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Runs the staged build pipeline — shorthand for
-    /// [`EngineBuilder::new`] + [`EngineBuilder::build`].
-    pub fn build(db: &Database, cfg: CiRankConfig) -> Result<EngineSnapshot> {
-        EngineBuilder::new(cfg).build(db)
-    }
-
     /// Final assembly from the builder's stage outputs.
     #[allow(clippy::too_many_arguments)] // one argument per pipeline stage
     pub(crate) fn assemble(
@@ -154,6 +145,11 @@ impl EngineSnapshot {
     /// The inverted text index.
     pub fn text_index(&self) -> &InvertedIndex {
         &self.text
+    }
+
+    /// BANKS node prestige.
+    pub(crate) fn prestige(&self) -> &BanksPrestige {
+        &self.prestige
     }
 
     /// The precomputed per-node dampening rates (Eq. 2).
@@ -253,97 +249,12 @@ impl EngineSnapshot {
         Ok(QuerySpec::from_matches(&scorer, keywords, matches))
     }
 
-    /// Top-k search with the CI-Rank scoring function (branch-and-bound).
-    pub fn search(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        self.search_with_stats(query).map(|(a, _)| a)
-    }
-
-    /// Like [`EngineSnapshot::search`], also returning search statistics.
+    /// Branch-and-bound top-k on a fresh session —
+    /// `self.session().search_with_stats(query)`. Callers running more
+    /// than one query hold a [`QuerySession`] instead, which keeps its
+    /// oracle cache and search scratch warm.
     pub fn search_with_stats(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
         self.session().search_with_stats(query)
-    }
-
-    /// Top-k search with the naive algorithm of §IV-A (for the Fig. 10
-    /// comparison). The stats report whether enumeration caps or the
-    /// budget cut the run short.
-    pub fn search_naive(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
-        self.session().search_naive(query)
-    }
-
-    /// Generates a candidate pool of up to `pool_k` answers (the top
-    /// `pool_k` by CI score, via branch-and-bound). The evaluation harness
-    /// re-ranks this common pool with every competing scoring function,
-    /// mirroring the paper's §VI setup where all rankers score the same
-    /// generated answers.
-    pub fn candidate_pool(&self, query: &str, pool_k: usize) -> Result<Vec<Answer>> {
-        self.session().candidate_pool(query, pool_k)
-    }
-
-    /// Re-ranks a candidate pool with the chosen ranker.
-    pub fn rank(&self, query: &str, pool: &[Answer], ranker: Ranker) -> Result<Vec<RankedAnswer>> {
-        let spec = self.query_spec(query)?;
-        let scorer = self.scorer();
-        let ranked = rank_pool(
-            &scorer,
-            &spec,
-            &self.text,
-            &self.graph,
-            &self.prestige,
-            pool,
-            ranker,
-        );
-        Ok(ranked
-            .into_iter()
-            .map(|(tree, score)| self.to_ranked(&spec, Answer { tree, score }))
-            .collect())
-    }
-
-    /// Convenience: pool generation plus re-ranking in one call.
-    pub fn search_ranked(
-        &self,
-        query: &str,
-        ranker: Ranker,
-        pool_k: usize,
-    ) -> Result<Vec<RankedAnswer>> {
-        let pool = self.candidate_pool(query, pool_k)?;
-        self.rank(query, &pool, ranker)
-    }
-
-    /// Runs BANKS end to end as an independent search strategy: backward
-    /// expanding search from every matcher (§II-B.2's citation), answers
-    /// scored with the BANKS ranking function at their emission root.
-    /// Provided for completeness alongside [`EngineSnapshot::rank`]'s
-    /// pool-re-ranking mode, which is what the paper's evaluation uses.
-    pub fn search_banks(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        let spec = self.query_spec(query)?;
-        if !spec.answerable() {
-            return Ok(Vec::new());
-        }
-        let matchers: Vec<Vec<NodeId>> = (0..spec.keyword_count())
-            .map(|k| spec.matchers_of(k).to_vec())
-            .collect();
-        let banks_cfg = ci_baselines::BanksConfig {
-            max_answers: self.cfg.k * 4,
-            max_hops: self.cfg.diameter,
-            ..Default::default()
-        };
-        let mut answers: Vec<RankedAnswer> =
-            ci_baselines::banks_search(&self.graph, &matchers, &banks_cfg)
-                .into_iter()
-                .map(|(tree, root)| {
-                    let score = ci_baselines::banks_score(
-                        &self.graph,
-                        &self.prestige,
-                        &tree,
-                        root,
-                        banks_cfg.lambda,
-                    );
-                    self.to_ranked(&spec, Answer { tree, score })
-                })
-                .collect();
-        answers.sort_by(|a, b| b.score.total_cmp(&a.score));
-        answers.truncate(self.cfg.k);
-        Ok(answers)
     }
 
     /// Explains an answer's RWMP score: the full Eqs. 2–4 decomposition

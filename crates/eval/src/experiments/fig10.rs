@@ -80,13 +80,14 @@ fn time_both(engine: &Engine, queries: &[ci_datagen::LabeledQuery]) -> (f64, f64
     let mut naive_total = 0.0;
     let mut bnb_total = 0.0;
     let mut n = 0usize;
+    let session = engine.session();
     for q in queries {
         let query = q.keywords.join(" ");
         let t0 = Instant::now();
-        let naive_ok = engine.search_naive(&query).is_ok();
+        let naive_ok = session.search_naive(&query).is_ok();
         let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let bnb_ok = engine.search(&query).is_ok();
+        let bnb_ok = session.search(&query).is_ok();
         let bnb_ms = t1.elapsed().as_secs_f64() * 1e3;
         if naive_ok && bnb_ok {
             naive_total += naive_ms;

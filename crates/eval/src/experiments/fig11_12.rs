@@ -104,10 +104,11 @@ fn run_one(
 fn avg_ms(engine: &Engine, queries: &[LabeledQuery]) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
+    let session = engine.session();
     for q in queries {
         let query = q.keywords.join(" ");
         let t0 = Instant::now();
-        if engine.search(&query).is_ok() {
+        if session.search(&query).is_ok() {
             total += t0.elapsed().as_secs_f64() * 1e3;
             n += 1;
         }

@@ -28,9 +28,10 @@ pub fn run(cfg: &EvalConfig) -> Table {
     let h = Harness::build(*cfg);
     // Pattern → per-ranker reciprocal ranks.
     let mut buckets: HashMap<QueryPattern, Vec<Vec<f64>>> = HashMap::new();
+    let session = h.imdb_engine.session();
     for q in h.imdb_synthetic.iter().chain(h.imdb_user_log.iter()) {
         let query = q.keywords.join(" ");
-        let Ok(pool) = h.imdb_engine.candidate_pool(&query, h.cfg.pool_k()) else {
+        let Ok(pool) = session.candidate_pool(&query, h.cfg.pool_k()) else {
             continue;
         };
         if pool.is_empty() {
@@ -41,8 +42,7 @@ pub fn run(cfg: &EvalConfig) -> Table {
             .entry(q.pattern)
             .or_insert_with(|| vec![Vec::new(); RANKERS.len()]);
         for (ri, &(_, ranker)) in RANKERS.iter().enumerate() {
-            let ranked = h
-                .imdb_engine
+            let ranked = session
                 .rank(&query, &pool, ranker)
                 .expect("query already parsed");
             let trees: Vec<Jtt> = ranked.iter().map(|a| a.tree.clone()).collect();

@@ -79,7 +79,7 @@ fn property1() -> (f64, f64) {
         db.link(t.cites, c, strong).unwrap();
     }
     let e = dblp_engine(&db);
-    let answers = e.search("keyword search").unwrap();
+    let answers = e.session().search("keyword search").unwrap();
     let score_of = |needle: &str| {
         answers
             .iter()
@@ -118,7 +118,7 @@ fn property2() -> (f64, f64) {
     db.link(t.author_paper, a2, p2).unwrap();
     db.link(t.cites, p1, p2).unwrap();
     let e = dblp_engine(&db);
-    let answers = e.search("crane quill").unwrap();
+    let answers = e.session().search("crane quill").unwrap();
     let small = answers
         .iter()
         .find(|a| a.tree.size() == 3)
@@ -168,7 +168,7 @@ fn property3() -> (f64, f64) {
         db.link(t.cites, c, famous).unwrap();
     }
     let e = dblp_engine(&db);
-    let answers = e.search("crane quill").unwrap();
+    let answers = e.session().search("crane quill").unwrap();
     let score_of = |needle: &str| {
         answers
             .iter()
@@ -240,7 +240,7 @@ fn property4() -> (f64, f64) {
         },
     )
     .unwrap();
-    let answers = e.search("wilson cruz").unwrap();
+    let answers = e.session().search("wilson cruz").unwrap();
     let single = answers
         .iter()
         .find(|a| a.tree.size() == 1)

@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn panel_picks_the_popular_connector() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         assert_eq!(pool.len(), 2);
         let verdict = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         assert_eq!(verdict.best.len(), 1);
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn verdict_is_deterministic_per_seed() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         let a = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         let b = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         assert_eq!(a.best, b.best);
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn extreme_noise_can_split_the_vote() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         // With huge noise, judges sometimes pick the weak answer; the
         // verdict still returns at least one best.
         let cfg = JudgeConfig {

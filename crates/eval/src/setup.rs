@@ -254,9 +254,10 @@ pub fn effectiveness(
 ) -> Vec<Effectiveness> {
     let mut rrs: Vec<Vec<f64>> = vec![Vec::new(); rankers.len()];
     let mut precs: Vec<Vec<f64>> = vec![Vec::new(); rankers.len()];
+    let session = engine.session();
     for q in queries {
         let query = q.keywords.join(" ");
-        let Ok(pool) = engine.candidate_pool(&query, pool_k) else {
+        let Ok(pool) = session.candidate_pool(&query, pool_k) else {
             continue;
         };
         if pool.is_empty() {
@@ -266,7 +267,7 @@ pub fn effectiveness(
         for (ri, &ranker) in rankers.iter().enumerate() {
             // The pool came from the same engine, so ranking can only fail
             // if the query text stopped parsing — skip the data point.
-            let Ok(ranked) = engine.rank(&query, &pool, ranker) else {
+            let Ok(ranked) = session.rank(&query, &pool, ranker) else {
                 continue;
             };
             let trees: Vec<Jtt> = ranked.iter().map(|a| a.tree.clone()).collect();

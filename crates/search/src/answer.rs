@@ -1,8 +1,7 @@
 use std::collections::HashSet;
 
-use ci_rwmp::{CanonicalKey, Jtt, Scorer};
+use ci_rwmp::{CanonicalKey, FlowState, Jtt, ParentTree, Scorer};
 
-use crate::flows::answer_flows;
 use crate::query::QuerySpec;
 
 /// One ranked query answer.
@@ -20,6 +19,21 @@ pub struct Answer {
 /// answer at all).
 pub fn score_answer(scorer: &Scorer<'_>, query: &QuerySpec, tree: &Jtt) -> Option<f64> {
     answer_flows(scorer, query, tree).1.reduce(None)
+}
+
+/// The flow matrix of an answer tree under `query`, with the parent
+/// positions (rooted at position 0) it was computed over — what
+/// [`score_answer`] and [`crate::explain_answer`] reduce.
+pub(crate) fn answer_flows(
+    scorer: &Scorer<'_>,
+    query: &QuerySpec,
+    tree: &Jtt,
+) -> (Vec<u32>, FlowState) {
+    let parent = tree.parent_positions();
+    let rooted = ParentTree::new(tree.nodes(), &parent);
+    let mut flows = FlowState::default();
+    scorer.fill_flows(rooted, query.flow_sources(rooted), &mut flows);
+    (parent, flows)
 }
 
 /// Bounded top-k answer list with canonical-tree deduplication.

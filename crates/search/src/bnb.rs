@@ -9,7 +9,6 @@ use crate::answer::{Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
 use crate::budget::TruncationReason;
 use crate::candidate::{Candidate, Shape};
-use crate::flows::{compute_flows, grow_flows};
 use crate::query::QuerySpec;
 use crate::scratch::{Overlap, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
@@ -538,20 +537,22 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 slot.cand.set_seed(node, mask);
                 slot.sig = 0;
                 slot.msig = 0;
-                compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
+                let tree = slot.cand.tree();
+                let sources = self.query.flow_sources(tree);
+                self.scorer.fill_flows(tree, sources, &mut slot.flows);
             }
             Pending::Grow(v) => {
                 let pop = &*pop_slot;
                 pop.cand.grow_into(v, self.query, &mut slot.cand);
                 slot.grow_sigs(pop, self.query);
-                grow_flows(
-                    self.scorer,
-                    self.query,
-                    &pop.cand,
-                    &pop.flows,
-                    &slot.cand,
-                    &mut slot.flows,
-                );
+                // Copies every unchanged flow and recomputes only the
+                // region the new edge touches.
+                let root_gen = self.query.matcher(v).map(|m| m.gen);
+                let tree = slot.cand.tree();
+                self.scorer
+                    .grow_flows(tree, &pop.flows, root_gen, &mut slot.flows);
+                #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+                assert_grow_exact(self.scorer, self.query, tree, &slot.flows);
             }
             Pending::Merge { idx, partner } => {
                 if let (Some(a), Some(b), Some(ka), Some(kb)) = (
@@ -565,7 +566,9 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 }
                 // Merged shapes recompute flows from scratch: the subtree
                 // positions interleave, so no incremental copy applies.
-                compute_flows(self.scorer, self.query, &slot.cand, &mut slot.flows);
+                let tree = slot.cand.tree();
+                let sources = self.query.flow_sources(tree);
+                self.scorer.fill_flows(tree, sources, &mut slot.flows);
             }
         }
         true
@@ -645,6 +648,32 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
         Some(idx)
     }
+}
+
+/// Checks a grown flow matrix against the from-scratch fill over the same
+/// tree, bit for bit (debug and `strict-invariants` builds).
+#[cfg(any(debug_assertions, feature = "strict-invariants"))]
+fn assert_grow_exact(
+    scorer: &Scorer<'_>,
+    query: &QuerySpec,
+    tree: ci_rwmp::ParentTree<'_>,
+    grown: &ci_rwmp::FlowState,
+) {
+    let mut fresh = ci_rwmp::FlowState::default();
+    scorer.fill_flows(tree, query.flow_sources(tree), &mut fresh);
+    assert_eq!(
+        fresh.sources(),
+        grown.sources(),
+        "incremental grow must keep the source rows"
+    );
+    let same = (0..fresh.sources().len()).all(|s| {
+        let (a, b) = (fresh.row(s), grown.row(s));
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    });
+    assert!(
+        same,
+        "incremental grow diverged bitwise from the from-scratch flows"
+    );
 }
 
 /// The paper's merge rule, unless redundant matchers are allowed: the
@@ -845,6 +874,193 @@ mod tests {
         assert!(stats.candidates_peak <= 2);
         for a in &answers {
             assert!(is_valid_answer(&a.tree, &q));
+        }
+    }
+}
+
+/// The flow matrices the search builds — seeds and merges filled from
+/// scratch, grows advanced incrementally and self-checked — against the
+/// one-source reference [`Scorer::flows_from`], bit for bit.
+#[cfg(test)]
+mod flow_tests {
+    use super::*;
+    use crate::query::MatcherInfo;
+    use ci_graph::{GraphBuilder, NodeId};
+    use ci_rwmp::{Dampening, FlowState};
+    use proptest::prelude::*;
+
+    /// A seed's or merge's flows, as `build` fills them.
+    fn fill(s: &Scorer<'_>, q: &QuerySpec, cand: &Candidate, out: &mut FlowState) {
+        s.fill_flows(cand.tree(), q.flow_sources(cand.tree()), out);
+    }
+
+    /// A grow's flows, as `build` advances and self-checks them.
+    fn grow(
+        s: &Scorer<'_>,
+        q: &QuerySpec,
+        prev: &FlowState,
+        grown: &Candidate,
+        out: &mut FlowState,
+    ) {
+        let root_gen = q.matcher(grown.root()).map(|m| m.gen);
+        s.grow_flows(grown.tree(), prev, root_gen, out);
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        assert_grow_exact(s, q, grown.tree(), out);
+    }
+
+    fn query(matchers: Vec<(u32, u32, f64)>) -> QuerySpec {
+        QuerySpec::new(
+            vec!["a".into(), "b".into(), "c".into()],
+            matchers
+                .into_iter()
+                .map(|(node, mask, gen)| MatcherInfo {
+                    node: NodeId(node),
+                    mask,
+                    match_count: mask.count_ones(),
+                    word_count: 1,
+                    gen,
+                })
+                .collect(),
+        )
+    }
+
+    /// Weighted 6-node graph with a cycle and asymmetric weights.
+    fn graph6() -> (ci_graph::Graph, Vec<f64>) {
+        let mut b = GraphBuilder::new();
+        let n: Vec<NodeId> = (0..6).map(|_| b.add_node(0, vec![])).collect();
+        b.add_pair(n[0], n[1], 1.0, 1.0);
+        b.add_pair(n[1], n[2], 2.0, 0.5);
+        b.add_pair(n[2], n[3], 1.5, 1.0);
+        b.add_pair(n[1], n[4], 0.75, 2.0);
+        b.add_pair(n[4], n[5], 1.0, 1.0);
+        b.add_pair(n[0], n[5], 3.0, 0.25);
+        (b.build(), vec![0.3, 0.1, 0.15, 0.2, 0.05, 0.2])
+    }
+
+    fn scorer<'a>(g: &'a ci_graph::Graph, p: &'a [f64]) -> Scorer<'a> {
+        Scorer::new(g, p, 0.05, Dampening::paper_default())
+    }
+
+    fn assert_matches_flows_from(s: &Scorer<'_>, q: &QuerySpec, cand: &Candidate) {
+        let mut fs = FlowState::default();
+        fill(s, q, cand, &mut fs);
+        let tree = cand.to_jtt();
+        let mut expected_sources = Vec::new();
+        for (pos, &v) in cand.nodes.iter().enumerate() {
+            let Some(m) = q.matcher(v) else { continue };
+            expected_sources.push(pos as u32);
+            let reference = s.flows_from(&tree, pos, m.gen);
+            let row_idx = expected_sources.len() - 1;
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(
+                    fs.value(row_idx, i).to_bits(),
+                    want.to_bits(),
+                    "source pos {pos}, tree pos {i}"
+                );
+            }
+        }
+        assert_eq!(fs.sources(), expected_sources.as_slice());
+    }
+
+    #[test]
+    fn from_scratch_matches_flows_from_bitwise() {
+        let (g, p) = graph6();
+        let s = scorer(&g, &p);
+        let q = query(vec![(0, 0b001, 2.0), (3, 0b010, 1.5), (5, 0b100, 0.75)]);
+        // Chain 3 → 2 → 1 grown to root 0, then merged shapes via grow.
+        let c = Candidate::seed(NodeId(3), 0b010)
+            .grow(NodeId(2), &q)
+            .grow(NodeId(1), &q)
+            .grow(NodeId(0), &q);
+        assert_matches_flows_from(&s, &q, &c);
+        // Star-ish: root 1 with subtrees toward 2—3 and 4—5.
+        let left = Candidate::seed(NodeId(3), 0b010)
+            .grow(NodeId(2), &q)
+            .grow(NodeId(1), &q);
+        let right = Candidate::seed(NodeId(5), 0b100)
+            .grow(NodeId(4), &q)
+            .grow(NodeId(1), &q);
+        let merged = left.merge(&right).expect("disjoint");
+        assert_matches_flows_from(&s, &q, &merged);
+        // Single node.
+        assert_matches_flows_from(&s, &q, &Candidate::seed(NodeId(5), 0b100));
+    }
+
+    #[test]
+    fn grow_is_bit_identical_to_from_scratch() {
+        // `grow` self-checks against the from-scratch fill in debug
+        // builds, so driving it through a grow chain is the test.
+        let (g, p) = graph6();
+        let s = scorer(&g, &p);
+        let q = query(vec![(0, 0b001, 2.0), (3, 0b010, 1.5), (5, 0b100, 0.75)]);
+        let mut cand = Candidate::seed(NodeId(3), 0b010);
+        let mut flows = FlowState::default();
+        fill(&s, &q, &cand, &mut flows);
+        for next in [NodeId(2), NodeId(1), NodeId(0), NodeId(5)] {
+            let grown = cand.grow(next, &q);
+            let mut out = FlowState::default();
+            grow(&s, &q, &flows, &grown, &mut out);
+            assert_matches_flows_from(&s, &q, &grown);
+            cand = grown;
+            flows = out;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random small trees over a random weighted graph: the flow state
+        /// (from scratch and grown incrementally) must match
+        /// `Scorer::flows_from` bit for bit. The debug self-check after
+        /// every grow makes it a bitwise comparison on its own.
+        #[test]
+        fn flow_state_matches_reference(
+            weights in proptest::collection::vec(1u32..8, 8),
+            imp in proptest::collection::vec(1u32..100, 6),
+            grow_order in proptest::collection::vec(0usize..6, 5),
+            matcher_sel in proptest::collection::vec(0u8..8, 6),
+        ) {
+            let mut b = GraphBuilder::new();
+            let n: Vec<NodeId> = (0..6).map(|_| b.add_node(0, vec![])).collect();
+            // Ring + chords, weighted from the strategy.
+            let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)];
+            for (i, &(x, y)) in edges.iter().enumerate() {
+                let w = f64::from(weights[i % weights.len()]);
+                b.add_pair(n[x], n[y], w, w * 0.5);
+            }
+            let g = b.build();
+            let p: Vec<f64> = imp.iter().map(|&x| f64::from(x) / 100.0).collect();
+            let p_min = p.iter().copied().fold(f64::INFINITY, f64::min);
+            let s = Scorer::new(&g, &p, p_min, Dampening::paper_default());
+            let matchers: Vec<(u32, u32, f64)> = matcher_sel
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &sel)| {
+                    let mask = u32::from(sel) & 0b111;
+                    (mask != 0).then_some((i as u32, mask, 0.5 + i as f64))
+                })
+                .collect();
+            if matchers.is_empty() {
+                return Ok(());
+            }
+            let seed_node = matchers[0].0;
+            let q = query(matchers);
+            let mut cand = Candidate::seed(NodeId(seed_node), q.mask_of(NodeId(seed_node)));
+            let mut flows = FlowState::default();
+            fill(&s, &q, &cand, &mut flows);
+            assert_matches_flows_from(&s, &q, &cand);
+            for &raw in &grow_order {
+                let next = NodeId(raw as u32);
+                if cand.contains(next) || s.graph().edge_weight(cand.root(), next).is_none() {
+                    continue;
+                }
+                let grown = cand.grow(next, &q);
+                let mut out = FlowState::default();
+                grow(&s, &q, &flows, &grown, &mut out);
+                assert_matches_flows_from(&s, &q, &grown);
+                cand = grown;
+                flows = out;
+            }
         }
     }
 }

@@ -24,33 +24,7 @@ use ci_index::DistanceOracle;
 use ci_rwmp::{FlowState, Scorer};
 
 use crate::candidate::Candidate;
-use crate::flows::compute_flows;
 use crate::query::QuerySpec;
-
-/// Computes `ub(C)` from scratch. `allow_redundant` mirrors
-/// [`crate::SearchOptions::allow_redundant_matchers`]: when off, a complete
-/// candidate cannot be usefully extended and its bound is its exact score.
-///
-/// This is the one-shot convenience wrapper: it derives the candidate's
-/// [`FlowState`] and delegates to [`upper_bound_from`], which is what the
-/// branch-and-bound loop calls with incrementally maintained flows. Both
-/// produce bit-identical values — the flow state is bit-identical to
-/// [`Scorer::flows_from`] by construction (see `flows.rs`).
-pub fn upper_bound<O: DistanceOracle + ?Sized>(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    oracle: &O,
-    cand: &Candidate,
-    allow_redundant: bool,
-) -> f64 {
-    let mut flows = FlowState::default();
-    compute_flows(scorer, query, cand, &mut flows);
-    let ub = upper_bound_from(scorer, query, oracle, cand, &flows, allow_redundant);
-    // Admissibility (Lemma 1) is asserted inside `upper_bound_from`; the
-    // wrapper only re-checks the cheap numeric sanity half.
-    debug_assert!(!ub.is_nan(), "admissibility: ub(C) must be a number");
-    ub
-}
 
 /// The two components of `ub(C) = max(ce(C), pe(C))` (§IV-B), computed
 /// together on the hot path and stored with the candidate so query tracing
@@ -85,27 +59,13 @@ impl BoundParts {
     }
 }
 
-/// Computes `ub(C)` from a precomputed [`FlowState`] — the hot-path entry
-/// point of Algorithm 1. See [`bound_parts_from`] for the decomposition.
-pub fn upper_bound_from<O: DistanceOracle + ?Sized>(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    oracle: &O,
-    cand: &Candidate,
-    flows: &FlowState,
-    allow_redundant: bool,
-) -> f64 {
-    let ub = bound_parts_from(scorer, query, oracle, cand, flows, allow_redundant).ub();
-    // Admissibility (Lemma 1) is asserted inside `bound_parts_from`; the
-    // wrapper re-checks the cheap numeric sanity half.
-    debug_assert!(!ub.is_nan(), "admissibility: ub(C) must be a number");
-    ub
-}
-
-/// Computes the bound decomposition `(ce, pe)` of `ub(C)` from a
-/// precomputed [`FlowState`]. Allocation-free: it iterates the flow matrix
-/// and the query's dense matcher table directly instead of materializing
-/// per-source vectors.
+/// Computes the bound decomposition `(ce, pe)` of `ub(C)` from the
+/// candidate's [`FlowState`] — the one bound entry point; `ub(C)` is
+/// [`BoundParts::ub`] of the result. `allow_redundant` mirrors
+/// [`crate::SearchOptions::allow_redundant_matchers`]: when off, a complete
+/// candidate cannot be usefully extended and its bound is its exact score.
+/// Allocation-free: it iterates the flow matrix and the query's dense
+/// matcher table directly instead of materializing per-source vectors.
 ///
 /// Generic over the oracle (statically dispatched): the `retention_ub`
 /// probes sit on the hottest loop of Algorithm 1 and inline per oracle
@@ -298,6 +258,19 @@ mod tests {
     use ci_index::{NaiveIndex, NoIndex};
     use ci_rwmp::Dampening;
 
+    /// `ub(C)` over flows filled from scratch, as admission computes it.
+    pub(super) fn upper_bound<O: DistanceOracle + ?Sized>(
+        scorer: &Scorer<'_>,
+        query: &QuerySpec,
+        oracle: &O,
+        cand: &Candidate,
+        allow_redundant: bool,
+    ) -> f64 {
+        let mut flows = FlowState::default();
+        scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut flows);
+        bound_parts_from(scorer, query, oracle, cand, &flows, allow_redundant).ub()
+    }
+
     /// Path 0(a) — 1 — 2(b), equal weights.
     fn setup() -> (ci_graph::Graph, Vec<f64>) {
         let mut b = GraphBuilder::new();
@@ -391,6 +364,7 @@ mod tests {
 /// so it is a unit test.
 #[cfg(test)]
 mod admissibility_props {
+    use super::tests::upper_bound;
     use super::*;
     use crate::candidate::Candidate;
     use crate::naive::naive_search;

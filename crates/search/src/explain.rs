@@ -18,7 +18,7 @@
 use ci_graph::NodeId;
 use ci_rwmp::{Jtt, Scorer};
 
-use crate::flows::answer_flows;
+use crate::answer::answer_flows;
 use crate::query::QuerySpec;
 
 /// One tree node of an explained answer, with the flow it receives from

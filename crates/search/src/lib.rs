@@ -84,7 +84,6 @@ mod budget;
 mod cache;
 mod candidate;
 mod explain;
-mod flows;
 mod naive;
 mod query;
 mod scratch;
@@ -106,13 +105,11 @@ pub use validity::is_valid_answer;
 // Hot-path internals re-exported for the workspace microbenchmarks
 // (`crates/bench/benches/query_hot_path.rs`). Not a stable API.
 #[doc(hidden)]
-pub use bounds::{bound_parts_from, upper_bound, upper_bound_from};
+pub use bounds::bound_parts_from;
 #[doc(hidden)]
 pub use candidate::{Candidate, CandidateRef, Shape};
 #[doc(hidden)]
 pub use ci_rwmp::FlowState;
-#[doc(hidden)]
-pub use flows::{compute_flows, grow_flows};
 
 /// Tuning knobs shared by both search algorithms.
 #[derive(Debug, Clone)]

@@ -1,5 +1,5 @@
 use ci_graph::NodeId;
-use ci_rwmp::Scorer;
+use ci_rwmp::{ParentTree, Scorer};
 
 /// A non-free node of the query: which keywords it contains and its RWMP
 /// message generation statistics.
@@ -259,6 +259,18 @@ impl QuerySpec {
     /// True if every keyword has at least one matcher.
     pub fn answerable(&self) -> bool {
         self.per_keyword.iter().all(|l| !l.is_empty())
+    }
+
+    /// The RWMP message sources of `tree` under this query — every matcher
+    /// position, ascending, with its generation count — in the form
+    /// [`Scorer::fill_flows`] takes. Bounds, answer scores and
+    /// explanations all name their flow rows through it, so they agree
+    /// bit for bit.
+    pub fn flow_sources<'a>(
+        &'a self,
+        tree: ParentTree<'a>,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        (0..tree.size()).filter_map(move |pos| Some((pos, self.matcher(tree.node(pos)?)?.gen)))
     }
 }
 

@@ -680,7 +680,6 @@ mod tests {
 
     #[test]
     fn store_round_trips_and_reuses_buffers_across_runs() {
-        use crate::flows::{compute_flows, grow_flows};
         let (g, p) = path_fixture();
         let scorer = ci_rwmp::Scorer::new(&g, &p, 0.1, ci_rwmp::Dampening::paper_default());
         let q = QuerySpec::from_matches(
@@ -688,25 +687,22 @@ mod tests {
             vec!["a".into(), "b".into()],
             vec![(NodeId(0), 0b01, 1), (NodeId(4), 0b10, 1)],
         );
+        let fill = |cand: &Candidate, out: &mut FlowState| {
+            scorer.fill_flows(cand.tree(), q.flow_sources(cand.tree()), out);
+        };
         // A grow chain from node 0, each step stored as admission would.
         let run = |s: &mut SearchScratch| {
             s.begin();
             let mut pop = CandSlot::default();
             pop.cand.set_seed(NodeId(0), 0b01);
-            compute_flows(&scorer, &q, &pop.cand, &mut pop.flows);
+            fill(&pop.cand, &mut pop.flows);
             s.store.push(&pop);
             for v in 1..5u32 {
                 let mut grown = CandSlot::default();
                 pop.cand.grow_into(NodeId(v), &q, &mut grown.cand);
                 grown.grow_sigs(&pop, &q);
-                grow_flows(
-                    &scorer,
-                    &q,
-                    &pop.cand,
-                    &pop.flows,
-                    &grown.cand,
-                    &mut grown.flows,
-                );
+                let root_gen = q.matcher(NodeId(v)).map(|m| m.gen);
+                scorer.grow_flows(grown.cand.tree(), &pop.flows, root_gen, &mut grown.flows);
                 grown.ce = f64::from(v);
                 s.store.push(&grown);
                 pop = grown;
@@ -725,7 +721,7 @@ mod tests {
         assert_eq!(out.sig, 0b1111);
         assert_eq!(out.msig, 1 << q.ordinal(NodeId(0)).unwrap());
         let mut fresh = FlowState::default();
-        compute_flows(&scorer, &q, &out.cand, &mut fresh);
+        fill(&out.cand, &mut fresh);
         assert_eq!(out.flows.parts(), fresh.parts(), "flows survive the store");
         assert!(!s.store.load(5, &mut out), "no record past the end");
         // A second identical run reuses every buffer.

@@ -83,7 +83,7 @@ pub enum PruneReason {
     Duplicate,
     /// Distance-feasibility: some missing keyword has no matcher close
     /// enough to the root to keep the final diameter within `D`
-    /// ([`crate::upper_bound`]'s companion `distance_prune`).
+    /// (the bounds' companion `distance_prune`).
     Distance,
     /// The upper bound `ub(C) = max(ce, pe)` cannot beat the current
     /// top-k minimum (lines 9–11 of Algorithm 1, applied at admission).

@@ -3,10 +3,12 @@
 //! express (ISSUE 1, layer 2):
 //!
 //! 1. **Admissibility asserts** — every `pub fn` in
-//!    `crates/search/src/bounds.rs` returning a bound (`-> f64`) must carry
-//!    a paired `debug_assert` that mentions admissibility, so the Lemma 1
-//!    soundness obligation (`ub(C) ≥` the score of any answer grown from
-//!    `C`) stays machine-visible next to the code that computes the bound.
+//!    `crates/search/src/bounds.rs` returning a bound (`-> f64` or
+//!    `-> BoundParts`) must carry a paired `debug_assert` that mentions
+//!    admissibility, so the Lemma 1 soundness obligation (`ub(C) ≥` the
+//!    score of any answer grown from `C`) stays machine-visible next to
+//!    the code that computes the bound. A file with no bound function at
+//!    all is a finding too, so the rule cannot silently check nothing.
 //! 2. **Tagged exemptions** — `#[allow(...)]` attributes in the five
 //!    hot-path crates (`ci-graph`, `ci-walk`, `ci-rwmp`, `ci-search`,
 //!    `ci-index`) are only legal underneath a `// LINT-EXEMPT(reason)`
@@ -34,17 +36,16 @@
 //!    spawn freely (e.g. the concurrent-serving harness).
 //! 6. **No hashed containers in the branch-and-bound inner loop** — the
 //!    files the per-candidate hot path runs through
-//!    (`crates/search/src/{bnb,bounds,cache,candidate,scratch,flows,validity}.rs`)
+//!    (`crates/search/src/{bnb,bounds,cache,candidate,scratch,query,validity}.rs`)
 //!    must not mention `HashMap`, `HashSet` or `BTreeMap` outside their
 //!    test modules. The query hot path replaced every per-candidate map
 //!    and set with flat structures (the oracle-cache slab, the intrusive
-//!    root chains, the open-addressing admission dedup set); a hashed
-//!    container slipping back in would silently reintroduce SipHash and
-//!    per-key allocation per candidate. `query.rs`'s per-query matcher map
-//!    (built once per query, outside the loop) and the top-k's answer set
-//!    (touched once per complete answer) are outside the rule's files. A
-//!    `LINT-EXEMPT(reason)` comment within 8 lines above the use exempts
-//!    audited cases.
+//!    root chains, the open-addressing admission dedup set and matcher
+//!    table); a hashed container slipping back in would silently
+//!    reintroduce SipHash and per-key allocation per candidate. The top-k's
+//!    answer set (touched once per complete answer) is outside the rule's
+//!    files. A `LINT-EXEMPT(reason)` comment within 8 lines above the use
+//!    exempts audited cases.
 //! 7. **One Eq. 2 kernel** — non-test code in `crates/search/src` and
 //!    `crates/rwmp/src` may call `edge_weight(` only in
 //!    `crates/rwmp/src/scorer.rs`. Bounds, answer scores and score
@@ -52,6 +53,12 @@
 //!    `Scorer::fill_flows`, `FlowState::reduce`) and agree bit for bit by
 //!    construction; a second weight-split loop elsewhere would have to be
 //!    kept equal by hand again.
+//! 8. **One metered query path** — non-test code may call
+//!    `MetricsRegistry::record_search` / `record_error` only in
+//!    `crates/core/src/session.rs`. Every query method of `QuerySession`
+//!    runs through its one metered path, which records the run; a second
+//!    recording site would let an entry point drift out of the registry
+//!    (or count a query twice).
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -117,6 +124,7 @@ fn lint() -> ExitCode {
     check_no_dyn_oracle(&root, &mut findings);
     check_no_inner_loop_maps(&root, &mut findings);
     check_single_flow_kernel(&root, &mut findings);
+    check_single_metered_path(&root, &mut findings);
 
     if findings.is_empty() {
         println!("xtask lint: ok");
@@ -141,16 +149,46 @@ fn workspace_root() -> PathBuf {
         .unwrap_or(manifest)
 }
 
-/// Rule 1: every `pub fn` in `search/src/bounds.rs` returning `-> f64`
-/// must contain a `debug_assert` whose message mentions admissibility
-/// before the next top-level `fn`.
+/// Rule 1: every `pub fn` in `search/src/bounds.rs` returning a bound
+/// (`-> f64` or `-> BoundParts`) must contain a `debug_assert` whose
+/// message mentions admissibility before the next top-level `fn`, and the
+/// file must hold at least one such function.
 fn check_admissibility_asserts(root: &Path, findings: &mut Vec<String>) {
     let path = root.join("crates/search/src/bounds.rs");
     let Ok(src) = fs::read_to_string(&path) else {
         findings.push(format!("{}: cannot read file", path.display()));
         return;
     };
-    let lines: Vec<&str> = non_test_region(&src).collect();
+    findings.extend(admissibility_findings(&src, &path.display().to_string()));
+}
+
+/// Rule 1's findings for the source `src` of the file `file`.
+fn admissibility_findings(src: &str, file: &str) -> Vec<String> {
+    let bounds = bound_fns(src);
+    if bounds.is_empty() {
+        return vec![format!(
+            "{file}: no bound function (`pub fn` returning f64 or BoundParts) \
+             found — rule 1 would check nothing"
+        )];
+    }
+    bounds
+        .into_iter()
+        .filter(|(_, has_assert)| !has_assert)
+        .map(|(name, _)| {
+            format!(
+                "{file}: pub fn {name} returns a bound but has no paired \
+                 admissibility debug_assert"
+            )
+        })
+        .collect()
+}
+
+/// The bound functions in the non-test region of `src` — `pub fn`s
+/// returning `f64` or `BoundParts` — each with whether its body carries a
+/// `debug_assert` that mentions admissibility.
+fn bound_fns(src: &str) -> Vec<(String, bool)> {
+    let lines: Vec<&str> = non_test_region(src).collect();
+    let mut out = Vec::new();
     let mut i = 0;
     while i < lines.len() {
         let Some(&line) = lines.get(i) else { break };
@@ -175,8 +213,8 @@ fn check_admissibility_asserts(root: &Path, findings: &mut Vec<String>) {
             .and_then(|rest| rest.split(['(', '<']).next())
             .unwrap_or("?")
             .to_string();
-        let returns_bound = sig.contains("-> f64");
-        // Scan the body: up to the next `fn ` at column 0/4 or EOF.
+        let returns_bound = sig.contains("-> f64") || sig.contains("-> BoundParts");
+        // Scan the body: up to the next `fn ` at column 0 or EOF.
         let mut has_assert = false;
         let mut k = j + 1;
         while let Some(&l) = lines.get(k) {
@@ -197,15 +235,12 @@ fn check_admissibility_asserts(root: &Path, findings: &mut Vec<String>) {
             }
             k += 1;
         }
-        if returns_bound && !has_assert {
-            findings.push(format!(
-                "{}: pub fn {name} returns a bound but has no paired \
-                 admissibility debug_assert",
-                path.display()
-            ));
+        if returns_bound {
+            out.push((name, has_assert));
         }
         i = j + 1;
     }
+    out
 }
 
 /// Rule 2: `#[allow(...)]` / `#![allow(...)]` in hot-path crates must sit
@@ -376,7 +411,6 @@ const INNER_LOOP_FILES: &[&str] = &[
     "crates/search/src/cache.rs",
     "crates/search/src/candidate.rs",
     "crates/search/src/scratch.rs",
-    "crates/search/src/flows.rs",
     "crates/search/src/query.rs",
     "crates/search/src/validity.rs",
 ];
@@ -432,6 +466,61 @@ fn check_single_flow_kernel(root: &Path, findings: &mut Vec<String>) {
             }
         }
     }
+}
+
+/// Rule 8: every query entry point feeds the registry through one path.
+/// Outside `crates/core/src/session.rs`, non-test code in the workspace's
+/// crates must not call `MetricsRegistry::record_search` or
+/// `record_error`.
+fn check_single_metered_path(root: &Path, findings: &mut Vec<String>) {
+    const SESSION: &str = "crates/core/src/session.rs";
+    let mut dirs = vec![root.join("src")];
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        let mut crates: Vec<PathBuf> = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| !p.ends_with("xtask"))
+            .collect();
+        crates.sort();
+        dirs.extend(crates.into_iter().map(|c| c.join("src")));
+    }
+    for dir in dirs {
+        for path in rust_files(&dir) {
+            if path == root.join(SESSION) {
+                continue;
+            }
+            let Ok(src) = fs::read_to_string(&path) else {
+                findings.push(format!("{}: cannot read file", path.display()));
+                continue;
+            };
+            for n in metrics_record_hits(&src) {
+                findings.push(format!(
+                    "{}:{}: registry recording outside {SESSION} — run the \
+                     query through a QuerySession method, whose one metered \
+                     path records it",
+                    path.display(),
+                    n
+                ));
+            }
+        }
+    }
+}
+
+/// 1-based line numbers in the non-test region of `src` that call
+/// `record_search(` or `record_error(` outside comments, string literals
+/// and the methods' own definitions.
+fn metrics_record_hits(src: &str) -> Vec<usize> {
+    non_test_region(src)
+        .enumerate()
+        .filter(|(_, line)| {
+            let code = strip_strings(line);
+            !line.trim_start().starts_with("//")
+                && ["record_search(", "record_error("]
+                    .iter()
+                    .any(|call| code.contains(call) && !code.contains(&format!("fn {call}")))
+        })
+        .map(|(n, _)| n + 1)
+        .collect()
 }
 
 /// 1-based line numbers in the non-test region of `src` that call
@@ -671,6 +760,53 @@ mod tests {
         assert!(edge_weight_hits(in_string).is_empty());
         let other = "let w = graph.edge_norm_weight(u, v);\n";
         assert!(edge_weight_hits(other).is_empty());
+    }
+
+    #[test]
+    fn bound_fns_cover_f64_and_bound_parts() {
+        let src = "pub fn ub(self) -> f64 {\n    debug_assert!(ok, \"admissibility\");\n}\n\
+                   pub fn parts(c: &C) -> BoundParts {\n    compute(c)\n}\n\
+                   pub fn prune(c: &C) -> bool {\n    false\n}\n";
+        assert_eq!(
+            bound_fns(src),
+            vec![("ub".to_string(), true), ("parts".to_string(), false)],
+            "a BoundParts bound without its assert is flagged; non-bounds are skipped"
+        );
+        let in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\npub fn ub() -> f64 { 0.0 }\n}\n";
+        assert!(bound_fns(in_tests).is_empty());
+    }
+
+    #[test]
+    fn rule_1_fails_when_it_finds_no_bound_function() {
+        let findings = admissibility_findings("pub fn prune() -> bool { false }\n", "bounds.rs");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings
+                .first()
+                .is_some_and(|f| f.contains("no bound function")),
+            "{findings:?}"
+        );
+        // The real file has bound functions, and every one is asserted.
+        let src = fs::read_to_string(workspace_root().join("crates/search/src/bounds.rs"))
+            .unwrap_or_default();
+        assert!(!bound_fns(&src).is_empty());
+        assert!(admissibility_findings(&src, "bounds.rs").is_empty());
+    }
+
+    #[test]
+    fn metrics_recording_flagged_outside_tests_only() {
+        let bad = "fn f() {}\nself.metrics.record_search(&stats, 1, t);\nm.record_error();\n";
+        assert_eq!(metrics_record_hits(bad), vec![2, 3]);
+        let defs =
+            "pub fn record_search(&self, s: &SearchStats) {}\npub fn record_error(&self) {}\n";
+        assert!(metrics_record_hits(defs).is_empty());
+        let in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    m.record_error();\n}\n";
+        assert!(metrics_record_hits(in_tests).is_empty());
+        let in_comment = "// the session calls record_search(..) once per query\n";
+        assert!(metrics_record_hits(in_comment).is_empty());
+        let mut findings = Vec::new();
+        check_single_metered_path(&workspace_root(), &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .unwrap();
 
     // 4. Search: which album connects the two artists?
-    let answers = engine.search("nova marsh").unwrap();
+    let answers = engine.session().search("nova marsh").unwrap();
     println!("query: \"nova marsh\"\n");
     for (i, a) in answers.iter().enumerate() {
         println!("#{} {a}", i + 1);

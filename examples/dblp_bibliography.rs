@@ -36,9 +36,10 @@ fn main() {
     );
 
     let queries = dblp_workload(&data, 6, 7);
+    let session = engine.session();
     for q in &queries {
         let query = q.keywords.join(" ");
-        let pool = engine.candidate_pool(&query, 15).unwrap();
+        let pool = session.candidate_pool(&query, 15).unwrap();
         if pool.is_empty() {
             continue;
         }
@@ -52,7 +53,7 @@ fn main() {
             ("SPARK    ", Ranker::Spark),
             ("DISCOVER2", Ranker::Discover2),
         ] {
-            let ranked = engine.rank(&query, &pool, ranker).unwrap();
+            let ranked = session.rank(&query, &pool, ranker).unwrap();
             if let Some(top) = ranked.first() {
                 println!("  {label} → {top}");
             }

@@ -70,15 +70,16 @@ fn main() {
     let query = "bramble woodgate morland";
     println!("query: {query:?}\n");
 
+    let session = engine.session();
     println!("— CI-Rank —");
-    let ci = engine.search(query).unwrap();
+    let ci = session.search(query).unwrap();
     for (i, a) in ci.iter().take(3).enumerate() {
         println!("#{} {a}", i + 1);
     }
 
     println!("\n— BANKS (same candidate pool) —");
-    let pool = engine.candidate_pool(query, 10).unwrap();
-    let banks = engine.rank(query, &pool, Ranker::Banks).unwrap();
+    let pool = session.candidate_pool(query, 10).unwrap();
+    let banks = session.rank(query, &pool, Ranker::Banks).unwrap();
     for (i, a) in banks.iter().take(3).enumerate() {
         println!("#{} {a}", i + 1);
     }

@@ -76,7 +76,7 @@ fn main() {
     .expect("non-empty database");
 
     // 4. The motivating query.
-    let answers = engine.search("Papakonstantinou Ullman").unwrap();
+    let answers = engine.session().search("Papakonstantinou Ullman").unwrap();
     println!(
         "query: \"Papakonstantinou Ullman\" — {} answers\n",
         answers.len()

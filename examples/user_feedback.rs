@@ -48,7 +48,7 @@ fn main() {
     let base = Engine::build(&db, cfg.clone()).unwrap();
 
     println!("before feedback:");
-    for a in base.search("ashcombe foxworth").unwrap() {
+    for a in base.session().search("ashcombe foxworth").unwrap() {
         println!("  {a}");
     }
 
@@ -66,7 +66,7 @@ fn main() {
     .unwrap();
 
     println!("\nafter {} clicks of feedback on the survey answer:", 4);
-    let answers = biased.search("ashcombe foxworth").unwrap();
+    let answers = biased.session().search("ashcombe foxworth").unwrap();
     for a in &answers {
         println!("  {a}");
     }

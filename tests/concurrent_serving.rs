@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread;
 
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, EngineSnapshot, QueryBudget};
+use ci_rank::{CiRankConfig, Engine, EngineSnapshot, QueryBudget, QuerySession};
 use ci_storage::{schemas, Database, Value};
 
 // Compile-time check: the snapshot (and the engine façade wrapping it)
@@ -78,8 +78,8 @@ fn queries() -> Vec<&'static str> {
 
 /// Flattened fingerprint of a result list: scores and node sets, enough
 /// to detect any cross-thread divergence including tie-break order.
-fn fingerprint(engine: &Engine, query: &str) -> Vec<(u64, Vec<u32>)> {
-    engine
+fn fingerprint(session: &QuerySession<'_>, query: &str) -> Vec<(u64, Vec<u32>)> {
+    session
         .search(query)
         .unwrap()
         .into_iter()
@@ -104,7 +104,8 @@ fn parallel_queries_match_single_threaded_results() {
     .unwrap();
 
     // Ground truth, single-threaded.
-    let expected: Vec<_> = queries().iter().map(|q| fingerprint(&engine, q)).collect();
+    let session = engine.session();
+    let expected: Vec<_> = queries().iter().map(|q| fingerprint(&session, q)).collect();
 
     // 4+ threads, each running the whole workload several times against
     // the same shared snapshot (cloning the engine clones the Arc only).
@@ -112,9 +113,10 @@ fn parallel_queries_match_single_threaded_results() {
         .map(|_| {
             let engine = engine.clone();
             thread::spawn(move || {
+                let session = engine.session();
                 let mut runs = Vec::new();
                 for _ in 0..3 {
-                    let run: Vec<_> = queries().iter().map(|q| fingerprint(&engine, q)).collect();
+                    let run: Vec<_> = queries().iter().map(|q| fingerprint(&session, q)).collect();
                     runs.push(run);
                 }
                 runs

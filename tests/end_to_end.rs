@@ -46,9 +46,10 @@ fn imdb_answers_satisfy_invariants() {
     let (data, engine) = imdb_engine(IndexKind::Star { relations: None });
     let queries = imdb_synthetic_workload(&data, 15, 3);
     let mut answered = 0;
+    let session = engine.session();
     for q in &queries {
         let query = q.keywords.join(" ");
-        let answers = engine.search(&query).unwrap();
+        let answers = session.search(&query).unwrap();
         if !answers.is_empty() {
             answered += 1;
         }
@@ -103,10 +104,11 @@ fn dblp_search_is_deterministic() {
     };
     let e1 = Engine::build(&data.db, cfg.clone()).unwrap();
     let e2 = Engine::build(&data.db, cfg).unwrap();
+    let (s1, s2) = (e1.session(), e2.session());
     for q in dblp_workload(&data, 10, 5) {
         let query = q.keywords.join(" ");
-        let a1 = e1.search(&query).unwrap();
-        let a2 = e2.search(&query).unwrap();
+        let a1 = s1.search(&query).unwrap();
+        let a2 = s2.search(&query).unwrap();
         assert_eq!(a1.len(), a2.len());
         for (x, y) in a1.iter().zip(&a2) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -121,6 +123,7 @@ fn all_index_kinds_return_identical_rankings() {
     let (_, naive) = imdb_engine(IndexKind::Naive);
     let (_, star) = imdb_engine(IndexKind::Star { relations: None });
     let queries = imdb_synthetic_workload(&data, 10, 9);
+    let (plain, naive, star) = (plain.session(), naive.session(), star.session());
     for q in &queries {
         let query = q.keywords.join(" ");
         let a = plain.search(&query).unwrap();

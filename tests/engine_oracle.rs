@@ -44,6 +44,7 @@ fn engine(diameter: u32, k: usize, index: IndexKind) -> (ci_datagen::DblpData, E
 fn bnb_equals_naive_through_the_engine() {
     for (d, k) in [(2, 3), (3, 5), (4, 5)] {
         let (data, e) = engine(d, k, IndexKind::Star { relations: None });
+        let e = e.session();
         for q in dblp_workload(&data, 6, 17) {
             let query = q.keywords.join(" ");
             let bnb = e.search(&query).unwrap();
@@ -69,6 +70,7 @@ fn bnb_equals_naive_through_the_engine() {
 fn k_truncates_but_preserves_prefix() {
     let (data, e5) = engine(3, 5, IndexKind::Star { relations: None });
     let (_, e2) = engine(3, 2, IndexKind::Star { relations: None });
+    let (e5, e2) = (e5.session(), e2.session());
     for q in dblp_workload(&data, 5, 23) {
         let query = q.keywords.join(" ");
         let five = e5.search(&query).unwrap();

@@ -69,7 +69,8 @@ fn small_engine() -> Engine {
 
 #[test]
 fn engine_rejects_empty_and_oversized_queries() {
-    let e = small_engine();
+    let engine = small_engine();
+    let e = engine.session();
     assert_eq!(e.search("").unwrap_err(), CiRankError::EmptyQuery);
     assert_eq!(e.search(" ,.! ").unwrap_err(), CiRankError::EmptyQuery);
     let huge: String = (0..40).map(|i| format!("kw{i} ")).collect();
@@ -83,7 +84,7 @@ fn engine_rejects_empty_and_oversized_queries() {
 fn unanswerable_and_disconnected_queries_return_empty() {
     let e = small_engine();
     // One keyword matches, the other does not exist.
-    assert!(e.search("crane zebra").unwrap().is_empty());
+    assert!(e.session().search("crane zebra").unwrap().is_empty());
     // Both match but the only answer exceeds a tiny diameter: build an
     // engine with D = 0.
     let (mut db, t) = schemas::dblp();
@@ -101,6 +102,7 @@ fn unanswerable_and_disconnected_queries_return_empty() {
         },
     )
     .unwrap();
+    let e0 = e0.session();
     assert!(e0.search("crane lonely").unwrap().is_empty());
     // Single-node answers still work at D = 0.
     assert!(!e0.search("ada crane").unwrap().is_empty());
@@ -136,7 +138,7 @@ fn expansion_cap_reports_truncation_without_breaking() {
         },
     )
     .unwrap();
-    let (answers, stats) = e.search_with_stats("number0 number1").unwrap();
+    let (answers, stats) = e.session().search_with_stats("number0 number1").unwrap();
     assert!(stats.truncated());
     assert_eq!(
         stats.truncation,

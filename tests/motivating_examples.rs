@@ -76,16 +76,17 @@ fn tsimmis_example_all_rankers() {
     )
     .unwrap();
     let query = "papakonstantinou ullman";
-    let pool = engine.candidate_pool(query, 10).unwrap();
+    let session = engine.session();
+    let pool = session.candidate_pool(query, 10).unwrap();
     assert_eq!(pool.len(), 2);
 
     // CI-Rank: the 38-citation paper wins.
-    let ci = engine.rank(query, &pool, Ranker::CiRank).unwrap();
+    let ci = session.rank(query, &pool, Ranker::CiRank).unwrap();
     assert!(ci[0].nodes.iter().any(|n| n.text.contains("Heterogeneous")));
     assert!(ci[0].score > ci[1].score);
 
     // DISCOVER2: a tie — the free paper nodes contribute nothing.
-    let d2 = engine.rank(query, &pool, Ranker::Discover2).unwrap();
+    let d2 = session.rank(query, &pool, Ranker::Discover2).unwrap();
     assert!(
         (d2[0].score - d2[1].score).abs() < 1e-9,
         "DISCOVER2 must tie: {} vs {}",
@@ -94,7 +95,7 @@ fn tsimmis_example_all_rankers() {
     );
 
     // SPARK: the shorter-titled (less important) paper wins — the flaw.
-    let spark = engine.rank(query, &pool, Ranker::Spark).unwrap();
+    let spark = session.rank(query, &pool, Ranker::Spark).unwrap();
     assert!(
         spark[0].nodes.iter().any(|n| n.text.contains("Mediation")),
         "SPARK prefers the shorter title"
@@ -144,10 +145,11 @@ fn costar_example_banks_vs_ci() {
     )
     .unwrap();
     let query = "bloomfield woodward mortenhall";
-    let pool = engine.candidate_pool(query, 10).unwrap();
+    let session = engine.session();
+    let pool = session.candidate_pool(query, 10).unwrap();
     assert!(pool.len() >= 2, "both movies connect the trio");
 
-    let ci = engine.rank(query, &pool, Ranker::CiRank).unwrap();
+    let ci = session.rank(query, &pool, Ranker::CiRank).unwrap();
     assert!(
         ci[0].nodes.iter().any(|n| n.text.contains("golden")),
         "CI-Rank picks the popular movie"
@@ -156,7 +158,7 @@ fn costar_example_banks_vs_ci() {
     // BANKS only scores root + leaves: the two star answers (movie as the
     // interior connector) are indistinguishable up to prestige of the
     // *leaves*, which are identical. Find the two 4-node star answers.
-    let banks = engine.rank(query, &pool, Ranker::Banks).unwrap();
+    let banks = session.rank(query, &pool, Ranker::Banks).unwrap();
     let stars: Vec<_> = banks
         .iter()
         .filter(|a| a.tree.size() == 4 && a.nodes.iter().any(|n| n.relation == "movie"))

@@ -160,10 +160,11 @@ fn snapshots_are_bit_identical_across_thread_counts() {
 type QueryFingerprint = Result<(Vec<(u64, Vec<u32>)>, SearchStats), String>;
 
 fn replay(snap: &EngineSnapshot, queries: &[String]) -> Vec<QueryFingerprint> {
+    let session = snap.session();
     queries
         .iter()
         .map(|q| {
-            snap.session()
+            session
                 .search_with_stats(q)
                 .map(|(answers, stats)| {
                     let list: Vec<(u64, Vec<u32>)> = answers

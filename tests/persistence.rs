@@ -41,6 +41,7 @@ fn reloaded_database_searches_identically() {
     assert_eq!(original.graph().node_count(), restored.graph().node_count());
     assert_eq!(original.graph().edge_count(), restored.graph().edge_count());
 
+    let (original, restored) = (original.session(), restored.session());
     for q in dblp_workload(&data, 8, 3) {
         let query = q.keywords.join(" ");
         let a = original.search(&query).unwrap();

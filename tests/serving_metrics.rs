@@ -4,7 +4,9 @@
 //! sessions with relaxed atomic adds; this test replays the fingerprint
 //! workloads while summing every per-run [`ci_search::SearchStats`] by
 //! hand and asserts the registry's totals agree exactly — single-threaded
-//! and across concurrently serving sessions.
+//! and across concurrently serving sessions — and that every query method
+//! of the session, the re-ranking and BANKS entry points included, is
+//! counted once.
 
 // LINT-EXEMPT(tests): integration tests may unwrap/index freely; the
 // workspace lint wall applies to library code only (ISSUE 1).
@@ -15,7 +17,9 @@
     clippy::indexing_slicing
 )]
 
+use ci_rank::Ranker;
 use ci_rank_suite::fingerprint::{build, cases};
+use ci_search::SearchOptions;
 
 /// Hand-summed expectations for one replayed workload.
 #[derive(Default)]
@@ -203,4 +207,99 @@ fn candidate_pool_runs_and_errors_are_recorded() {
     }
     let delta = snap.metrics().snapshot().delta_since(&before);
     assert_agrees(&delta, &expected, label);
+}
+
+/// `search_banks`, `rank` and `search_ranked` feed the registry like the
+/// branch-and-bound methods: a BANKS run is one query with its answers and
+/// latency and zero branch-and-bound counters; `rank` records only query
+/// parse errors, because the pool it re-ranks was already counted; and
+/// `search_ranked` counts once, with the counters of its pool run.
+#[test]
+fn ranking_entry_points_feed_the_registry() {
+    let (label, kind, data, mut queries) = cases().remove(1); // zipf/star
+    queries.push(String::new()); // rejected by query parsing
+    let parsed = (queries.len() - 1) as u64;
+    let snap = build(&data.db, kind, 1).unwrap();
+    let session = snap.session();
+    let delta_of = |run: &dyn Fn(&str) -> usize| {
+        let before = snap.metrics().snapshot();
+        let answers: usize = queries.iter().map(|q| run(q)).sum();
+        (
+            snap.metrics().snapshot().delta_since(&before),
+            answers as u64,
+        )
+    };
+
+    let (banks, answers) = delta_of(&|q| session.search_banks(q).map_or(0, |a| a.len()));
+    assert!(answers > 0, "{label}: BANKS answers the workload");
+    assert_eq!(banks.queries, parsed, "{label}: one query per BANKS run");
+    assert_eq!(banks.errors, 1, "{label}: BANKS parse error");
+    assert_eq!(banks.answers, answers, "{label}: BANKS answers");
+    assert_eq!(banks.latency_buckets.iter().sum::<u64>(), parsed);
+    assert_eq!(
+        (
+            banks.pops,
+            banks.registered,
+            banks.merges,
+            banks.truncated_total()
+        ),
+        (0, 0, 0, 0),
+        "{label}: BANKS runs no branch-and-bound"
+    );
+
+    let pools: Vec<_> = queries
+        .iter()
+        .map(|q| session.candidate_pool(q, 6).unwrap_or_default())
+        .collect();
+    let before = snap.metrics().snapshot();
+    for (q, pool) in queries.iter().zip(&pools) {
+        let _ = session.rank(q, pool, Ranker::Spark);
+    }
+    let rank = snap.metrics().snapshot().delta_since(&before);
+    assert_eq!(
+        (rank.queries, rank.errors, rank.answers),
+        (0, 1, 0),
+        "{label}: rank records its parse error only"
+    );
+
+    let (pool_run, pooled) = delta_of(&|q| session.candidate_pool(q, 6).map_or(0, |p| p.len()));
+    let (ranked, answers) = delta_of(&|q| {
+        session
+            .search_ranked(q, Ranker::Banks, 6)
+            .map_or(0, |a| a.len())
+    });
+    assert_eq!(answers, pooled, "{label}: re-ranking keeps the pool");
+    assert_eq!(ranked.queries, parsed, "{label}: search_ranked counts once");
+    assert_eq!(ranked.errors, 1, "{label}: search_ranked parse error");
+    assert_eq!(ranked.answers, answers, "{label}: search_ranked answers");
+    assert_eq!(
+        (ranked.pops, ranked.registered, ranked.merges),
+        (pool_run.pops, pool_run.registered, pool_run.merges),
+        "{label}: search_ranked records its pool run"
+    );
+}
+
+/// `search_banks` reads `k` and `D` from the session's options, so a
+/// `with_options` override applies to it as to the branch-and-bound path.
+#[test]
+fn banks_honors_session_options() {
+    let (label, kind, data, queries) = cases().remove(1); // zipf/star
+    let snap = build(&data.db, kind, 1).unwrap();
+    assert_eq!(snap.config().k, 5);
+    let configured = snap.session();
+    let two = snap.session().with_options(SearchOptions {
+        k: 2,
+        ..snap.config().search_options()
+    });
+    let mut longer = 0;
+    for q in &queries {
+        let Ok(full) = configured.search_banks(q) else {
+            continue;
+        };
+        let short = two.search_banks(q).unwrap();
+        assert!(short.len() <= 2, "{label}: {q:?} gave {}", short.len());
+        assert_eq!(short.len(), full.len().min(2), "{label}: {q:?}");
+        longer += usize::from(full.len() > 2);
+    }
+    assert!(longer > 0, "{label}: some query has more than two answers");
 }
