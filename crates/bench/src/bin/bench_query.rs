@@ -92,13 +92,14 @@ struct ClassLatency {
 struct ClassRejections {
     class: &'static str,
     /// `(name, total)` per rejection reason, in report order.
-    totals: [(&'static str, usize); 9],
+    totals: [(&'static str, usize); 10],
 }
 
 impl ClassRejections {
     fn new(class: &'static str) -> ClassRejections {
         let names = [
-            "structural",
+            "dead_pops",
+            "merge_shape",
             "infeasible_leaves",
             "duplicate",
             "distance",
@@ -117,7 +118,8 @@ impl ClassRejections {
     fn add(&mut self, stats: &SearchStats) {
         let r = &stats.rejections;
         let counts = [
-            r.structural,
+            r.dead_pops,
+            r.merge_shape,
             r.infeasible_leaves,
             r.duplicate,
             stats.distance_pruned,

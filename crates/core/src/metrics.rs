@@ -71,8 +71,10 @@ pub struct MetricsRegistry {
     distance_pruned: AtomicU64,
     /// Σ [`SearchStats::merges`].
     merges: AtomicU64,
-    /// Σ [`RejectionStats::structural`].
-    rejected_structural: AtomicU64,
+    /// Σ [`RejectionStats::dead_pops`].
+    dead_pops: AtomicU64,
+    /// Σ [`RejectionStats::merge_shape`].
+    merge_shape: AtomicU64,
     /// Σ [`RejectionStats::infeasible_leaves`].
     rejected_infeasible_leaves: AtomicU64,
     /// Σ [`RejectionStats::duplicate`].
@@ -168,8 +170,8 @@ impl MetricsRegistry {
     /// Folds a run's rejection and merge-outcome counters into the totals.
     fn record_rejections(&self, rej: &RejectionStats) {
         let r = Ordering::Relaxed;
-        self.rejected_structural
-            .fetch_add(to_u64(rej.structural), r);
+        self.dead_pops.fetch_add(to_u64(rej.dead_pops), r);
+        self.merge_shape.fetch_add(to_u64(rej.merge_shape), r);
         self.rejected_infeasible_leaves
             .fetch_add(to_u64(rej.infeasible_leaves), r);
         self.rejected_duplicate.fetch_add(to_u64(rej.duplicate), r);
@@ -205,7 +207,8 @@ impl MetricsRegistry {
             bound_pruned: self.bound_pruned.load(r),
             distance_pruned: self.distance_pruned.load(r),
             merges: self.merges.load(r),
-            rejected_structural: self.rejected_structural.load(r),
+            dead_pops: self.dead_pops.load(r),
+            merge_shape: self.merge_shape.load(r),
             rejected_infeasible_leaves: self.rejected_infeasible_leaves.load(r),
             rejected_duplicate: self.rejected_duplicate.load(r),
             merge_rule: self.merge_rule.load(r),
@@ -246,8 +249,12 @@ pub struct MetricsSnapshot {
     pub distance_pruned: u64,
     /// Total merge attempts.
     pub merges: u64,
-    /// Candidates rejected from their shape alone (diameter or size cap).
-    pub rejected_structural: u64,
+    /// Pops whose every grow exceeds the diameter or size cap, so their
+    /// neighbour walk was skipped.
+    pub dead_pops: u64,
+    /// Merge attempts over the diameter or size cap, skipped by the
+    /// partner index.
+    pub merge_shape: u64,
     /// Candidates rejected because their frozen leaves admit no keyword
     /// assignment.
     pub rejected_infeasible_leaves: u64,
@@ -328,9 +335,8 @@ impl MetricsSnapshot {
             bound_pruned: self.bound_pruned.saturating_sub(earlier.bound_pruned),
             distance_pruned: self.distance_pruned.saturating_sub(earlier.distance_pruned),
             merges: self.merges.saturating_sub(earlier.merges),
-            rejected_structural: self
-                .rejected_structural
-                .saturating_sub(earlier.rejected_structural),
+            dead_pops: self.dead_pops.saturating_sub(earlier.dead_pops),
+            merge_shape: self.merge_shape.saturating_sub(earlier.merge_shape),
             rejected_infeasible_leaves: self
                 .rejected_infeasible_leaves
                 .saturating_sub(earlier.rejected_infeasible_leaves),
@@ -393,7 +399,8 @@ impl MetricsSnapshot {
         field(&mut s, "bound_pruned", self.bound_pruned);
         field(&mut s, "distance_pruned", self.distance_pruned);
         field(&mut s, "merges", self.merges);
-        field(&mut s, "rejected_structural", self.rejected_structural);
+        field(&mut s, "dead_pops", self.dead_pops);
+        field(&mut s, "merge_shape", self.merge_shape);
         field(
             &mut s,
             "rejected_infeasible_leaves",
@@ -451,7 +458,8 @@ mod tests {
                 entries: 7,
             }),
             rejections: RejectionStats {
-                structural: 8,
+                dead_pops: 8,
+                merge_shape: 5,
                 infeasible_leaves: 4,
                 duplicate: 2,
                 merge_rule: 0,
@@ -479,7 +487,8 @@ mod tests {
         assert_eq!(s.pops, 14);
         assert_eq!(s.registered, 28);
         assert_eq!(s.merges, 6);
-        assert_eq!(s.rejected_structural, 16);
+        assert_eq!(s.dead_pops, 16);
+        assert_eq!(s.merge_shape, 10);
         assert_eq!(s.rejected_infeasible_leaves, 8);
         assert_eq!(s.rejected_duplicate, 4);
         assert_eq!(s.merge_rule, 0);
@@ -561,7 +570,8 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"queries\":1"), "{json}");
         assert!(json.contains("\"pops\":2"), "{json}");
-        assert!(json.contains("\"rejected_structural\":8"), "{json}");
+        assert!(json.contains("\"dead_pops\":8"), "{json}");
+        assert!(json.contains("\"merge_shape\":5"), "{json}");
         assert!(json.contains("\"merge_overlap\":6"), "{json}");
         assert!(json.contains("\"merge_matcher_overlap\":9"), "{json}");
         assert!(json.contains("\"latency_histogram_us\":["), "{json}");

@@ -26,7 +26,10 @@ pub struct SearchStats {
     pub bound_pruned: usize,
     /// Candidates rejected by the distance-feasibility test.
     pub distance_pruned: usize,
-    /// Merge attempts performed.
+    /// Merge attempts: for each admitted candidate, the candidates
+    /// admitted before it under the same root. Counted from the partner
+    /// index in O(1), whether or not the partner was visited (see
+    /// [`RejectionStats::merge_shape`]).
     pub merges: usize,
     /// Peak number of live candidates held in the arena — what
     /// [`crate::QueryBudget::max_candidates`] bounds.
@@ -51,17 +54,25 @@ pub struct SearchStats {
 /// (`bound_pruned` and `distance_pruned` are there), and the outcome of
 /// every merge attempt that produced no candidate.
 ///
-/// Merge attempts the merge rule allows split four ways: the 64-bit node
-/// signatures proved them disjoint (`merge_sig_disjoint`, no scan), the
-/// matcher signatures proved them overlapping (`merge_matcher_overlap`, no
-/// scan), the exact scan found a shared node (`merge_overlap`), or the scan
-/// passed. Only the first three are counted; the last is `merges` minus
-/// the four merge fields.
+/// Every merge attempt lands in exactly one class: over the caps
+/// (`merge_shape`, never visited), refused by the merge rule
+/// (`merge_rule`), proved disjoint by the 64-bit node signatures
+/// (`merge_sig_disjoint`, no scan), proved overlapping by the matcher
+/// signatures (`merge_matcher_overlap`, no scan), rejected by the exact
+/// scan (`merge_overlap`), or passed by the scan — the last is `merges`
+/// minus the five merge fields. The counters are the same at every
+/// [`crate::TraceLevel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionStats {
-    /// Candidates over the diameter or tree-size cap, rejected from their
-    /// shape alone, before being built.
-    pub structural: usize,
+    /// Pops whose every grow exceeds the diameter or tree-size cap: their
+    /// neighbour walk is skipped (it still runs under
+    /// [`crate::TraceLevel::Full`], and when a budget gate at its cap must
+    /// trip on the first grow).
+    pub dead_pops: usize,
+    /// Merge attempts whose result would exceed the diameter or tree-size
+    /// cap: same-root partners the depth-bucketed index skips, counted in
+    /// O(1) as the root's count − 1 − the partners visited.
+    pub merge_shape: usize,
     /// Candidates whose frozen leaves admit no keyword assignment.
     pub infeasible_leaves: usize,
     /// Candidates whose `(root, tree)` identity was already admitted.
@@ -202,7 +213,10 @@ pub fn bnb_search_in<O: DistanceOracle>(
     opts: &SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<Answer>, SearchStats) {
-    scratch.begin();
+    // An admitted candidate's depth is at most its diameter (≤ D) and
+    // its size − 1 (< max_tree_nodes).
+    let max_size_depth = u32::try_from(opts.max_tree_nodes.saturating_sub(1)).unwrap_or(u32::MAX);
+    scratch.begin(opts.diameter.min(max_size_depth));
     scratch.trace.begin(opts.trace, opts.trace_capacity);
     let mut run = SearchRun {
         scorer,
@@ -314,6 +328,16 @@ pub fn bnb_search_in<O: DistanceOracle>(
                 }
             }
         }
+        // A pop whose every grow exceeds a cap registers nothing: skip its
+        // neighbour walk. Full tracing keeps the walk (and its `Grow` and
+        // structural `Prune` events), and so does a budget gate at its
+        // cap, which the first grow's registration would trip.
+        if !fits(run.opts, run.scratch.pop_slot.cand.grow_shape()) {
+            run.stats.rejections.dead_pops += 1;
+            if !run.scratch.trace.level().full() && run.gate().is_none() {
+                continue;
+            }
+        }
         let root = run.scratch.pop_slot.cand.root();
         run.scratch.neighbors.clear();
         let graph = run.scorer.graph();
@@ -367,7 +391,9 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     fn prune(&mut self, reason: PruneReason, root: NodeId, size: usize, mask: u32) {
         let r = &mut self.stats.rejections;
         match reason {
-            PruneReason::Structural => r.structural += 1,
+            // Shape rejections are counted where they are skipped:
+            // `dead_pops` and `merge_shape`.
+            PruneReason::Structural => {}
             PruneReason::InfeasibleLeaves => r.infeasible_leaves += 1,
             PruneReason::Duplicate => r.duplicate += 1,
             PruneReason::Distance => self.stats.distance_pruned += 1,
@@ -409,35 +435,50 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// Builds, validates, bounds, enqueues, and eagerly merges a new
-    /// candidate, then every merge that cascades from it.
-    ///
-    /// Each worklist entry passes the budget gate before anything is
-    /// built. Merge cascades at hub roots can register far more candidates
-    /// than the pop cap ever touches, so the expansion budget also bounds
-    /// total registrations (at 10× the pop cap), and the candidate-memory
-    /// budget bounds the live arena directly.
-    fn register(&mut self, entry: Pending) {
-        let registration_cap = self
-            .opts
-            .budget
+    /// The budget gate every worklist entry passes before it is built:
+    /// the truncation reason if a cap is reached. Merge cascades at hub
+    /// roots can register far more candidates than the pop cap ever
+    /// touches, so the expansion budget also bounds total registrations
+    /// (at 10× the pop cap), and the candidate-memory budget bounds the
+    /// live store directly.
+    fn gate(&self) -> Option<TruncationReason> {
+        let budget = &self.opts.budget;
+        if budget
             .max_expansions
-            .map(|m| m.saturating_mul(10));
+            .is_some_and(|m| self.stats.registered >= m.saturating_mul(10))
+        {
+            return Some(TruncationReason::Expansions);
+        }
+        if budget
+            .max_candidates
+            .is_some_and(|cap| self.scratch.store.len() >= cap)
+        {
+            return Some(TruncationReason::CandidateMemory);
+        }
+        None
+    }
+
+    /// Builds, validates, bounds, enqueues, and eagerly merges a new
+    /// candidate, then every merge that cascades from it. Each worklist
+    /// entry passes the budget gate ([`SearchRun::gate`]) before anything
+    /// is built.
+    ///
+    /// Outside full tracing, a merge that fails the shape check is never
+    /// pushed; the full-trace walk pushes it, to be popped and rejected.
+    /// That pop changes nothing except tripping a gate at its cap, and a
+    /// later real entry trips the gate in the same state — unless none is
+    /// left. So when the worklist drains with a gate at its cap, the
+    /// cascade still truncates if a skipped merge would have sat below
+    /// every real entry (see [`SearchRun::skipped_merge_in_tail`]), and
+    /// both paths stop at the same point.
+    fn register(&mut self, entry: Pending) {
+        self.scratch.skipped_tail.clear();
         self.scratch.worklist.push(entry);
         while let Some(entry) = self.scratch.worklist.pop() {
-            if let Some(cap) = registration_cap {
-                if self.stats.registered >= cap {
-                    self.truncate(TruncationReason::Expansions);
-                    self.scratch.worklist.clear();
-                    return;
-                }
-            }
-            if let Some(cap) = self.opts.budget.max_candidates {
-                if self.scratch.store.len() >= cap {
-                    self.truncate(TruncationReason::CandidateMemory);
-                    self.scratch.worklist.clear();
-                    return;
-                }
+            if let Some(reason) = self.gate() {
+                self.truncate(reason);
+                self.scratch.worklist.clear();
+                return;
             }
             if self.deadline_hit() {
                 self.scratch.worklist.clear();
@@ -446,66 +487,152 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             if !self.build(entry) {
                 continue;
             }
-            let Some(idx) = self.admit() else {
+            if let Some(idx) = self.admit() {
+                self.merge_partners(idx);
+            }
+        }
+        if self.scratch.skipped_tail.is_empty() {
+            return;
+        }
+        if let Some(reason) = self.gate() {
+            if self.skipped_merge_in_tail() {
+                self.truncate(reason);
+            }
+        }
+    }
+
+    /// Attempts to merge freshly admitted `idx` (still in the build slot)
+    /// with every candidate admitted before it under the same root, in
+    /// admission order, pushing each merge that succeeds. Only partners
+    /// within `D − depth` and `max_tree_nodes + 1 − size` are visited;
+    /// full tracing visits them all, to record every attempt.
+    fn merge_partners(&mut self, idx: usize) {
+        let cand = &self.scratch.build_slot.cand;
+        let (root, depth, size) = (cand.root(), cand.depth, cand.size());
+        let count = self.scratch.partner_index.count(root);
+        self.stats.merges += count.saturating_sub(1);
+        let full = self.scratch.trace.level().full();
+        let (max_depth, max_size) = if full {
+            (u32::MAX, usize::MAX)
+        } else {
+            (
+                self.opts.diameter.saturating_sub(depth),
+                self.opts
+                    .max_tree_nodes
+                    .saturating_add(1)
+                    .saturating_sub(size),
+            )
+        };
+        let worklist_was_empty = self.scratch.worklist.is_empty();
+        self.scratch.collect_partners(root, max_depth, max_size);
+        let mut visited = 0;
+        for t in 0..self.scratch.partners.len() {
+            let Some(&p32) = self.scratch.partners.get(t) else {
+                break;
+            };
+            let partner = p32 as usize;
+            if partner == idx {
+                continue;
+            }
+            visited += 1;
+            let outcome = self.merge_test(idx, partner);
+            let shape_ok = !full || self.merge_fits(idx, partner);
+            let r = &mut self.stats.rejections;
+            match outcome {
+                _ if !shape_ok => r.merge_shape += 1,
+                None => r.merge_rule += 1,
+                Some(Overlap::SigDisjoint) => r.merge_sig_disjoint += 1,
+                Some(Overlap::SharedMatcher) => r.merge_matcher_overlap += 1,
+                Some(Overlap::ScanShared) => r.merge_overlap += 1,
+                Some(Overlap::ScanDisjoint) => {}
+            }
+            let merged = outcome.is_some_and(Overlap::disjoint);
+            if full {
+                self.scratch.trace.emit(TraceEvent::Merge {
+                    root,
+                    idx,
+                    partner,
+                    merged,
+                });
+            }
+            if merged {
+                self.scratch.worklist.push(Pending::Merge { idx, partner });
+            }
+        }
+        let skipped = count.saturating_sub(1 + visited);
+        self.stats.rejections.merge_shape += skipped;
+        if skipped > 0 && worklist_was_empty {
+            self.scratch.skipped_tail.push(idx);
+        }
+    }
+
+    /// Whether a merge the index skipped in this cascade would have been
+    /// pushed below every real worklist entry: for some recorded
+    /// admission, the oldest partner that passes the merge test fails
+    /// the shape check. Runs only when the worklist has drained with a
+    /// budget gate at its cap.
+    fn skipped_merge_in_tail(&mut self) -> bool {
+        for i in 0..self.scratch.skipped_tail.len() {
+            let Some(&idx) = self.scratch.skipped_tail.get(i) else {
+                break;
+            };
+            let Some(root) = self
+                .scratch
+                .store
+                .view(idx)
+                .and_then(|v| v.nodes.first().copied())
+            else {
                 continue;
             };
-            // Merge with every known candidate sharing the root, in
-            // admission order (the chain read reverses to oldest-first).
-            let root = self.scratch.build_slot.cand.root();
-            self.scratch.collect_partners(root);
+            self.scratch.collect_partners(root, u32::MAX, usize::MAX);
             for t in 0..self.scratch.partners.len() {
                 let Some(&p32) = self.scratch.partners.get(t) else {
                     break;
                 };
                 let partner = p32 as usize;
-                if partner == idx {
-                    continue;
+                if partner >= idx {
+                    break;
                 }
-                self.stats.merges += 1;
-                let merged = self.mergeable(idx, partner);
-                if self.scratch.trace.level().full() {
-                    self.scratch.trace.emit(TraceEvent::Merge {
-                        root,
-                        idx,
-                        partner,
-                        merged,
-                    });
-                }
-                if merged {
-                    self.scratch.worklist.push(Pending::Merge { idx, partner });
+                if self.merge_test(idx, partner).is_some_and(Overlap::disjoint) {
+                    if !self.merge_fits(idx, partner) {
+                        return true;
+                    }
+                    break;
                 }
             }
         }
+        false
     }
 
-    /// Whether arena candidates `idx` and `partner` (same root) merge: the
-    /// merge rule allows it and their non-root node sets are disjoint.
-    /// Reads only the dense merge keys unless the signatures leave the
-    /// overlap open, which the exact scan then settles.
-    fn mergeable(&mut self, idx: usize, partner: usize) -> bool {
+    /// Whether the merge of stored candidates `idx` and `partner` fits
+    /// `D` and `max_tree_nodes`.
+    fn merge_fits(&self, idx: usize, partner: usize) -> bool {
         let store = &self.scratch.store;
-        let (Some(a), Some(b)) = (store.key(idx), store.key(partner)) else {
-            return false;
-        };
-        let r = &mut self.stats.rejections;
+        match (store.view(idx), store.view(partner)) {
+            (Some(a), Some(b)) => fits(self.opts, Candidate::merge_shape(a, b)),
+            _ => false,
+        }
+    }
+
+    /// The merge test of arena candidates `idx` and `partner` (same
+    /// root): `None` if the merge rule refuses the pair, else how their
+    /// overlap was settled — the merge happens when it is disjoint. Reads
+    /// only the dense merge keys unless the signatures leave the overlap
+    /// open, which the exact scan then settles.
+    fn merge_test(&self, idx: usize, partner: usize) -> Option<Overlap> {
+        let store = &self.scratch.store;
+        let (a, b) = (store.key(idx)?, store.key(partner)?);
         if !merge_allowed(self.opts, a.mask, b.mask) {
-            r.merge_rule += 1;
-            return false;
+            return None;
         }
-        let overlap = store.overlap(idx, a, partner, b);
-        match overlap {
-            Overlap::SigDisjoint => r.merge_sig_disjoint += 1,
-            Overlap::SharedMatcher => r.merge_matcher_overlap += 1,
-            Overlap::ScanShared => r.merge_overlap += 1,
-            Overlap::ScanDisjoint => {}
-        }
-        overlap.disjoint()
+        Some(store.overlap(idx, a, partner, b))
     }
 
     /// Builds a worklist entry into the build slot, with its flows and
     /// signatures — unless its shape already fails the structural prune,
-    /// which is then recorded exactly as for a built candidate. Returns
-    /// whether it was built.
+    /// which is then traced exactly as for a built candidate. Only full
+    /// tracing (which walks every grow and partner) and a zero
+    /// `max_tree_nodes` reach that prune. Returns whether it was built.
     fn build(&mut self, entry: Pending) -> bool {
         let SearchScratch {
             store,
@@ -528,7 +655,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 (Candidate::merge_shape(a, b), root, a.mask | b.mask)
             }
         };
-        if shape.diameter > self.opts.diameter || shape.size > self.opts.max_tree_nodes {
+        if !fits(self.opts, shape) {
             self.prune(PruneReason::Structural, root, shape.size, mask);
             return false;
         }
@@ -632,9 +759,9 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
         let idx = self.scratch.store.push(&self.scratch.build_slot);
         let cand = &self.scratch.build_slot.cand;
-        let (root, size, mask) = (cand.root(), cand.size(), cand.mask);
+        let (root, size, mask, depth) = (cand.root(), cand.size(), cand.mask, cand.depth);
         self.stats.candidates_peak = self.stats.candidates_peak.max(self.scratch.store.len());
-        self.scratch.push_root_chain(root, idx);
+        self.scratch.partner_index.push(root, idx, depth, size);
         self.scratch.queue.push(HeapItem { ub, idx });
         self.stats.registered += 1;
         if self.scratch.trace.level().full() {
@@ -674,6 +801,11 @@ fn assert_grow_exact(
         same,
         "incremental grow diverged bitwise from the from-scratch flows"
     );
+}
+
+/// True when a candidate of this shape fits `D` and `max_tree_nodes`.
+fn fits(opts: &SearchOptions, shape: Shape) -> bool {
+    shape.diameter <= opts.diameter && shape.size <= opts.max_tree_nodes
 }
 
 /// The paper's merge rule, unless redundant matchers are allowed: the

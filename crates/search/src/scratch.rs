@@ -2,7 +2,7 @@
 //!
 //! Every structure the search loop touches per candidate lives here and is
 //! recycled across runs: the candidate store, the priority queue, the flat
-//! dedup set, the per-root partner chains, the registration worklist, and
+//! dedup set, the same-root partner index, the registration worklist, and
 //! two working slots. [`crate::bnb_search_in`] takes a `&mut
 //! SearchScratch`; the engine's query session owns one per session, so
 //! repeated queries reach a steady state where candidate construction
@@ -30,15 +30,21 @@
 //! proves most of the rest overlapping. Only pairs neither settles reach
 //! the exact scan ([`Candidate::disjoint_from`]).
 //!
-//! The per-root partner index is an intrusive linked list over arena
-//! indices (`root_head[node] → next_same_root[idx] → …`), dense by node
-//! id with a run-generation stamp instead of per-run clearing — the same
-//! design as the flat oracle cache, and for the same reason: no hashing
-//! and no `HashMap` churn in the inner loop. Chains are built newest-first
-//! and reversed into a buffer on read, preserving admission-order
-//! iteration (the merge order is observable through
-//! `SearchStats::merges` and the replay fingerprints, so it must not
-//! change).
+//! **The partner index.** [`PartnerIndex`] holds, per root, one intrusive
+//! newest-first chain of arena indices per candidate depth, plus the
+//! root's candidate count — the per-node, per-distance bucket layout of a
+//! reachability index. A merge of `a` and `b` fits `D` and
+//! `max_tree_nodes` exactly when `depth_a + depth_b ≤ D` and
+//! `size_a + size_b − 1 ≤ max_tree_nodes` (both operands were admitted, so
+//! each fits on its own). A lookup therefore reads only the buckets of
+//! depth ≤ `D − depth_a`, drops partners over the size limit, and merges
+//! the bucket chains into ascending arena index — admission order, which
+//! the LIFO registration worklist, and through it every admission and
+//! replay fingerprint, depends on. The root count gives
+//! `SearchStats::merges` in O(1), whether or not a partner is visited.
+//! Roots are stamped with the run generation instead of being cleared per
+//! run, like the flat oracle cache: no hashing and no `HashMap` churn in
+//! the inner loop.
 //!
 //! The admission dedup set ([`DedupSet`]) follows the same pattern: a flat
 //! open-addressing table of run-stamped entry indices over one shared key
@@ -55,8 +61,8 @@ use crate::candidate::{Candidate, CandidateRef};
 use crate::query::QuerySpec;
 use crate::trace::{SearchTrace, TraceEvent};
 
-/// Sentinel for "no arena index" in the root chains.
-pub(crate) const NO_IDX: u32 = u32::MAX;
+/// Sentinel for "no arena index" in the partner chains.
+const NO_IDX: u32 = u32::MAX;
 
 /// A working candidate — the build slot or the pop slot — with its
 /// incrementally maintained flow state.
@@ -326,16 +332,16 @@ pub struct SearchScratch {
     pub(crate) key_buf: Vec<u64>,
     /// Has-child bitset scratch for the leaf-feasibility check.
     pub(crate) has_child: Vec<u64>,
-    /// Newest arena index rooted at a node, dense by node id.
-    root_head: Vec<u32>,
-    /// Run stamp per `root_head` entry (stale stamp ⇒ empty chain).
-    root_gen: Vec<u64>,
-    /// Current run stamp (bumped by [`SearchScratch::begin`]).
-    run_gen: u64,
-    /// Per-arena-index link to the next-older candidate with the same root.
-    next_same_root: Vec<u32>,
+    /// Same-root merge partners of the current run, by depth.
+    pub(crate) partner_index: PartnerIndex,
     /// Registration cascade worklist: unbuilt seeds, grows and merges.
     pub(crate) worklist: Vec<Pending>,
+    /// Each admission in the current cascade that found the worklist
+    /// empty and had partners the index skipped on shape. A skipped merge
+    /// older than the first real one it pushed would have been popped
+    /// after every real entry — the last chance for a budget gate at its
+    /// cap to trip (see `SearchRun::register`).
+    pub(crate) skipped_tail: Vec<usize>,
     /// Partner-index read buffer (admission order).
     pub(crate) partners: Vec<u32>,
     /// Root-neighbor read buffer for the expansion loop.
@@ -373,10 +379,9 @@ impl SearchScratch {
             + self.dedup.capacity_bytes()
             + self.key_buf.capacity() * size_of::<u64>()
             + self.has_child.capacity() * size_of::<u64>()
-            + self.root_head.capacity() * size_of::<u32>()
-            + self.root_gen.capacity() * size_of::<u64>()
-            + self.next_same_root.capacity() * size_of::<u32>()
+            + self.partner_index.capacity_bytes()
             + self.worklist.capacity() * size_of::<Pending>()
+            + self.skipped_tail.capacity() * size_of::<usize>()
             + self.partners.capacity() * size_of::<u32>()
             + self.neighbors.capacity() * size_of::<NodeId>()
             + self.pop_slot.capacity_bytes()
@@ -391,78 +396,174 @@ impl SearchScratch {
         &self.trace
     }
 
-    /// Prepares for a new run: empties the store and every per-run
-    /// structure, keeping allocations.
-    pub(crate) fn begin(&mut self) {
-        self.run_gen = self.run_gen.wrapping_add(1);
-        if self.run_gen == 0 {
-            // u64 wrap is unreachable in practice; stay correct anyway.
-            self.root_gen.fill(0);
-            self.run_gen = 1;
-        }
+    /// Prepares for a new run whose candidates have depth at most
+    /// `max_depth`: empties the store and every per-run structure, keeping
+    /// allocations.
+    pub(crate) fn begin(&mut self, max_depth: u32) {
         self.high_water = self.slots_allocated();
         self.store.clear();
+        self.partner_index.begin(max_depth);
         self.worklist.clear();
+        self.skipped_tail.clear();
         self.queue.clear();
         self.dedup.clear();
-        self.next_same_root.clear();
         self.partners.clear();
         self.neighbors.clear();
     }
 
-    /// Head of the root chain for `node` in the current run.
-    fn root_chain_head(&self, node: NodeId) -> Option<u32> {
-        let id = usize::try_from(node.0).ok()?;
-        if self.root_gen.get(id).copied() != Some(self.run_gen) {
+    /// Fills [`SearchScratch::partners`] with the arena indices rooted at
+    /// `root` whose depth is at most `max_depth` and whose size is at most
+    /// `max_size`, oldest (lowest index) first — admission order.
+    pub(crate) fn collect_partners(&mut self, root: NodeId, max_depth: u32, max_size: usize) {
+        self.partner_index
+            .collect(root, max_depth, max_size, &mut self.partners);
+    }
+}
+
+/// One arena index's entry in its root's depth chain.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Next-older arena index with the same root and depth, or [`NO_IDX`].
+    next: u32,
+    /// Candidate size in nodes.
+    size: u32,
+}
+
+/// The same-root partner index (see the module docs): per root touched in
+/// the run, a block `[count, head_0, …, head_max_depth]` in `blocks`, found
+/// through a run-stamped per-node offset; per arena index, a [`Link`].
+#[derive(Debug, Default)]
+pub(crate) struct PartnerIndex {
+    /// Depth buckets per root in the current run.
+    buckets: usize,
+    /// Current run stamp (bumped by [`PartnerIndex::begin`]).
+    run_gen: u64,
+    /// Run stamp per node (stale ⇒ no candidate rooted there this run).
+    node_gen: Vec<u64>,
+    /// Offset of each stamped node's block in `blocks`.
+    node_block: Vec<u32>,
+    /// Per-root blocks of the current run, back to back.
+    blocks: Vec<u32>,
+    /// Per arena index, its chain link.
+    links: Vec<Link>,
+    /// One chain cursor per visited bucket during [`PartnerIndex::collect`].
+    cursors: Vec<u32>,
+}
+
+impl PartnerIndex {
+    /// Empties the index for a run whose candidates have depth at most
+    /// `max_depth`.
+    fn begin(&mut self, max_depth: u32) {
+        self.run_gen = self.run_gen.wrapping_add(1);
+        if self.run_gen == 0 {
+            // u64 wrap is unreachable in practice; stay correct anyway.
+            self.node_gen.fill(0);
+            self.run_gen = 1;
+        }
+        self.buckets = max_depth as usize + 1;
+        self.blocks.clear();
+        self.links.clear();
+    }
+
+    /// Offset of `root`'s block, if a candidate is rooted there this run.
+    fn block(&self, root: NodeId) -> Option<usize> {
+        let id = root.0 as usize;
+        if self.node_gen.get(id).copied() != Some(self.run_gen) {
             return None;
         }
-        self.root_head.get(id).copied().filter(|&h| h != NO_IDX)
+        self.node_block.get(id).map(|&b| b as usize)
     }
 
-    /// Links freshly admitted arena index `idx` (the current `arena.len() -
-    /// 1`) into its root's chain. Must be called exactly once per arena
-    /// push, in order.
-    pub(crate) fn push_root_chain(&mut self, node: NodeId, idx: usize) {
-        debug_assert_eq!(self.next_same_root.len(), idx, "one link per arena push");
-        let idx32 = u32::try_from(idx).unwrap_or(NO_IDX);
-        debug_assert!(idx32 != NO_IDX, "arena index fits in u32");
-        let Ok(id) = usize::try_from(node.0) else {
-            self.next_same_root.push(NO_IDX);
+    /// Indexes freshly admitted arena index `idx` (the current
+    /// `store.len() - 1`) under its root. Must be called exactly once per
+    /// store push, in order.
+    pub(crate) fn push(&mut self, root: NodeId, idx: usize, depth: u32, size: usize) {
+        debug_assert_eq!(self.links.len(), idx, "one link per store push");
+        debug_assert!((depth as usize) < self.buckets, "depth within D");
+        let base = match self.block(root) {
+            Some(base) => base,
+            None => {
+                let id = root.0 as usize;
+                if self.node_gen.len() <= id {
+                    self.node_gen.resize(id + 1, 0);
+                    self.node_block.resize(id + 1, 0);
+                }
+                let base = self.blocks.len();
+                self.blocks.push(0);
+                self.blocks.resize(base + 1 + self.buckets, NO_IDX);
+                if let (Some(g), Some(b)) = (self.node_gen.get_mut(id), self.node_block.get_mut(id))
+                {
+                    *g = self.run_gen;
+                    *b = u32::try_from(base).unwrap_or(u32::MAX);
+                }
+                base
+            }
+        };
+        if let Some(count) = self.blocks.get_mut(base) {
+            *count += 1;
+        }
+        let bucket = (depth as usize).min(self.buckets - 1);
+        let head = self.blocks.get_mut(base + 1 + bucket);
+        let next = head.as_deref().copied().unwrap_or(NO_IDX);
+        if let Some(h) = head {
+            *h = u32::try_from(idx).unwrap_or(NO_IDX);
+        }
+        let size = u32::try_from(size).unwrap_or(u32::MAX);
+        self.links.push(Link { next, size });
+    }
+
+    /// Candidates admitted under `root` this run.
+    pub(crate) fn count(&self, root: NodeId) -> usize {
+        self.block(root)
+            .and_then(|base| self.blocks.get(base))
+            .map_or(0, |&c| c as usize)
+    }
+
+    /// Writes into `out` the arena indices rooted at `root` with depth at
+    /// most `max_depth` and size at most `max_size`, in ascending order.
+    fn collect(&mut self, root: NodeId, max_depth: u32, max_size: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let Some(base) = self.block(root) else {
             return;
         };
-        if self.root_head.len() <= id {
-            self.root_head.resize(id + 1, NO_IDX);
-            self.root_gen.resize(id + 1, 0);
+        let last = (max_depth as usize).min(self.buckets - 1);
+        self.cursors.clear();
+        self.cursors
+            .extend_from_slice(self.blocks.get(base + 1..=base + 1 + last).unwrap_or(&[]));
+        // Each chain runs newest first: repeatedly take the newest head
+        // of all chains (`NO_IDX + 1` wraps to 0, so an ended chain never
+        // wins), then reverse.
+        loop {
+            let mut best = 0;
+            let mut key = 0;
+            for (b, &c) in self.cursors.iter().enumerate() {
+                if c.wrapping_add(1) > key {
+                    key = c.wrapping_add(1);
+                    best = b;
+                }
+            }
+            if key == 0 {
+                break;
+            }
+            let idx = key - 1;
+            let Some(&link) = self.links.get(idx as usize) else {
+                break;
+            };
+            if link.size as usize <= max_size {
+                out.push(idx);
+            }
+            if let Some(c) = self.cursors.get_mut(best) {
+                *c = link.next;
+            }
         }
-        let prev = if self.root_gen.get(id).copied() == Some(self.run_gen) {
-            self.root_head.get(id).copied().unwrap_or(NO_IDX)
-        } else {
-            NO_IDX
-        };
-        self.next_same_root.push(prev);
-        if let Some(h) = self.root_head.get_mut(id) {
-            *h = idx32;
-        }
-        if let Some(g) = self.root_gen.get_mut(id) {
-            *g = self.run_gen;
-        }
+        out.reverse();
     }
 
-    /// Fills [`SearchScratch::partners`] with every arena index rooted at
-    /// `node`, oldest (lowest index) first — admission order, matching the
-    /// `Vec` the per-root `HashMap` used to hold.
-    pub(crate) fn collect_partners(&mut self, node: NodeId) {
-        self.partners.clear();
-        let mut cur = self.root_chain_head(node);
-        while let Some(i) = cur {
-            self.partners.push(i);
-            cur = self
-                .next_same_root
-                .get(i as usize)
-                .copied()
-                .filter(|&nxt| nxt != NO_IDX);
-        }
-        self.partners.reverse();
+    fn capacity_bytes(&self) -> usize {
+        self.node_gen.capacity() * size_of::<u64>()
+            + (self.node_block.capacity() + self.blocks.capacity() + self.cursors.capacity())
+                * size_of::<u32>()
+            + self.links.capacity() * size_of::<Link>()
     }
 }
 
@@ -692,7 +793,7 @@ mod tests {
         };
         // A grow chain from node 0, each step stored as admission would.
         let run = |s: &mut SearchScratch| {
-            s.begin();
+            s.begin(4);
             let mut pop = CandSlot::default();
             pop.cand.set_seed(NodeId(0), 0b01);
             fill(&pop.cand, &mut pop.flows);
@@ -730,7 +831,7 @@ mod tests {
         assert_eq!(s.capacity_bytes(), bytes);
         assert_eq!(s.slots_allocated(), 5);
         // A smaller run keeps the high-water mark.
-        s.begin();
+        s.begin(4);
         assert_eq!(s.store.len(), 0);
         assert_eq!(s.slots_allocated(), 5);
     }
@@ -836,23 +937,78 @@ mod tests {
     #[test]
     fn root_chains_iterate_in_admission_order_and_reset_per_run() {
         let mut s = SearchScratch::new();
-        s.begin();
-        s.push_root_chain(NodeId(7), 0);
-        s.push_root_chain(NodeId(3), 1);
-        s.push_root_chain(NodeId(7), 2);
-        s.push_root_chain(NodeId(7), 3);
-        s.collect_partners(NodeId(7));
-        assert_eq!(s.partners, vec![0, 2, 3], "oldest first");
-        s.collect_partners(NodeId(3));
+        s.begin(4);
+        s.partner_index.push(NodeId(7), 0, 0, 1);
+        s.partner_index.push(NodeId(3), 1, 0, 1);
+        s.partner_index.push(NodeId(7), 2, 1, 2);
+        s.partner_index.push(NodeId(7), 3, 0, 1);
+        s.collect_partners(NodeId(7), u32::MAX, usize::MAX);
+        assert_eq!(s.partners, vec![0, 2, 3], "oldest first, across depths");
+        assert_eq!(s.partner_index.count(NodeId(7)), 3);
+        s.collect_partners(NodeId(7), 0, usize::MAX);
+        assert_eq!(s.partners, vec![0, 3], "depth limit");
+        s.collect_partners(NodeId(7), 4, 1);
+        assert_eq!(s.partners, vec![0, 3], "size limit");
+        s.collect_partners(NodeId(3), u32::MAX, usize::MAX);
         assert_eq!(s.partners, vec![1]);
-        s.collect_partners(NodeId(99));
+        s.collect_partners(NodeId(99), u32::MAX, usize::MAX);
         assert!(s.partners.is_empty());
+        assert_eq!(s.partner_index.count(NodeId(99)), 0);
         // A new run sees empty chains without any clearing pass.
-        s.begin();
-        s.collect_partners(NodeId(7));
+        s.begin(2);
+        s.collect_partners(NodeId(7), u32::MAX, usize::MAX);
         assert!(s.partners.is_empty());
-        s.push_root_chain(NodeId(7), 0);
-        s.collect_partners(NodeId(7));
+        assert_eq!(s.partner_index.count(NodeId(7)), 0);
+        s.partner_index.push(NodeId(7), 0, 2, 3);
+        s.collect_partners(NodeId(7), u32::MAX, usize::MAX);
         assert_eq!(s.partners, vec![0]);
+        s.collect_partners(NodeId(7), 1, usize::MAX);
+        assert!(s.partners.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Random admission sequences `(root, depth, size)` over two runs
+        /// through one scratch (so the run stamps must empty the index):
+        /// after every admission, for every root and a spread of limits,
+        /// the index returns exactly the brute-force walk's partners
+        /// within the limits, in ascending arena index, and its count is
+        /// the walk's length.
+        #[test]
+        fn partner_index_agrees_with_the_walk(
+            runs in proptest::collection::vec(
+                (0u32..5, proptest::collection::vec((0u32..6, 0u32..5, 1usize..9), 0..80)),
+                2,
+            ),
+        ) {
+            let mut s = SearchScratch::new();
+            for (d, admissions) in &runs {
+                s.begin(*d);
+                let mut walk: Vec<(u32, u32, usize)> = Vec::new();
+                for (idx, &(root, depth, size)) in admissions.iter().enumerate() {
+                    let depth = depth % (d + 1);
+                    s.partner_index.push(NodeId(root), idx, depth, size);
+                    walk.push((root, depth, size));
+                    for r in 0..6u32 {
+                        let same_root = || walk.iter().enumerate().filter(|(_, w)| w.0 == r);
+                        prop_assert_eq!(s.partner_index.count(NodeId(r)), same_root().count());
+                        for (max_depth, max_size) in [
+                            (u32::MAX, usize::MAX),
+                            (d - depth, 9 - size),
+                            (depth, size),
+                            (0, 1),
+                        ] {
+                            let want: Vec<u32> = same_root()
+                                .filter(|(_, w)| w.1 <= max_depth && w.2 <= max_size)
+                                .map(|(i, _)| i as u32)
+                                .collect();
+                            s.collect_partners(NodeId(r), max_depth, max_size);
+                            prop_assert_eq!(&s.partners, &want, "root {} limits {:?}", r, (max_depth, max_size));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

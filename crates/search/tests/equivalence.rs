@@ -15,7 +15,8 @@ use ci_graph::{Graph, GraphBuilder, NodeId};
 use ci_index::{detect_star_relations, DistanceOracle, NaiveIndex, NoIndex, StarIndex};
 use ci_rwmp::{Dampening, Scorer};
 use ci_search::{
-    bnb_search, explain_answer, naive_search, score_answer, Answer, QuerySpec, SearchOptions,
+    bnb_search, explain_answer, naive_search, score_answer, Answer, QueryBudget, QuerySpec,
+    SearchOptions, SearchStats, TraceLevel,
 };
 use proptest::prelude::*;
 
@@ -124,6 +125,57 @@ fn assert_scores_agree(name: &str, scorer: &Scorer<'_>, query: &QuerySpec, answe
             }
         }
     }
+}
+
+/// Three-keyword masks: selector `s` → mask `(s + 1) % 8` (0 skipped).
+fn build_query_three(scorer: &Scorer<'_>, case: &RandomCase) -> Option<QuerySpec> {
+    let matches: Vec<_> = case
+        .matcher_sel
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &sel)| {
+            let mask = (sel as u32 + 1) % 8;
+            (mask != 0).then_some((NodeId(i as u32), mask, 2 + (i as u32 % 3)))
+        })
+        .collect();
+    if matches.is_empty() {
+        return None;
+    }
+    Some(QuerySpec::from_matches(
+        scorer,
+        vec!["a".into(), "b".into(), "c".into()],
+        matches,
+    ))
+}
+
+/// Runs `opts` untraced and fully traced — the partner index and
+/// dead-pop skip against the exhaustive walk full tracing keeps — and
+/// asserts identical answers (bit for bit) and statistics, rejection
+/// counters and truncation included.
+fn assert_full_walk_agrees<O: DistanceOracle>(
+    name: &str,
+    scorer: &Scorer<'_>,
+    query: &QuerySpec,
+    oracle: &O,
+    opts: &SearchOptions,
+) -> (Vec<Answer>, SearchStats) {
+    let (answers, stats) = bnb_search(scorer, query, oracle, opts);
+    let traced = SearchOptions {
+        trace: TraceLevel::Full,
+        ..opts.clone()
+    };
+    let (walked, walk_stats) = bnb_search(scorer, query, oracle, &traced);
+    assert_eq!(stats, walk_stats, "{name}: statistics differ from the walk");
+    assert_eq!(answers.len(), walked.len(), "{name}: answer counts");
+    for (a, b) in answers.iter().zip(&walked) {
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name}: scores");
+        assert_eq!(
+            format!("{:?}", a.tree),
+            format!("{:?}", b.tree),
+            "{name}: trees"
+        );
+    }
+    (answers, stats)
 }
 
 fn assert_equivalent(name: &str, left: &[ci_search::Answer], right: &[ci_search::Answer]) {
@@ -283,5 +335,96 @@ proptest! {
                 }
             }
         }
+    }
+    /// Tight shape caps (D ∈ {2, 3}, at most 3–4 nodes), where most pops
+    /// are shape-dead and the partner index skips most same-root
+    /// partners: branch-and-bound still equals the exhaustive oracle, with
+    /// two and three keywords, and the untraced run equals the fully
+    /// traced walk.
+    #[test]
+    fn bnb_matches_naive_under_tight_caps(
+        case in random_case(8),
+        diameter in 2u32..4,
+        max_tree_nodes in 3usize..5,
+        three in 0u8..2,
+    ) {
+        let graph = build_graph(&case);
+        let p = case.importance.clone();
+        let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+        let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
+        let query = if three == 1 {
+            build_query_three(&scorer, &case)
+        } else {
+            build_query(&scorer, &case)
+        };
+        let Some(query) = query else { return Ok(()); };
+        if !query.answerable() { return Ok(()); }
+        let opts = SearchOptions {
+            diameter,
+            k: 5,
+            max_tree_nodes,
+            naive_max_paths: 100_000,
+            naive_max_combinations: 1_000_000,
+            ..Default::default()
+        };
+        let (oracle_answers, naive_stats) = naive_search(&scorer, &query, &opts);
+        prop_assert!(!naive_stats.truncated());
+        let (plain, stats) = assert_full_walk_agrees("tight", &scorer, &query, &NoIndex, &opts);
+        prop_assert!(!stats.truncated());
+        assert_equivalent("tight", &oracle_answers, &plain);
+
+        let damp: Vec<f64> = graph.nodes().map(|v| scorer.dampening(v)).collect();
+        let star_rels = detect_star_relations(&graph);
+        let star = StarIndex::build(&graph, &damp, opts.diameter, &star_rels).into_oracle(&graph);
+        let (starred, _) = assert_full_walk_agrees("tight-star", &scorer, &query, &star, &opts);
+        assert_equivalent("tight-star", &oracle_answers, &starred);
+    }
+}
+
+proptest! {
+    // Thousands of cases: a skipped merge that is the last entry the walk
+    // would have popped needs a rare combination of caps and rule.
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// Small expansion and candidate-memory budgets: a merge the partner
+    /// index skips, or a dead pop whose walk is skipped, must trip a
+    /// budget gate exactly where the exhaustive walk's rejected entry
+    /// did — same truncation, same counters, same answers. The paper's
+    /// strict merge rule leaves admissions whose only mergeable partners
+    /// are over the caps, the case where a skipped merge is the last
+    /// entry the walk would have popped.
+    #[test]
+    fn skipped_work_trips_budget_gates_like_the_walk(
+        case in random_case(14),
+        diameter in 2u32..5,
+        max_tree_nodes in 3usize..7,
+        max_expansions in 1usize..12,
+        max_candidates in 2usize..200,
+        axis in 0u8..3,
+        strict_rule in 0u8..2,
+        k in 1usize..6,
+    ) {
+        let graph = build_graph(&case);
+        let p = case.importance.clone();
+        let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+        let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
+        let Some(query) = build_query_three(&scorer, &case) else { return Ok(()); };
+        if !query.answerable() { return Ok(()); }
+        let budget = match axis {
+            0 => QueryBudget::default().with_max_expansions(max_expansions),
+            1 => QueryBudget::default().with_max_candidates(max_candidates),
+            _ => QueryBudget::default()
+                .with_max_expansions(max_expansions)
+                .with_max_candidates(max_candidates),
+        };
+        let opts = SearchOptions {
+            diameter,
+            k,
+            max_tree_nodes,
+            budget,
+            allow_redundant_matchers: strict_rule == 0,
+            ..Default::default()
+        };
+        assert_full_walk_agrees("budgeted", &scorer, &query, &NoIndex, &opts);
     }
 }

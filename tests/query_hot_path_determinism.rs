@@ -30,7 +30,7 @@
 
 use ci_rank_suite::fingerprint::{
     build, cases, full_trace_fingerprint, workload_fingerprint, workload_fingerprint_reused,
-    workload_fingerprint_with, SMALL_MAX_CANDIDATES,
+    workload_fingerprint_with, Fnv, SMALL_MAX_CANDIDATES,
 };
 
 /// Pre-optimization baselines, one per `fingerprint::cases()` entry.
@@ -178,6 +178,15 @@ const ZIPF_STAR_FULL_TRACE: u64 = 0x30b5_5439_d3eb_4268;
 /// the same rewrite.
 const ZIPF_STAR_MAX_CANDIDATES: u64 = 0xbf90_4692_03b4_3d94;
 
+/// FNV of the zipf/star workload under a small expansion budget, whose
+/// registration cap (10× the pop cap) binds inside merge cascades —
+/// the gate a shape-skipped merge or grow must still trip. Captured with
+/// fresh sessions, before same-root partners were indexed by depth.
+const ZIPF_STAR_REGISTRATION_CAP: u64 = 0xb545_2eaa_6d27_0712;
+
+/// Pop caps of the registration-cap replay.
+const SMALL_MAX_EXPANSIONS: [usize; 4] = [2, 5, 12, 40];
+
 fn zipf_star() -> (ci_rank::EngineSnapshot, Vec<String>) {
     let (_, kind, data, queries) = cases()
         .into_iter()
@@ -221,5 +230,38 @@ fn candidate_memory_budget_matches_pin() {
     assert_eq!(
         fresh, ZIPF_STAR_MAX_CANDIDATES,
         "max_candidates replay changed"
+    );
+}
+
+#[test]
+fn registration_cap_matches_pin() {
+    use ci_rank::QueryBudget;
+    let (snap, queries) = zipf_star();
+    let mut h = Fnv::new();
+    let mut at_cap = 0;
+    for cap in SMALL_MAX_EXPANSIONS {
+        let budget = QueryBudget::default().with_max_expansions(cap);
+        let fresh = workload_fingerprint_with(&snap, &queries, |s| s.session().with_budget(budget));
+        let session = snap.session().with_budget(budget);
+        at_cap += queries
+            .iter()
+            .filter(|q| {
+                session
+                    .search_with_stats(q)
+                    .is_ok_and(|(_, s)| s.registered >= 10 * cap)
+            })
+            .count();
+        let reused = workload_fingerprint_reused(&session, &queries);
+        assert_eq!(
+            fresh, reused,
+            "cap {cap}: reused session diverged under the registration cap"
+        );
+        h.u64(fresh);
+    }
+    assert!(at_cap > 0, "the registration cap must bind on some queries");
+    assert_eq!(
+        h.0, ZIPF_STAR_REGISTRATION_CAP,
+        "registration-cap replay changed: {:#x}",
+        h.0
     );
 }

@@ -32,7 +32,9 @@ struct Expected {
     bound_pruned: u64,
     distance_pruned: u64,
     merges: u64,
-    structural: u64,
+    dead_pops: u64,
+    merge_shape: u64,
+    merge_rule: u64,
     infeasible_leaves: u64,
     duplicate: u64,
     merge_sig_disjoint: u64,
@@ -57,7 +59,9 @@ fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
                 e.distance_pruned += stats.distance_pruned as u64;
                 e.merges += stats.merges as u64;
                 let r = &stats.rejections;
-                e.structural += r.structural as u64;
+                e.dead_pops += r.dead_pops as u64;
+                e.merge_shape += r.merge_shape as u64;
+                e.merge_rule += r.merge_rule as u64;
                 e.infeasible_leaves += r.infeasible_leaves as u64;
                 e.duplicate += r.duplicate as u64;
                 e.merge_sig_disjoint += r.merge_sig_disjoint as u64;
@@ -88,10 +92,9 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
         "{label}: distance_pruned"
     );
     assert_eq!(delta.merges, e.merges, "{label}: merges");
-    assert_eq!(
-        delta.rejected_structural, e.structural,
-        "{label}: structural"
-    );
+    assert_eq!(delta.dead_pops, e.dead_pops, "{label}: dead pops");
+    assert_eq!(delta.merge_shape, e.merge_shape, "{label}: shape merges");
+    assert_eq!(delta.merge_rule, e.merge_rule, "{label}: merge rule");
     assert_eq!(
         delta.rejected_infeasible_leaves, e.infeasible_leaves,
         "{label}: infeasible leaves"
@@ -107,7 +110,7 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
     );
     assert_eq!(delta.merge_overlap, e.merge_overlap, "{label}: overlap");
     assert!(
-        e.structural > 0 && e.merge_matcher_overlap > 0 && e.merge_overlap > 0,
+        e.dead_pops > 0 && e.merge_shape > 0 && e.merge_matcher_overlap > 0 && e.merge_overlap > 0,
         "{label}: the workload exercises the rejection counters"
     );
     assert_eq!(delta.truncated_total(), e.truncated, "{label}: truncations");
@@ -172,7 +175,9 @@ fn metrics_are_exact_across_concurrent_sessions() {
         total.bound_pruned += e.bound_pruned;
         total.distance_pruned += e.distance_pruned;
         total.merges += e.merges;
-        total.structural += e.structural;
+        total.dead_pops += e.dead_pops;
+        total.merge_shape += e.merge_shape;
+        total.merge_rule += e.merge_rule;
         total.infeasible_leaves += e.infeasible_leaves;
         total.duplicate += e.duplicate;
         total.merge_sig_disjoint += e.merge_sig_disjoint;
@@ -302,4 +307,78 @@ fn banks_honors_session_options() {
         longer += usize::from(full.len() > 2);
     }
     assert!(longer > 0, "{label}: some query has more than two answers");
+}
+
+/// Every merge attempt lands in exactly one class:
+/// `merges = merge_shape + merge_rule + merge_sig_disjoint +
+/// merge_matcher_overlap + merge_overlap + scan-passed`. The untraced run skips over-cap partners
+/// and counts them in O(1); a [`ci_rank::TraceLevel::Full`] run walks and
+/// records every attempt, and must report identical statistics. Its event
+/// stream then gives scan-passed independently: the attempts recorded as
+/// merged, less the signature-disjoint ones, less the merges later pruned
+/// on shape (a structural prune not directly after its `Grow` event).
+#[test]
+fn merge_attempts_land_in_exactly_one_class() {
+    use ci_rank::{TraceEvent, TraceLevel};
+    use ci_search::PruneReason;
+    let (label, kind, data, queries) = cases().remove(1); // zipf/star
+    let snap = build(&data.db, kind, 1).unwrap();
+    let off = snap.session();
+    let full = snap.session().with_options(SearchOptions {
+        trace: TraceLevel::Full,
+        trace_capacity: ci_rank_suite::fingerprint::FULL_TRACE_CAPACITY,
+        ..snap.config().search_options()
+    });
+    let (mut shape, mut scanned) = (0, 0);
+    for q in &queries {
+        let Ok((_, stats)) = off.search_with_stats(q) else {
+            continue;
+        };
+        let (_, traced) = full.search_with_stats(q).unwrap();
+        assert_eq!(stats, traced, "{label}: {q:?} Off vs Full statistics");
+        let trace = full.last_trace();
+        assert_eq!(trace.dropped(), 0, "{label}: {q:?} trace capacity");
+        let events = trace.events();
+        let mut attempts = 0;
+        let mut merged = 0;
+        let mut merge_structural = 0;
+        for (i, e) in events.iter().enumerate() {
+            match e {
+                TraceEvent::Merge { merged: m, .. } => {
+                    attempts += 1;
+                    merged += usize::from(*m);
+                }
+                TraceEvent::Prune {
+                    reason: PruneReason::Structural,
+                    ..
+                } if !matches!(
+                    i.checked_sub(1).map(|j| &events[j]),
+                    Some(TraceEvent::Grow { .. })
+                ) =>
+                {
+                    merge_structural += 1;
+                }
+                _ => {}
+            }
+        }
+        let r = &stats.rejections;
+        assert_eq!(attempts, stats.merges, "{label}: {q:?} attempts");
+        let scan_passed = merged - r.merge_sig_disjoint - merge_structural;
+        assert_eq!(
+            stats.merges,
+            r.merge_shape
+                + r.merge_rule
+                + r.merge_sig_disjoint
+                + r.merge_matcher_overlap
+                + r.merge_overlap
+                + scan_passed,
+            "{label}: {q:?} merge classes"
+        );
+        shape += r.merge_shape;
+        scanned += scan_passed;
+    }
+    assert!(
+        shape > 0 && scanned > 0,
+        "{label}: the workload skips partners and passes scans"
+    );
 }
