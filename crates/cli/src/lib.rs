@@ -258,9 +258,11 @@ fn search(args: &[String]) -> Result<String, CliError> {
         if want_trace {
             let trace = session.last_trace();
             let c = trace.counts();
+            // The trace counts what was enumerated; the stats also count
+            // the work skipped as over the caps, which leaves no event.
             let _ = writeln!(
                 out,
-                "trace: {} pops, {} grows, {} merges, {} admits, {} prunes, \
+                "trace: {} pops, {} grows, {} merge tests, {} admits, {} prunes, \
                  {} truncations, {} cache transitions ({} events kept, {} dropped)",
                 c.pops,
                 c.grows,
@@ -274,12 +276,15 @@ fn search(args: &[String]) -> Result<String, CliError> {
             );
             let _ = writeln!(
                 out,
-                "stats: {} pops, {} registered, {} bound-pruned, {} distance-pruned, {} merges",
+                "stats: {} pops ({} dead), {} registered, {} bound-pruned, \
+                 {} distance-pruned, {} merge attempts ({} over the caps)",
                 stats.pops,
+                stats.rejections.dead_pops,
                 stats.registered,
                 stats.bound_pruned,
                 stats.distance_pruned,
                 stats.merges,
+                stats.rejections.merge_shape,
             );
         }
         answers

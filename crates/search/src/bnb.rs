@@ -8,7 +8,7 @@ use ci_rwmp::Scorer;
 use crate::answer::{Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
 use crate::budget::TruncationReason;
-use crate::candidate::{Candidate, Shape};
+use crate::candidate::Shape;
 use crate::query::QuerySpec;
 use crate::scratch::{Overlap, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
@@ -64,10 +64,9 @@ pub struct SearchStats {
 /// [`crate::TraceLevel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionStats {
-    /// Pops whose every grow exceeds the diameter or tree-size cap: their
-    /// neighbour walk is skipped (it still runs under
-    /// [`crate::TraceLevel::Full`], and when a budget gate at its cap must
-    /// trip on the first grow).
+    /// Pops whose every grow exceeds the diameter or tree-size cap: they
+    /// are counted in `pops`, but their neighbour walk is skipped and no
+    /// grow of them is enumerated.
     pub dead_pops: usize,
     /// Merge attempts whose result would exceed the diameter or tree-size
     /// cap: same-root partners the depth-bucketed index skips, counted in
@@ -127,12 +126,13 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// One registration-worklist entry: a candidate still to be built. The
-/// structural pre-check reads its shape first, so a candidate the
-/// structural prune would reject is never built. The candidate store is
-/// append-only within a run, so merge operands stay valid while queued,
-/// and a grow always extends the current pop slot, which no registration
-/// modifies.
+/// One registration-worklist entry: a candidate still to be built. Every
+/// entry fits `D` and `max_tree_nodes` by construction — a seed is one
+/// node, a grow comes only from a pop that is not dead, and a merge only
+/// from a partner the depth-bucketed index visited — so nothing is
+/// enumerated that could not be built. The candidate store is append-only
+/// within a run, so merge operands stay valid while queued, and a grow
+/// always extends the current pop slot, which no registration modifies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Pending {
     /// A matcher seed `(node, mask)`.
@@ -232,7 +232,8 @@ pub fn bnb_search_in<O: DistanceOracle>(
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         last_pop: None,
     };
-    if !query.answerable() {
+    // With no room for even a seed there is nothing to enumerate.
+    if !query.answerable() || opts.max_tree_nodes == 0 {
         return (Vec::new(), run.stats);
     }
     // Seed in the spec's deterministic matcher order (`matchers()` follows
@@ -329,14 +330,10 @@ pub fn bnb_search_in<O: DistanceOracle>(
             }
         }
         // A pop whose every grow exceeds a cap registers nothing: skip its
-        // neighbour walk. Full tracing keeps the walk (and its `Grow` and
-        // structural `Prune` events), and so does a budget gate at its
-        // cap, which the first grow's registration would trip.
+        // neighbour walk.
         if !fits(run.opts, run.scratch.pop_slot.cand.grow_shape()) {
             run.stats.rejections.dead_pops += 1;
-            if !run.scratch.trace.level().full() && run.gate().is_none() {
-                continue;
-            }
+            continue;
         }
         let root = run.scratch.pop_slot.cand.root();
         run.scratch.neighbors.clear();
@@ -386,33 +383,26 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// Counts a rejected candidate under its reason and, at the Full
-    /// level, records a [`TraceEvent::Prune`] for it.
-    fn prune(&mut self, reason: PruneReason, root: NodeId, size: usize, mask: u32) {
+    /// Counts the candidate in the build slot as rejected under `reason`
+    /// and, at the Full level, records a [`TraceEvent::Prune`] for it.
+    fn reject(&mut self, reason: PruneReason) -> Option<usize> {
         let r = &mut self.stats.rejections;
         match reason {
-            // Shape rejections are counted where they are skipped:
-            // `dead_pops` and `merge_shape`.
-            PruneReason::Structural => {}
             PruneReason::InfeasibleLeaves => r.infeasible_leaves += 1,
             PruneReason::Duplicate => r.duplicate += 1,
             PruneReason::Distance => self.stats.distance_pruned += 1,
             PruneReason::Bound => self.stats.bound_pruned += 1,
         }
         if self.scratch.trace.level().full() {
-            self.scratch.trace.emit(TraceEvent::Prune {
+            let cand = &self.scratch.build_slot.cand;
+            let event = TraceEvent::Prune {
                 reason,
-                root,
-                size,
-                mask,
-            });
+                root: cand.root(),
+                size: cand.size(),
+                mask: cand.mask,
+            };
+            self.scratch.trace.emit(event);
         }
-    }
-
-    /// [`SearchRun::prune`] for the candidate in the build slot.
-    fn reject(&mut self, reason: PruneReason) -> Option<usize> {
-        let cand = &self.scratch.build_slot.cand;
-        self.prune(reason, cand.root(), cand.size(), cand.mask);
         None
     }
 
@@ -436,7 +426,11 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     }
 
     /// The budget gate every worklist entry passes before it is built:
-    /// the truncation reason if a cap is reached. Merge cascades at hub
+    /// the truncation reason if a cap is reached. Only buildable work
+    /// reaches the gate, so a run is truncated only when it drops real
+    /// work (or hits the pop cap or the deadline); and since both capped
+    /// quantities only grow, a gate at its cap admits nothing more — an
+    /// untruncated budgeted run is the unlimited run. Merge cascades at hub
     /// roots can register far more candidates than the pop cap ever
     /// touches, so the expansion budget also bounds total registrations
     /// (at 10× the pop cap), and the candidate-memory budget bounds the
@@ -462,17 +456,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     /// candidate, then every merge that cascades from it. Each worklist
     /// entry passes the budget gate ([`SearchRun::gate`]) before anything
     /// is built.
-    ///
-    /// Outside full tracing, a merge that fails the shape check is never
-    /// pushed; the full-trace walk pushes it, to be popped and rejected.
-    /// That pop changes nothing except tripping a gate at its cap, and a
-    /// later real entry trips the gate in the same state — unless none is
-    /// left. So when the worklist drains with a gate at its cap, the
-    /// cascade still truncates if a skipped merge would have sat below
-    /// every real entry (see [`SearchRun::skipped_merge_in_tail`]), and
-    /// both paths stop at the same point.
     fn register(&mut self, entry: Pending) {
-        self.scratch.skipped_tail.clear();
         self.scratch.worklist.push(entry);
         while let Some(entry) = self.scratch.worklist.pop() {
             if let Some(reason) = self.gate() {
@@ -491,39 +475,24 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 self.merge_partners(idx);
             }
         }
-        if self.scratch.skipped_tail.is_empty() {
-            return;
-        }
-        if let Some(reason) = self.gate() {
-            if self.skipped_merge_in_tail() {
-                self.truncate(reason);
-            }
-        }
     }
 
     /// Attempts to merge freshly admitted `idx` (still in the build slot)
     /// with every candidate admitted before it under the same root, in
     /// admission order, pushing each merge that succeeds. Only partners
-    /// within `D − depth` and `max_tree_nodes + 1 − size` are visited;
-    /// full tracing visits them all, to record every attempt.
+    /// within `D − depth` and `max_tree_nodes + 1 − size` are visited; the
+    /// rest are counted in O(1) as `merge_shape`.
     fn merge_partners(&mut self, idx: usize) {
         let cand = &self.scratch.build_slot.cand;
         let (root, depth, size) = (cand.root(), cand.depth, cand.size());
         let count = self.scratch.partner_index.count(root);
         self.stats.merges += count.saturating_sub(1);
-        let full = self.scratch.trace.level().full();
-        let (max_depth, max_size) = if full {
-            (u32::MAX, usize::MAX)
-        } else {
-            (
-                self.opts.diameter.saturating_sub(depth),
-                self.opts
-                    .max_tree_nodes
-                    .saturating_add(1)
-                    .saturating_sub(size),
-            )
-        };
-        let worklist_was_empty = self.scratch.worklist.is_empty();
+        let max_depth = self.opts.diameter.saturating_sub(depth);
+        let max_size = self
+            .opts
+            .max_tree_nodes
+            .saturating_add(1)
+            .saturating_sub(size);
         self.scratch.collect_partners(root, max_depth, max_size);
         let mut visited = 0;
         for t in 0..self.scratch.partners.len() {
@@ -536,10 +505,8 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             }
             visited += 1;
             let outcome = self.merge_test(idx, partner);
-            let shape_ok = !full || self.merge_fits(idx, partner);
             let r = &mut self.stats.rejections;
             match outcome {
-                _ if !shape_ok => r.merge_shape += 1,
                 None => r.merge_rule += 1,
                 Some(Overlap::SigDisjoint) => r.merge_sig_disjoint += 1,
                 Some(Overlap::SharedMatcher) => r.merge_matcher_overlap += 1,
@@ -547,7 +514,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 Some(Overlap::ScanDisjoint) => {}
             }
             let merged = outcome.is_some_and(Overlap::disjoint);
-            if full {
+            if self.scratch.trace.level().full() {
                 self.scratch.trace.emit(TraceEvent::Merge {
                     root,
                     idx,
@@ -559,59 +526,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 self.scratch.worklist.push(Pending::Merge { idx, partner });
             }
         }
-        let skipped = count.saturating_sub(1 + visited);
-        self.stats.rejections.merge_shape += skipped;
-        if skipped > 0 && worklist_was_empty {
-            self.scratch.skipped_tail.push(idx);
-        }
-    }
-
-    /// Whether a merge the index skipped in this cascade would have been
-    /// pushed below every real worklist entry: for some recorded
-    /// admission, the oldest partner that passes the merge test fails
-    /// the shape check. Runs only when the worklist has drained with a
-    /// budget gate at its cap.
-    fn skipped_merge_in_tail(&mut self) -> bool {
-        for i in 0..self.scratch.skipped_tail.len() {
-            let Some(&idx) = self.scratch.skipped_tail.get(i) else {
-                break;
-            };
-            let Some(root) = self
-                .scratch
-                .store
-                .view(idx)
-                .and_then(|v| v.nodes.first().copied())
-            else {
-                continue;
-            };
-            self.scratch.collect_partners(root, u32::MAX, usize::MAX);
-            for t in 0..self.scratch.partners.len() {
-                let Some(&p32) = self.scratch.partners.get(t) else {
-                    break;
-                };
-                let partner = p32 as usize;
-                if partner >= idx {
-                    break;
-                }
-                if self.merge_test(idx, partner).is_some_and(Overlap::disjoint) {
-                    if !self.merge_fits(idx, partner) {
-                        return true;
-                    }
-                    break;
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether the merge of stored candidates `idx` and `partner` fits
-    /// `D` and `max_tree_nodes`.
-    fn merge_fits(&self, idx: usize, partner: usize) -> bool {
-        let store = &self.scratch.store;
-        match (store.view(idx), store.view(partner)) {
-            (Some(a), Some(b)) => fits(self.opts, Candidate::merge_shape(a, b)),
-            _ => false,
-        }
+        self.stats.rejections.merge_shape += count.saturating_sub(1 + visited);
     }
 
     /// The merge test of arena candidates `idx` and `partner` (same
@@ -629,10 +544,8 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     }
 
     /// Builds a worklist entry into the build slot, with its flows and
-    /// signatures — unless its shape already fails the structural prune,
-    /// which is then traced exactly as for a built candidate. Only full
-    /// tracing (which walks every grow and partner) and a zero
-    /// `max_tree_nodes` reach that prune. Returns whether it was built.
+    /// signatures. Returns whether it was built (a merge whose operands
+    /// are not stored is not).
     fn build(&mut self, entry: Pending) -> bool {
         let SearchScratch {
             store,
@@ -640,25 +553,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             build_slot: slot,
             ..
         } = &mut *self.scratch;
-        let (shape, root, mask) = match entry {
-            Pending::Seed(node, mask) => (Shape::SEED, node, mask),
-            Pending::Grow(v) => {
-                let pop = &pop_slot.cand;
-                (pop.grow_shape(), v, pop.mask | self.query.mask_of(v))
-            }
-            Pending::Merge { idx, partner } => {
-                let (Some(a), Some(b)) = (store.view(idx), store.view(partner)) else {
-                    debug_assert!(false, "merge operands are stored candidates");
-                    return false;
-                };
-                let root = a.nodes.first().copied().unwrap_or(NodeId(u32::MAX));
-                (Candidate::merge_shape(a, b), root, a.mask | b.mask)
-            }
-        };
-        if !fits(self.opts, shape) {
-            self.prune(PruneReason::Structural, root, shape.size, mask);
-            return false;
-        }
         match entry {
             Pending::Seed(node, mask) => {
                 slot.cand.set_seed(node, mask);
@@ -682,15 +576,17 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 assert_grow_exact(self.scorer, self.query, tree, &slot.flows);
             }
             Pending::Merge { idx, partner } => {
-                if let (Some(a), Some(b), Some(ka), Some(kb)) = (
+                let (Some(a), Some(b), Some(ka), Some(kb)) = (
                     store.view(idx),
                     store.view(partner),
                     store.key(idx),
                     store.key(partner),
-                ) {
-                    slot.cand.merge_into(a, b);
-                    slot.merge_sigs(ka, kb);
-                }
+                ) else {
+                    debug_assert!(false, "merge operands are stored candidates");
+                    return false;
+                };
+                slot.cand.merge_into(a, b);
+                slot.merge_sigs(ka, kb);
                 // Merged shapes recompute flows from scratch: the subtree
                 // positions interleave, so no incremental copy applies.
                 let tree = slot.cand.tree();
@@ -698,6 +594,17 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 self.scorer.fill_flows(tree, sources, &mut slot.flows);
             }
         }
+        // Only buildable work is enumerated (see `Pending`).
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        assert!(
+            slot.cand.diameter <= self.opts.diameter
+                && slot.cand.size() <= self.opts.max_tree_nodes,
+            "built a candidate over the caps: diameter {} (D = {}), {} nodes (max {})",
+            slot.cand.diameter,
+            self.opts.diameter,
+            slot.cand.size(),
+            self.opts.max_tree_nodes
+        );
         true
     }
 
@@ -993,6 +900,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_tree_nodes_returns_nothing_without_work() {
+        let (g, p) = coauthor_graph();
+        let scorer = Scorer::new(&g, &p, 0.05, Dampening::paper_default());
+        let q = query_ab(&scorer);
+        let opts = SearchOptions {
+            max_tree_nodes: 0,
+            trace: crate::TraceLevel::Full,
+            ..Default::default()
+        };
+        let mut scratch = SearchScratch::new();
+        let (answers, stats) = bnb_search_in(&scorer, &q, &NoIndex, &opts, &mut scratch);
+        assert!(answers.is_empty());
+        assert_eq!(stats, SearchStats::default());
+        assert!(scratch.trace().events().is_empty());
+    }
+
+    #[test]
     fn candidate_memory_budget_truncates() {
         let (g, p) = coauthor_graph();
         let scorer = Scorer::new(&g, &p, 0.05, Dampening::paper_default());
@@ -1016,6 +940,7 @@ mod tests {
 #[cfg(test)]
 mod flow_tests {
     use super::*;
+    use crate::candidate::Candidate;
     use crate::query::MatcherInfo;
     use ci_graph::{GraphBuilder, NodeId};
     use ci_rwmp::{Dampening, FlowState};

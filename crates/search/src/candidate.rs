@@ -111,18 +111,6 @@ impl Candidate {
         }
     }
 
-    /// Shape of the merge of `a` and `b` (see [`Candidate::merge_into`]),
-    /// known before it is built: the two root subtrees share only the
-    /// root, so the longest new path joins the two deepest leaves through
-    /// it.
-    pub fn merge_shape(a: CandidateRef<'_>, b: CandidateRef<'_>) -> Shape {
-        Shape {
-            size: a.nodes.len() + b.nodes.len() - 1,
-            depth: a.depth.max(b.depth),
-            diameter: a.diameter.max(b.diameter).max(a.depth + b.depth),
-        }
-    }
-
     /// *Tree grow*: a new root `new_root` (a graph neighbor of the current
     /// root, not already contained) adopts this candidate as its single
     /// child subtree, written into a reused buffer (no allocation once the
@@ -180,10 +168,11 @@ impl Candidate {
         for &p in b.parent.get(1..).unwrap_or(&[]) {
             self.parent.push(if p == 0 { 0 } else { p + offset });
         }
-        let shape = Candidate::merge_shape(a, b);
         self.mask = a.mask | b.mask;
-        self.depth = shape.depth;
-        self.diameter = shape.diameter;
+        self.depth = a.depth.max(b.depth);
+        // The two root subtrees share only the root, so the longest new
+        // path joins their deepest leaves through it.
+        self.diameter = a.diameter.max(b.diameter).max(a.depth + b.depth);
     }
 
     /// Writes the candidate's dedup identity into `out`: the root, then one
@@ -238,6 +227,16 @@ impl Candidate {
         }
     }
 
+    /// Shape of the merge of `a` and `b`, as [`Candidate::merge_into`]
+    /// derives it.
+    pub fn merge_shape(a: CandidateRef<'_>, b: CandidateRef<'_>) -> Shape {
+        Shape {
+            size: a.nodes.len() + b.nodes.len() - 1,
+            depth: a.depth.max(b.depth),
+            diameter: a.diameter.max(b.diameter).max(a.depth + b.depth),
+        }
+    }
+
     /// [`Candidate::grow_into`] into a fresh candidate.
     pub fn grow(&self, new_root: NodeId, query: &QuerySpec) -> Candidate {
         let mut out = Candidate::empty();
@@ -281,10 +280,10 @@ pub struct CandidateRef<'a> {
     pub diameter: u32,
 }
 
-/// Size, depth and diameter of a candidate: everything the structural
-/// prune reads. [`Candidate::grow_shape`] and [`Candidate::merge_shape`]
-/// give the shape of a grow or merge before it is built, so the search
-/// never builds a candidate the structural prune would reject.
+/// Size, depth and diameter of a candidate: everything the `D` and
+/// `max_tree_nodes` caps read. [`Candidate::grow_shape`] gives the shape
+/// of a grow before it is built, so the search can skip a pop none of
+/// whose grows fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     /// Number of nodes.
@@ -293,15 +292,6 @@ pub struct Shape {
     pub depth: u32,
     /// Tree diameter.
     pub diameter: u32,
-}
-
-impl Shape {
-    /// Shape of a seed (single-node) candidate.
-    pub const SEED: Shape = Shape {
-        size: 1,
-        depth: 0,
-        diameter: 0,
-    };
 }
 
 #[cfg(test)]
@@ -430,6 +420,11 @@ mod tests {
         let shallow = Candidate::seed(NodeId(5), 0b10).grow(NodeId(9), &q);
         let want = Candidate::merge_shape(deep.view(), shallow.view());
         assert_eq!(deep.merge(&shallow).unwrap().shape(), want);
-        assert_eq!(Candidate::seed(NodeId(5), 0b10).shape(), Shape::SEED);
+        let seed = Shape {
+            size: 1,
+            depth: 0,
+            diameter: 0,
+        };
+        assert_eq!(Candidate::seed(NodeId(5), 0b10).shape(), seed);
     }
 }

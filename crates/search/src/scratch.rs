@@ -336,12 +336,6 @@ pub struct SearchScratch {
     pub(crate) partner_index: PartnerIndex,
     /// Registration cascade worklist: unbuilt seeds, grows and merges.
     pub(crate) worklist: Vec<Pending>,
-    /// Each admission in the current cascade that found the worklist
-    /// empty and had partners the index skipped on shape. A skipped merge
-    /// older than the first real one it pushed would have been popped
-    /// after every real entry — the last chance for a budget gate at its
-    /// cap to trip (see `SearchRun::register`).
-    pub(crate) skipped_tail: Vec<usize>,
     /// Partner-index read buffer (admission order).
     pub(crate) partners: Vec<u32>,
     /// Root-neighbor read buffer for the expansion loop.
@@ -381,7 +375,6 @@ impl SearchScratch {
             + self.has_child.capacity() * size_of::<u64>()
             + self.partner_index.capacity_bytes()
             + self.worklist.capacity() * size_of::<Pending>()
-            + self.skipped_tail.capacity() * size_of::<usize>()
             + self.partners.capacity() * size_of::<u32>()
             + self.neighbors.capacity() * size_of::<NodeId>()
             + self.pop_slot.capacity_bytes()
@@ -404,7 +397,6 @@ impl SearchScratch {
         self.store.clear();
         self.partner_index.begin(max_depth);
         self.worklist.clear();
-        self.skipped_tail.clear();
         self.queue.clear();
         self.dedup.clear();
         self.partners.clear();

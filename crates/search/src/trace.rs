@@ -3,11 +3,17 @@
 //! A [`SearchTrace`] is a bounded, in-memory event buffer that records what
 //! Algorithm 1 actually did during one run: which candidates were popped
 //! and with what bound components (`ce`, `pe`, `ub = max(ce, pe)`), which
-//! grow and merge expansions were attempted, why candidates were pruned,
+//! grow and merge expansions were enumerated, why candidates were pruned,
 //! when a budget axis truncated the run, and when the session's oracle
 //! cache transitioned between hits and misses. It exists to make the
 //! search debuggable and tunable — the per-query work counters
 //! ([`crate::SearchStats`]) say *how much* happened; the trace says *what*.
+//!
+//! The trace records the run the engine does. Every level runs the same
+//! enumeration, so grows of a dead pop and merges with partners over the
+//! diameter or size cap — work the search skips, counted only in
+//! [`crate::RejectionStats`] as `dead_pops` and `merge_shape` — leave no
+//! event at any level.
 //!
 //! # Cost model
 //!
@@ -48,9 +54,9 @@ pub enum TraceLevel {
     /// Record queue pops ([`TraceEvent::Pop`]) and budget truncations
     /// ([`TraceEvent::Truncated`]) — the coarse shape of the run.
     Pops,
-    /// Record everything: pops, grow/merge decisions, per-candidate
-    /// admissions and prune reasons, and oracle-cache hit/miss
-    /// transitions.
+    /// Record everything: pops, every enumerated grow and merge attempt,
+    /// per-candidate admissions and prune reasons, and oracle-cache
+    /// hit/miss transitions.
     Full,
 }
 
@@ -72,9 +78,6 @@ impl TraceLevel {
 /// §IV-B, in the order the admission path applies them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
-    /// The candidate exceeded the diameter (`D`) or tree-size cap — it can
-    /// never shrink back into an admissible answer.
-    Structural,
     /// A non-root leaf is a free node (or a matcher whose keywords are
     /// redundant): no extension can make the leaf assignment feasible.
     InfeasibleLeaves,
@@ -118,8 +121,9 @@ pub enum TraceEvent {
         /// matchers disallowed).
         pe: f64,
     },
-    /// A *tree grow* expansion was attempted: the popped candidate's root
+    /// A *tree grow* expansion was enumerated: the popped candidate's root
     /// gains the neighbor `added` as the new root ([`TraceLevel::Full`]).
+    /// Only pops with a grow that fits the caps enumerate grows.
     Grow {
         /// Root of the candidate being expanded.
         from_root: NodeId,
@@ -127,7 +131,8 @@ pub enum TraceEvent {
         added: NodeId,
     },
     /// A *tree merge* between two same-rooted candidates was attempted
-    /// ([`TraceLevel::Full`]).
+    /// ([`TraceLevel::Full`]): the partner index visited a partner whose
+    /// merge fits the caps, and the merge test ran.
     Merge {
         /// The shared root.
         root: NodeId,

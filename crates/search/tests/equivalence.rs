@@ -15,8 +15,8 @@ use ci_graph::{Graph, GraphBuilder, NodeId};
 use ci_index::{detect_star_relations, DistanceOracle, NaiveIndex, NoIndex, StarIndex};
 use ci_rwmp::{Dampening, Scorer};
 use ci_search::{
-    bnb_search, explain_answer, naive_search, score_answer, Answer, QueryBudget, QuerySpec,
-    SearchOptions, SearchStats, TraceLevel,
+    bnb_search, explain_answer, is_valid_answer, naive_search, score_answer, Answer, QueryBudget,
+    QuerySpec, SearchOptions, SearchStats, TraceLevel,
 };
 use proptest::prelude::*;
 
@@ -148,11 +148,24 @@ fn build_query_three(scorer: &Scorer<'_>, case: &RandomCase) -> Option<QuerySpec
     ))
 }
 
-/// Runs `opts` untraced and fully traced — the partner index and
-/// dead-pop skip against the exhaustive walk full tracing keeps — and
-/// asserts identical answers (bit for bit) and statistics, rejection
-/// counters and truncation included.
-fn assert_full_walk_agrees<O: DistanceOracle>(
+/// Asserts two answer lists are identical: same length, and bit for bit
+/// the same scores and trees.
+fn assert_same_answers(name: &str, left: &[Answer], right: &[Answer]) {
+    assert_eq!(left.len(), right.len(), "{name}: answer counts");
+    for (a, b) in left.iter().zip(right) {
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name}: scores");
+        assert_eq!(
+            format!("{:?}", a.tree),
+            format!("{:?}", b.tree),
+            "{name}: trees"
+        );
+    }
+}
+
+/// Runs `opts` untraced and fully traced and asserts identical answers
+/// (bit for bit) and statistics, rejection counters and truncation
+/// included: every trace level runs the same enumeration.
+fn assert_trace_neutral<O: DistanceOracle>(
     name: &str,
     scorer: &Scorer<'_>,
     query: &QuerySpec,
@@ -164,17 +177,9 @@ fn assert_full_walk_agrees<O: DistanceOracle>(
         trace: TraceLevel::Full,
         ..opts.clone()
     };
-    let (walked, walk_stats) = bnb_search(scorer, query, oracle, &traced);
-    assert_eq!(stats, walk_stats, "{name}: statistics differ from the walk");
-    assert_eq!(answers.len(), walked.len(), "{name}: answer counts");
-    for (a, b) in answers.iter().zip(&walked) {
-        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name}: scores");
-        assert_eq!(
-            format!("{:?}", a.tree),
-            format!("{:?}", b.tree),
-            "{name}: trees"
-        );
-    }
+    let (traced_answers, traced_stats) = bnb_search(scorer, query, oracle, &traced);
+    assert_eq!(stats, traced_stats, "{name}: statistics differ when traced");
+    assert_same_answers(name, &answers, &traced_answers);
     (answers, stats)
 }
 
@@ -340,7 +345,7 @@ proptest! {
     /// are shape-dead and the partner index skips most same-root
     /// partners: branch-and-bound still equals the exhaustive oracle, with
     /// two and three keywords, and the untraced run equals the fully
-    /// traced walk.
+    /// traced one.
     #[test]
     fn bnb_matches_naive_under_tight_caps(
         case in random_case(8),
@@ -369,32 +374,62 @@ proptest! {
         };
         let (oracle_answers, naive_stats) = naive_search(&scorer, &query, &opts);
         prop_assert!(!naive_stats.truncated());
-        let (plain, stats) = assert_full_walk_agrees("tight", &scorer, &query, &NoIndex, &opts);
+        let (plain, stats) = assert_trace_neutral("tight", &scorer, &query, &NoIndex, &opts);
         prop_assert!(!stats.truncated());
         assert_equivalent("tight", &oracle_answers, &plain);
 
         let damp: Vec<f64> = graph.nodes().map(|v| scorer.dampening(v)).collect();
         let star_rels = detect_star_relations(&graph);
         let star = StarIndex::build(&graph, &damp, opts.diameter, &star_rels).into_oracle(&graph);
-        let (starred, _) = assert_full_walk_agrees("tight-star", &scorer, &query, &star, &opts);
+        let (starred, _) = assert_trace_neutral("tight-star", &scorer, &query, &star, &opts);
         assert_equivalent("tight-star", &oracle_answers, &starred);
     }
 }
 
+/// Runs `opts` under `budget` and checks the budget contract. A gate
+/// trips only before buildable work is built, and no admission can happen
+/// once a gate is at its cap, so an untruncated run must equal the
+/// unlimited run bit for bit, answers and statistics. A truncated run
+/// must still return only valid answers, each with its exact score.
+fn assert_budget_contract(
+    name: &str,
+    scorer: &Scorer<'_>,
+    query: &QuerySpec,
+    opts: &SearchOptions,
+    budget: QueryBudget,
+) -> (Vec<Answer>, SearchStats) {
+    let budgeted = SearchOptions {
+        budget,
+        ..opts.clone()
+    };
+    let (answers, stats) = assert_trace_neutral(name, scorer, query, &NoIndex, &budgeted);
+    if stats.truncated() {
+        for a in &answers {
+            assert!(is_valid_answer(&a.tree, query), "{name}: invalid answer");
+            let rescore = score_answer(scorer, query, &a.tree).expect("answers have matchers");
+            assert_eq!(rescore.to_bits(), a.score.to_bits(), "{name}: score");
+        }
+    } else {
+        let (exact, exact_stats) = bnb_search(scorer, query, &NoIndex, opts);
+        assert_eq!(
+            stats, exact_stats,
+            "{name}: statistics differ from unlimited"
+        );
+        assert_same_answers(name, &answers, &exact);
+    }
+    (answers, stats)
+}
+
 proptest! {
-    // Thousands of cases: a skipped merge that is the last entry the walk
-    // would have popped needs a rare combination of caps and rule.
+    // Thousands of cases: a gate reaching its cap just as the last
+    // buildable work runs out needs a rare combination of caps and rule.
     #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
 
-    /// Small expansion and candidate-memory budgets: a merge the partner
-    /// index skips, or a dead pop whose walk is skipped, must trip a
-    /// budget gate exactly where the exhaustive walk's rejected entry
-    /// did — same truncation, same counters, same answers. The paper's
-    /// strict merge rule leaves admissions whose only mergeable partners
-    /// are over the caps, the case where a skipped merge is the last
-    /// entry the walk would have popped.
+    /// Small expansion and candidate-memory budgets, under the paper's
+    /// strict merge rule and the redundant one: every run keeps the
+    /// budget contract (see [`assert_budget_contract`]).
     #[test]
-    fn skipped_work_trips_budget_gates_like_the_walk(
+    fn budgeted_runs_keep_the_budget_contract(
         case in random_case(14),
         diameter in 2u32..5,
         max_tree_nodes in 3usize..7,
@@ -421,10 +456,52 @@ proptest! {
             diameter,
             k,
             max_tree_nodes,
-            budget,
             allow_redundant_matchers: strict_rule == 0,
             ..Default::default()
         };
-        assert_full_walk_agrees("budgeted", &scorer, &query, &NoIndex, &opts);
+        assert_budget_contract("budgeted", &scorer, &query, &opts, budget);
     }
+}
+
+/// A candidate-memory budget whose cap is reached with pops still to
+/// come, none of which enumerates buildable work: their grows are over
+/// `max_tree_nodes` (dead pops) and their remaining same-root partners
+/// over the caps. No real work is dropped, so the run must report no
+/// truncation and return the exact answers.
+#[test]
+fn gate_at_cap_with_only_shape_dead_work_left_does_not_truncate() {
+    let case = RandomCase {
+        importance: vec![0.843, 0.945, 0.711, 0.558, 0.554],
+        spanning_choice: vec![7, 4, 5, 2, 6],
+        extra_edges: vec![(2, 4), (2, 3), (4, 3)],
+        weights: vec![3, 1, 3, 3, 3, 1, 1, 4, 3, 1, 1, 3, 2, 1],
+        matcher_sel: vec![2, 0, 0, 1, 0],
+    };
+    let graph = build_graph(&case);
+    let p = case.importance.clone();
+    let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+    let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
+    let query = build_query(&scorer, &case).expect("two matchers");
+    let opts = SearchOptions {
+        diameter: 3,
+        k: 4,
+        max_tree_nodes: 4,
+        naive_max_paths: 100_000,
+        naive_max_combinations: 1_000_000,
+        ..Default::default()
+    };
+    let cap = 15;
+    let (answers, stats) = assert_budget_contract(
+        "dead-at-cap",
+        &scorer,
+        &query,
+        &opts,
+        QueryBudget::default().with_max_candidates(cap),
+    );
+    assert_eq!(stats.truncation, None);
+    assert_eq!(stats.candidates_peak, cap, "the gate is at its cap");
+    assert!(stats.rejections.dead_pops > 0 && stats.rejections.merge_shape > 0);
+    let (oracle_answers, naive_stats) = naive_search(&scorer, &query, &opts);
+    assert!(!naive_stats.truncated());
+    assert_equivalent("dead-at-cap", &oracle_answers, &answers);
 }

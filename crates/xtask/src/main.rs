@@ -59,6 +59,13 @@
 //!    runs through its one metered path, which records the run; a second
 //!    recording site would let an entry point drift out of the registry
 //!    (or count a query twice).
+//! 9. **The trace level selects no code path** — in non-test code under
+//!    `crates/search/src`, a `level().full()` / `level().pops()` result
+//!    may only guard an emission directly (`if ….level().full() {`): it
+//!    may not be bound with `let` or combined with `&&` / `||`. Tracing
+//!    records the run the engine does; a level stored in a variable or
+//!    mixed into another condition is how a trace level starts steering
+//!    the enumeration, so that a traced run does different work.
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -125,6 +132,7 @@ fn lint() -> ExitCode {
     check_no_inner_loop_maps(&root, &mut findings);
     check_single_flow_kernel(&root, &mut findings);
     check_single_metered_path(&root, &mut findings);
+    check_trace_level_guards(&root, &mut findings);
 
     if findings.is_empty() {
         println!("xtask lint: ok");
@@ -506,6 +514,76 @@ fn check_single_metered_path(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Rule 9: the trace level selects no code path. In non-test code under
+/// `crates/search/src`, a `level().full()` / `level().pops()` result may
+/// not be bound with `let` or combined with `&&` / `||`.
+fn check_trace_level_guards(root: &Path, findings: &mut Vec<String>) {
+    for path in rust_files(&root.join("crates/search/src")) {
+        let Ok(src) = fs::read_to_string(&path) else {
+            findings.push(format!("{}: cannot read file", path.display()));
+            continue;
+        };
+        for n in trace_level_hits(&src) {
+            findings.push(format!(
+                "{}:{}: a trace level bound with `let` or combined with \
+                 `&&`/`||` — guard each emission with its own \
+                 `if ….level().full() {{` so no level changes the work",
+                path.display(),
+                n
+            ));
+        }
+    }
+}
+
+/// 1-based line numbers in the non-test region of `src` of statements
+/// that read `level().full()` or `level().pops()` and either start with
+/// `let` or contain `&&` / `||`. A statement runs from the line after the
+/// previous one ending in `;`, `{` or `}` to the next such line, so a
+/// method chain or condition rustfmt splits over lines counts whole. The
+/// line reported is the one holding `.full()` / `.pops()`.
+fn trace_level_hits(src: &str) -> Vec<usize> {
+    let code: Vec<String> = non_test_region(src)
+        .map(|line| {
+            let stripped = strip_strings(line);
+            match stripped.find("//") {
+                Some(i) => stripped.get(..i).unwrap_or_default().to_string(),
+                None => stripped,
+            }
+        })
+        .collect();
+    let ends = |l: &str| {
+        let t = l.trim_end();
+        t.ends_with(';') || t.ends_with('{') || t.ends_with('}')
+    };
+    let mut hits = Vec::new();
+    for (n, line) in code.iter().enumerate() {
+        if !line.contains(".full()") && !line.contains(".pops()") {
+            continue;
+        }
+        let mut start = n;
+        while start > 0 && code.get(start - 1).is_some_and(|l| !ends(l)) {
+            start -= 1;
+        }
+        let mut end = n;
+        while code.get(end).is_some_and(|l| !ends(l)) && end + 1 < code.len() {
+            end += 1;
+        }
+        let stmt: String = code
+            .get(start..=end)
+            .unwrap_or_default()
+            .concat()
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
+        let compact: String = stmt.split_whitespace().collect();
+        let reads_level = compact.contains("level().full()") || compact.contains("level().pops()");
+        if reads_level && (stmt.starts_with("let ") || stmt.contains("&&") || stmt.contains("||")) {
+            hits.push(n + 1);
+        }
+    }
+    hits
+}
+
 /// 1-based line numbers in the non-test region of `src` that call
 /// `record_search(` or `record_error(` outside comments, string literals
 /// and the methods' own definitions.
@@ -806,6 +884,29 @@ mod tests {
         assert!(metrics_record_hits(in_comment).is_empty());
         let mut findings = Vec::new();
         check_single_metered_path(&workspace_root(), &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn trace_level_steering_flagged_outside_tests_only() {
+        // The two ways a trace level once forked the search: a bound
+        // level, and a level folded into a skip condition.
+        let bound = "fn f() {}\n    let full = self.scratch.trace.level().full();\n";
+        assert_eq!(trace_level_hits(bound), vec![2]);
+        let combined = "fn f() {\n    if !run.scratch.trace.level().full() && run.gate().is_none() {\n        continue;\n    }\n}\n";
+        assert_eq!(trace_level_hits(combined), vec![2]);
+        let split = "fn f() {\n    if ready\n        || self\n            .scratch\n            .trace\n            .level()\n            .pops()\n    {\n    }\n}\n";
+        assert_eq!(trace_level_hits(split), vec![7]);
+        let guard = "fn f() {\n    if self.scratch.trace.level().full() {\n        emit();\n    }\n    if !self.scratch.trace.level().pops() {\n        return;\n    }\n    let ok = a && b;\n}\n";
+        assert!(trace_level_hits(guard).is_empty());
+        let elsewhere =
+            "fn f() {\n    let n = self.full();\n    // let full = trace.level().full() && x;\n}\n";
+        assert!(trace_level_hits(elsewhere).is_empty());
+        let in_tests =
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    let full = t.level().full();\n}\n";
+        assert!(trace_level_hits(in_tests).is_empty());
+        let mut findings = Vec::new();
+        check_trace_level_guards(&workspace_root(), &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

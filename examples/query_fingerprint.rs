@@ -7,9 +7,9 @@
 //! landed, so matching output proves the optimized path is bit-identical
 //! to the original implementation.
 //!
-//! It also prints the two zipf/star pins captured later: the complete
-//! `TraceLevel::Full` event stream and a replay under a small
-//! candidate-memory budget.
+//! It also prints each workload's complete `TraceLevel::Full` event
+//! stream hash with its dropped-event count (the zipf/star one is pinned),
+//! and the zipf/star replay under a small candidate-memory budget.
 //!
 //! Usage: `cargo run --release --example query_fingerprint`
 
@@ -32,9 +32,9 @@ fn main() {
         let snap = build(&data.db, kind, 1).expect("fingerprint dataset is non-empty");
         let fp = workload_fingerprint(&snap, &queries);
         println!("{label}: 0x{fp:016x} ({} queries)", queries.len());
+        let (trace, dropped) = full_trace_fingerprint(&snap, &queries);
+        println!("{label} full trace: 0x{trace:016x} ({dropped} events dropped)");
         if label == "zipf/star" {
-            let (trace, dropped) = full_trace_fingerprint(&snap, &queries);
-            println!("{label} full trace: 0x{trace:016x} ({dropped} events dropped)");
             let budget = QueryBudget::default().with_max_candidates(SMALL_MAX_CANDIDATES);
             let capped =
                 workload_fingerprint_with(&snap, &queries, |s| s.session().with_budget(budget));

@@ -242,7 +242,6 @@ fn hash_trace(h: &mut Fnv, trace: &SearchTrace) {
             } => {
                 h.byte(4);
                 h.byte(match reason {
-                    PruneReason::Structural => 0,
                     PruneReason::InfeasibleLeaves => 1,
                     PruneReason::Duplicate => 2,
                     PruneReason::Distance => 3,
@@ -266,7 +265,7 @@ fn hash_trace(h: &mut Fnv, trace: &SearchTrace) {
 }
 
 /// Trace capacity for [`full_trace_fingerprint`]: large enough that no
-/// event of the zipf/star workload is dropped.
+/// event of any [`cases`] workload is dropped.
 pub const FULL_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Candidate-memory cap of the pinned `max_candidates` replay: small

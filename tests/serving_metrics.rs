@@ -311,16 +311,16 @@ fn banks_honors_session_options() {
 
 /// Every merge attempt lands in exactly one class:
 /// `merges = merge_shape + merge_rule + merge_sig_disjoint +
-/// merge_matcher_overlap + merge_overlap + scan-passed`. The untraced run skips over-cap partners
-/// and counts them in O(1); a [`ci_rank::TraceLevel::Full`] run walks and
-/// records every attempt, and must report identical statistics. Its event
-/// stream then gives scan-passed independently: the attempts recorded as
-/// merged, less the signature-disjoint ones, less the merges later pruned
-/// on shape (a structural prune not directly after its `Grow` event).
+/// merge_matcher_overlap + merge_overlap + scan-passed`. The partner index
+/// skips over-cap partners and counts them in O(1) as `merge_shape`; every
+/// other attempt is enumerated, and a [`ci_rank::TraceLevel::Full`] run —
+/// which runs the same enumeration and must report identical statistics —
+/// records each as one `Merge` event. Its event stream then gives
+/// scan-passed independently: the attempts recorded as merged, less the
+/// signature-disjoint ones.
 #[test]
 fn merge_attempts_land_in_exactly_one_class() {
     use ci_rank::{TraceEvent, TraceLevel};
-    use ci_search::PruneReason;
     let (label, kind, data, queries) = cases().remove(1); // zipf/star
     let snap = build(&data.db, kind, 1).unwrap();
     let off = snap.session();
@@ -338,32 +338,21 @@ fn merge_attempts_land_in_exactly_one_class() {
         assert_eq!(stats, traced, "{label}: {q:?} Off vs Full statistics");
         let trace = full.last_trace();
         assert_eq!(trace.dropped(), 0, "{label}: {q:?} trace capacity");
-        let events = trace.events();
-        let mut attempts = 0;
+        let mut enumerated = 0;
         let mut merged = 0;
-        let mut merge_structural = 0;
-        for (i, e) in events.iter().enumerate() {
-            match e {
-                TraceEvent::Merge { merged: m, .. } => {
-                    attempts += 1;
-                    merged += usize::from(*m);
-                }
-                TraceEvent::Prune {
-                    reason: PruneReason::Structural,
-                    ..
-                } if !matches!(
-                    i.checked_sub(1).map(|j| &events[j]),
-                    Some(TraceEvent::Grow { .. })
-                ) =>
-                {
-                    merge_structural += 1;
-                }
-                _ => {}
+        for e in trace.events() {
+            if let TraceEvent::Merge { merged: m, .. } = e {
+                enumerated += 1;
+                merged += usize::from(*m);
             }
         }
         let r = &stats.rejections;
-        assert_eq!(attempts, stats.merges, "{label}: {q:?} attempts");
-        let scan_passed = merged - r.merge_sig_disjoint - merge_structural;
+        assert_eq!(
+            enumerated,
+            stats.merges - r.merge_shape,
+            "{label}: {q:?} enumerated attempts"
+        );
+        let scan_passed = merged - r.merge_sig_disjoint;
         assert_eq!(
             stats.merges,
             r.merge_shape
