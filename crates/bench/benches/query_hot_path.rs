@@ -10,6 +10,9 @@
 //!   refilled from scratch ([`ci_rwmp::Scorer::fill_flows`]) versus over
 //!   the incrementally maintained [`ci_search::FlowState`] a candidate
 //!   carries, which is what the search loop actually does per admission.
+//!   Both read the missing-keyword term from one [`ci_search::RootTable`]
+//!   that stays warm across iterations, as it does for every candidate of
+//!   a run after the first one at its root.
 //!
 //! These use the `#[doc(hidden)]` hot-path re-exports from `ci-search`;
 //! they are not a stable API.
@@ -29,7 +32,9 @@ use std::collections::HashMap;
 use ci_graph::{GraphBuilder, NodeId};
 use ci_index::{DistanceOracle, NoIndex};
 use ci_rwmp::{Dampening, Scorer};
-use ci_search::{bound_parts_from, CachedOracle, Candidate, FlowState, OracleCache, QuerySpec};
+use ci_search::{
+    bound_parts_from, CachedOracle, Candidate, FlowState, OracleCache, QuerySpec, RootTable,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// A synthetic oracle with a small arithmetic cost per probe — enough that
@@ -166,17 +171,23 @@ fn bench_bound_computation(c: &mut Criterion) {
     };
     let mut flows = FlowState::default();
     fill(&mut flows);
+    let mut roots = RootTable::default();
+    roots.begin(query.keyword_count());
 
     group.bench_function("from_scratch", |b| {
         b.iter(|| {
             let mut fresh = FlowState::default();
             fill(&mut fresh);
-            black_box(bound_parts_from(&scorer, &query, &oracle, &cand, &fresh, true).ub())
+            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &fresh, true);
+            black_box(parts.ub())
         })
     });
 
     group.bench_function("incremental_flows", |b| {
-        b.iter(|| black_box(bound_parts_from(&scorer, &query, &oracle, &cand, &flows, true).ub()))
+        b.iter(|| {
+            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &flows, true);
+            black_box(parts.ub())
+        })
     });
 
     group.finish();

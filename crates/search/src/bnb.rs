@@ -216,7 +216,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
     // An admitted candidate's depth is at most its diameter (≤ D) and
     // its size − 1 (< max_tree_nodes).
     let max_size_depth = u32::try_from(opts.max_tree_nodes.saturating_sub(1)).unwrap_or(u32::MAX);
-    scratch.begin(opts.diameter.min(max_size_depth));
+    scratch.begin(query.keyword_count(), opts.diameter.min(max_size_depth));
     scratch.trace.begin(opts.trace, opts.trace_capacity);
     let mut run = SearchRun {
         scorer,
@@ -471,7 +471,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             if !self.build(entry) {
                 continue;
             }
-            if let Some(idx) = self.admit() {
+            if let Some(idx) = self.admit(entry) {
                 self.merge_partners(idx);
             }
         }
@@ -543,9 +543,10 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         Some(store.overlap(idx, a, partner, b))
     }
 
-    /// Builds a worklist entry into the build slot, with its flows and
-    /// signatures. Returns whether it was built (a merge whose operands
-    /// are not stored is not).
+    /// Builds a worklist entry's structure and signatures into the build
+    /// slot; its flows wait until [`SearchRun::admit`] has passed the
+    /// prunes that never read them. Returns whether it was built (a merge
+    /// whose operands are not stored is not).
     fn build(&mut self, entry: Pending) -> bool {
         let SearchScratch {
             store,
@@ -558,22 +559,10 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 slot.cand.set_seed(node, mask);
                 slot.sig = 0;
                 slot.msig = 0;
-                let tree = slot.cand.tree();
-                let sources = self.query.flow_sources(tree);
-                self.scorer.fill_flows(tree, sources, &mut slot.flows);
             }
             Pending::Grow(v) => {
-                let pop = &*pop_slot;
-                pop.cand.grow_into(v, self.query, &mut slot.cand);
-                slot.grow_sigs(pop, self.query);
-                // Copies every unchanged flow and recomputes only the
-                // region the new edge touches.
-                let root_gen = self.query.matcher(v).map(|m| m.gen);
-                let tree = slot.cand.tree();
-                self.scorer
-                    .grow_flows(tree, &pop.flows, root_gen, &mut slot.flows);
-                #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-                assert_grow_exact(self.scorer, self.query, tree, &slot.flows);
+                pop_slot.cand.grow_into(v, self.query, &mut slot.cand);
+                slot.grow_sigs(pop_slot, self.query);
             }
             Pending::Merge { idx, partner } => {
                 let (Some(a), Some(b), Some(ka), Some(kb)) = (
@@ -587,11 +576,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 };
                 slot.cand.merge_into(a, b);
                 slot.merge_sigs(ka, kb);
-                // Merged shapes recompute flows from scratch: the subtree
-                // positions interleave, so no incremental copy applies.
-                let tree = slot.cand.tree();
-                let sources = self.query.flow_sources(tree);
-                self.scorer.fill_flows(tree, sources, &mut slot.flows);
             }
         }
         // Only buildable work is enumerated (see `Pending`).
@@ -608,33 +592,86 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         true
     }
 
-    /// Checks the build slot's candidate against the remaining prunes; on
-    /// success copies it into the store, offers it to the top-k (if a valid
-    /// complete answer), and returns its arena index.
-    fn admit(&mut self) -> Option<usize> {
+    /// Fills the build slot's Eq. 2 flow matrix. A grow copies every flow
+    /// of the pop slot it extends (untouched while the pop's expansions
+    /// register) and recomputes only the region the new edge touches;
+    /// seeds and merges, whose subtree positions interleave, fill from
+    /// scratch.
+    fn fill_flows(&mut self, entry: Pending) {
+        let SearchScratch {
+            pop_slot,
+            build_slot: slot,
+            ..
+        } = &mut *self.scratch;
+        let tree = slot.cand.tree();
+        if let Pending::Grow(v) = entry {
+            let root_gen = self.query.matcher(v).map(|m| m.gen);
+            self.scorer
+                .grow_flows(tree, &pop_slot.flows, root_gen, &mut slot.flows);
+            #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+            assert_grow_exact(self.scorer, self.query, tree, &slot.flows);
+        } else {
+            let sources = self.query.flow_sources(tree);
+            self.scorer.fill_flows(tree, sources, &mut slot.flows);
+        }
+    }
+
+    /// Checks the freshly built `entry` in the build slot against the
+    /// prunes — leaf feasibility, dedup, distance, bound, in that order —
+    /// filling its flows only once the first three have passed, as the
+    /// bound is the first step that reads them. On success copies it
+    /// into the store, offers it to the top-k (if a valid complete
+    /// answer), and returns its arena index.
+    ///
+    /// Non-root leaves stay leaves under root-only extension, so their
+    /// keyword assignment must be feasible in any extension. A grow never
+    /// fails that check, so it skips it: its non-root leaves are the
+    /// popped candidate's, which passed it when admitted, except when the
+    /// pop is a single node — then its one non-root leaf is the pop's old
+    /// root, a seed matcher, which any keyword set can match alone.
+    fn admit(&mut self, entry: Pending) -> Option<usize> {
+        let grow = matches!(entry, Pending::Grow(_));
         let SearchScratch {
             build_slot: slot,
             has_child,
             dedup,
             key_buf,
+            roots,
             ..
         } = &mut *self.scratch;
-        // Non-root leaves stay leaves: their keyword assignment must be
-        // feasible in any extension.
-        if !candidate_leaves_matchable(&slot.cand, self.query, false, has_child) {
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        assert!(
+            !grow || candidate_leaves_matchable(&slot.cand, self.query, false, has_child),
+            "a grow of an admitted candidate failed the leaf check"
+        );
+        if !grow && !candidate_leaves_matchable(&slot.cand, self.query, false, has_child) {
             return self.reject(PruneReason::InfeasibleLeaves);
         }
         slot.cand.identity_into(key_buf);
         if !dedup.insert(key_buf) {
             return self.reject(PruneReason::Duplicate);
         }
-        if distance_prune(self.query, self.oracle, &slot.cand, self.opts.diameter) {
+        if distance_prune(
+            self.query,
+            self.oracle,
+            roots,
+            &slot.cand,
+            self.opts.diameter,
+        ) {
             return self.reject(PruneReason::Distance);
         }
+        self.fill_flows(entry);
+        let SearchScratch {
+            build_slot: slot,
+            has_child,
+            roots,
+            ..
+        } = &mut *self.scratch;
         let parts = bound_parts_from(
             self.scorer,
             self.query,
             self.oracle,
+            roots,
             &slot.cand,
             &slot.flows,
             self.opts.allow_redundant_matchers,
@@ -1117,6 +1154,62 @@ mod flow_tests {
                 assert_matches_flows_from(&s, &q, &grown);
                 cand = grown;
                 flows = out;
+            }
+        }
+    }
+}
+
+/// The grow-leaf proof of [`SearchRun::admit`], checked against real runs.
+#[cfg(test)]
+mod grow_leaf_props {
+    use super::*;
+    use crate::bounds::admissibility_props::{build_graph, case_query, case_scorer, random_case};
+    use ci_index::NoIndex;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// After a run, every grow of every admitted candidate — also the
+        /// grows the caps would stop — passes the leaf check that
+        /// admission skips for grows.
+        #[test]
+        fn grows_of_admitted_candidates_pass_the_leaf_check(case in random_case(7)) {
+            let graph = build_graph(&case);
+            let scorer = case_scorer(&graph, &case);
+            let Some(query) = case_query(&case, &scorer, case.keywords, 0) else {
+                return Ok(());
+            };
+            let opts = SearchOptions {
+                diameter: 4,
+                k: 50,
+                max_tree_nodes: 6,
+                ..Default::default()
+            };
+            let mut scratch = SearchScratch::new();
+            bnb_search_in(&scorer, &query, &NoIndex, &opts, &mut scratch);
+            let SearchScratch {
+                store,
+                pop_slot,
+                build_slot,
+                has_child,
+                ..
+            } = &mut scratch;
+            prop_assert!(store.len() > 0, "an answerable query admits its seeds");
+            for idx in 0..store.len() {
+                prop_assert!(store.load(idx, pop_slot));
+                for v in graph.neighbors(pop_slot.cand.root()) {
+                    if pop_slot.contains(v) {
+                        continue;
+                    }
+                    pop_slot.cand.grow_into(v, &query, &mut build_slot.cand);
+                    prop_assert!(
+                        candidate_leaves_matchable(&build_slot.cand, &query, false, has_child),
+                        "grow of {:?} by {:?} has infeasible leaves",
+                        pop_slot.cand.nodes,
+                        v
+                    );
+                }
             }
         }
     }

@@ -25,6 +25,7 @@ use ci_rwmp::{FlowState, Scorer};
 
 use crate::candidate::Candidate;
 use crate::query::QuerySpec;
+use crate::roots::RootTable;
 
 /// The two components of `ub(C) = max(ce(C), pe(C))` (§IV-B), computed
 /// together on the hot path and stored with the candidate so query tracing
@@ -65,7 +66,9 @@ impl BoundParts {
 /// [`crate::SearchOptions::allow_redundant_matchers`]: when off, a complete
 /// candidate cannot be usefully extended and its bound is its exact score.
 /// Allocation-free: it iterates the flow matrix and the query's dense
-/// matcher table directly instead of materializing per-source vectors.
+/// matcher table directly instead of materializing per-source vectors,
+/// and reads each missing keyword's term from the run's [`RootTable`],
+/// which scans that keyword's matchers once per root.
 ///
 /// Generic over the oracle (statically dispatched): the `retention_ub`
 /// probes sit on the hottest loop of Algorithm 1 and inline per oracle
@@ -75,6 +78,7 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
     scorer: &Scorer<'_>,
     query: &QuerySpec,
     oracle: &O,
+    roots: &mut RootTable,
     cand: &Candidate,
     flows: &FlowState,
     allow_redundant: bool,
@@ -93,7 +97,9 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
         if cand.mask & (1 << k) != 0 {
             continue;
         }
-        let b = best_damped_gen(query, oracle, query.matchers_of(k), root, None);
+        let b = roots.missing(root, k, || {
+            best_damped_gen(query, oracle, query.matchers_of(k), root, None)
+        });
         min_missing = min_missing.min(b);
     }
 
@@ -182,7 +188,7 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
 /// `max_u gen(u) · ρ(u, root)` over a matcher list sorted by descending
 /// generation, with early exit: once the next raw generation cannot beat
 /// the current best (ρ ≤ 1), the scan stops.
-fn best_damped_gen<O: DistanceOracle + ?Sized>(
+pub(crate) fn best_damped_gen<O: DistanceOracle + ?Sized>(
     query: &QuerySpec,
     oracle: &O,
     sorted: &[NodeId],
@@ -228,27 +234,40 @@ fn best_damped_gen<O: DistanceOracle + ?Sized>(
 /// some missing keyword has no matcher close enough to the root to keep the
 /// final diameter within `d_max` (every completion path attaches at the
 /// root, so it spans `depth(C) + dist(root, u)` hops to the deepest
-/// existing leaf).
+/// existing leaf). A matcher within reach exists exactly when the
+/// keyword's distance floor ([`distance_floor`], memoized per root in the
+/// [`RootTable`]) plus the depth stays within `d_max`.
 pub fn distance_prune<O: DistanceOracle + ?Sized>(
     query: &QuerySpec,
     oracle: &O,
+    roots: &mut RootTable,
     cand: &Candidate,
     d_max: u32,
 ) -> bool {
     let root = cand.root();
-    for k in 0..query.keyword_count() {
-        if cand.mask & (1 << k) != 0 {
-            continue;
-        }
-        let reachable = query
-            .matchers_of(k)
-            .iter()
-            .any(|&u| oracle.dist_lb(root, u) + cand.depth <= d_max);
-        if !reachable {
-            return true;
-        }
-    }
-    false
+    (0..query.keyword_count()).any(|k| {
+        cand.mask & (1 << k) == 0
+            && roots
+                .floor(root, k, || distance_floor(query, oracle, root, k))
+                .saturating_add(cand.depth)
+                > d_max
+    })
+}
+
+/// `min_{u ∈ En(k)} dist_lb(root, u)`: how close keyword `k`'s nearest
+/// matcher can be to `root` (`u32::MAX` when `k` has no matcher).
+pub(crate) fn distance_floor<O: DistanceOracle + ?Sized>(
+    query: &QuerySpec,
+    oracle: &O,
+    root: NodeId,
+    k: usize,
+) -> u32 {
+    query
+        .matchers_of(k)
+        .iter()
+        .map(|&u| oracle.dist_lb(root, u))
+        .min()
+        .unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -268,7 +287,18 @@ mod tests {
     ) -> f64 {
         let mut flows = FlowState::default();
         scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut flows);
-        bound_parts_from(scorer, query, oracle, cand, &flows, allow_redundant).ub()
+        let mut roots = RootTable::default();
+        roots.begin(query.keyword_count());
+        bound_parts_from(
+            scorer,
+            query,
+            oracle,
+            &mut roots,
+            cand,
+            &flows,
+            allow_redundant,
+        )
+        .ub()
     }
 
     /// Path 0(a) — 1 — 2(b), equal weights.
@@ -336,12 +366,15 @@ mod tests {
         let damp: Vec<f64> = g.nodes().map(|v| scorer.dampening(v)).collect();
         let idx = NaiveIndex::build(&g, &damp, 6);
         let seed = Candidate::seed(NodeId(0), 0b01);
+        let mut roots = RootTable::default();
+        roots.begin(q.keyword_count());
         // b-matcher (node 2) is 2 hops away: fine for D = 2…
-        assert!(!distance_prune(&q, &idx, &seed, 2));
-        // …infeasible for D = 1.
-        assert!(distance_prune(&q, &idx, &seed, 1));
+        assert!(!distance_prune(&q, &idx, &mut roots, &seed, 2));
+        // …infeasible for D = 1, read from the same memoized floor.
+        assert!(distance_prune(&q, &idx, &mut roots, &seed, 1));
         // Without an index nothing can be pruned.
-        assert!(!distance_prune(&q, &NoIndex, &seed, 1));
+        roots.begin(q.keyword_count());
+        assert!(!distance_prune(&q, &NoIndex, &mut roots, &seed, 1));
     }
 
     #[test]
@@ -361,9 +394,10 @@ mod tests {
 /// Property check for Lemma 1 against ground truth. The companion property
 /// — branch-and-bound top-k equals the exhaustive naive top-k — lives in
 /// `tests/equivalence.rs`; this one needs the crate-private [`Candidate`],
-/// so it is a unit test.
+/// so it is a unit test. Its random cases also drive the root-table and
+/// grow-leaf properties of `roots.rs` and `bnb.rs`.
 #[cfg(test)]
-mod admissibility_props {
+pub(crate) mod admissibility_props {
     use super::tests::upper_bound;
     use super::*;
     use crate::candidate::Candidate;
@@ -377,15 +411,15 @@ mod admissibility_props {
     /// A random connected graph plus a keyword assignment, mirroring the
     /// generator of `tests/equivalence.rs` at a smaller size.
     #[derive(Debug, Clone)]
-    struct Case {
+    pub(crate) struct Case {
         importance: Vec<f64>,
         spanning: Vec<usize>,
         extra: Vec<(usize, usize)>,
         matcher_sel: Vec<u8>,
-        keywords: usize,
+        pub(crate) keywords: usize,
     }
 
-    fn random_case(n: usize) -> impl Strategy<Value = Case> {
+    pub(crate) fn random_case(n: usize) -> impl Strategy<Value = Case> {
         (
             proptest::collection::vec(1u32..1000, n),
             proptest::collection::vec(0usize..n, n),
@@ -402,7 +436,7 @@ mod admissibility_props {
             })
     }
 
-    fn build_graph(case: &Case) -> Graph {
+    pub(crate) fn build_graph(case: &Case) -> Graph {
         let n = case.importance.len();
         let mut b = GraphBuilder::new();
         let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node((i % 2) as u16, vec![])).collect();
@@ -418,6 +452,45 @@ mod admissibility_props {
             }
         }
         b.build()
+    }
+
+    /// The scorer of a case's graph, with the case's importance vector.
+    pub(crate) fn case_scorer<'g>(graph: &'g Graph, case: &'g Case) -> Scorer<'g> {
+        let p_min = case
+            .importance
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        Scorer::new(graph, &case.importance, p_min, Dampening::paper_default())
+    }
+
+    /// The case's query over `keywords` keywords: node `i` matches the
+    /// keyword bits of its selector rotated by `salt`, so one graph can
+    /// carry several different queries. `None` when it is unanswerable.
+    pub(crate) fn case_query(
+        case: &Case,
+        scorer: &Scorer<'_>,
+        keywords: usize,
+        salt: u32,
+    ) -> Option<QuerySpec> {
+        let mask_space = (1u32 << keywords) - 1;
+        let mut matches = Vec::new();
+        for (i, &sel) in case.matcher_sel.iter().enumerate() {
+            let mask = u32::from(sel).rotate_left(salt) & mask_space;
+            if mask == 0 {
+                continue;
+            }
+            matches.push((NodeId(i as u32), mask, 2 + (i as u32 % 3)));
+        }
+        if matches.is_empty() {
+            return None;
+        }
+        let query = QuerySpec::from_matches(
+            scorer,
+            (0..keywords).map(|i| format!("k{i}")).collect(),
+            matches,
+        );
+        query.answerable().then_some(query)
     }
 
     /// The whole answer tree rooted at `root_pos`, as a complete candidate.
@@ -464,29 +537,10 @@ mod admissibility_props {
         #[test]
         fn upper_bound_never_underestimates(case in random_case(6)) {
             let graph = build_graph(&case);
-            let p = case.importance.clone();
-            let p_min = p.iter().copied().fold(f64::INFINITY, f64::min);
-            let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
-            let mask_space = (1u32 << case.keywords) - 1;
-            let mut matches = Vec::new();
-            for (i, &sel) in case.matcher_sel.iter().enumerate() {
-                let mask = u32::from(sel) & mask_space;
-                if mask == 0 {
-                    continue;
-                }
-                matches.push((NodeId(i as u32), mask, 2 + (i as u32 % 3)));
-            }
-            if matches.is_empty() {
+            let scorer = case_scorer(&graph, &case);
+            let Some(query) = case_query(&case, &scorer, case.keywords, 0) else {
                 return Ok(());
-            }
-            let query = QuerySpec::from_matches(
-                &scorer,
-                (0..case.keywords).map(|i| format!("k{i}")).collect(),
-                matches,
-            );
-            if !query.answerable() {
-                return Ok(());
-            }
+            };
 
             let opts = SearchOptions {
                 diameter: 4,

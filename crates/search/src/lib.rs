@@ -86,6 +86,7 @@ mod candidate;
 mod explain;
 mod naive;
 mod query;
+mod roots;
 mod scratch;
 mod trace;
 mod validity;
@@ -110,6 +111,8 @@ pub use bounds::bound_parts_from;
 pub use candidate::{Candidate, CandidateRef, Shape};
 #[doc(hidden)]
 pub use ci_rwmp::FlowState;
+#[doc(hidden)]
+pub use roots::RootTable;
 
 /// Tuning knobs shared by both search algorithms.
 #[derive(Debug, Clone)]

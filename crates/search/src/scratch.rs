@@ -2,8 +2,8 @@
 //!
 //! Every structure the search loop touches per candidate lives here and is
 //! recycled across runs: the candidate store, the priority queue, the flat
-//! dedup set, the same-root partner index, the registration worklist, and
-//! two working slots. [`crate::bnb_search_in`] takes a `&mut
+//! dedup set, the same-root partner index, the root table, the
+//! registration worklist, and two working slots. [`crate::bnb_search_in`] takes a `&mut
 //! SearchScratch`; the engine's query session owns one per session, so
 //! repeated queries reach a steady state where candidate construction
 //! (grow/merge/seed) performs **no heap allocation at all**.
@@ -43,8 +43,12 @@
 //! replay fingerprint, depends on. The root count gives
 //! `SearchStats::merges` in O(1), whether or not a partner is visited.
 //! Roots are stamped with the run generation instead of being cleared per
-//! run, like the flat oracle cache: no hashing and no `HashMap` churn in
-//! the inner loop.
+//! run ([`NodeBlocks`], shared with the root table), like the flat oracle
+//! cache: no hashing and no `HashMap` churn in the inner loop.
+//!
+//! **The root table.** [`RootTable`] memoizes the two admission terms
+//! that depend only on `(root, keyword)` — the distance floor and the
+//! missing-keyword bound term — for the run.
 //!
 //! The admission dedup set ([`DedupSet`]) follows the same pattern: a flat
 //! open-addressing table of run-stamped entry indices over one shared key
@@ -59,6 +63,7 @@ use ci_rwmp::FlowState;
 use crate::bnb::{HeapItem, Pending};
 use crate::candidate::{Candidate, CandidateRef};
 use crate::query::QuerySpec;
+use crate::roots::{NodeBlocks, RootTable};
 use crate::trace::{SearchTrace, TraceEvent};
 
 /// Sentinel for "no arena index" in the partner chains.
@@ -334,6 +339,9 @@ pub struct SearchScratch {
     pub(crate) has_child: Vec<u64>,
     /// Same-root merge partners of the current run, by depth.
     pub(crate) partner_index: PartnerIndex,
+    /// `(root, keyword)` distance floors and missing-keyword terms of the
+    /// current run.
+    pub(crate) roots: RootTable,
     /// Registration cascade worklist: unbuilt seeds, grows and merges.
     pub(crate) worklist: Vec<Pending>,
     /// Partner-index read buffer (admission order).
@@ -374,6 +382,7 @@ impl SearchScratch {
             + self.key_buf.capacity() * size_of::<u64>()
             + self.has_child.capacity() * size_of::<u64>()
             + self.partner_index.capacity_bytes()
+            + self.roots.capacity_bytes()
             + self.worklist.capacity() * size_of::<Pending>()
             + self.partners.capacity() * size_of::<u32>()
             + self.neighbors.capacity() * size_of::<NodeId>()
@@ -389,13 +398,14 @@ impl SearchScratch {
         &self.trace
     }
 
-    /// Prepares for a new run whose candidates have depth at most
-    /// `max_depth`: empties the store and every per-run structure, keeping
-    /// allocations.
-    pub(crate) fn begin(&mut self, max_depth: u32) {
+    /// Prepares for a new run over a query with `keywords` keywords whose
+    /// candidates have depth at most `max_depth`: empties the store and
+    /// every per-run structure, keeping allocations.
+    pub(crate) fn begin(&mut self, keywords: usize, max_depth: u32) {
         self.high_water = self.slots_allocated();
         self.store.clear();
         self.partner_index.begin(max_depth);
+        self.roots.begin(keywords);
         self.worklist.clear();
         self.queue.clear();
         self.dedup.clear();
@@ -428,12 +438,8 @@ struct Link {
 pub(crate) struct PartnerIndex {
     /// Depth buckets per root in the current run.
     buckets: usize,
-    /// Current run stamp (bumped by [`PartnerIndex::begin`]).
-    run_gen: u64,
-    /// Run stamp per node (stale ⇒ no candidate rooted there this run).
-    node_gen: Vec<u64>,
-    /// Offset of each stamped node's block in `blocks`.
-    node_block: Vec<u32>,
+    /// Offset in `blocks` of each root with a candidate this run.
+    roots: NodeBlocks,
     /// Per-root blocks of the current run, back to back.
     blocks: Vec<u32>,
     /// Per arena index, its chain link.
@@ -446,24 +452,10 @@ impl PartnerIndex {
     /// Empties the index for a run whose candidates have depth at most
     /// `max_depth`.
     fn begin(&mut self, max_depth: u32) {
-        self.run_gen = self.run_gen.wrapping_add(1);
-        if self.run_gen == 0 {
-            // u64 wrap is unreachable in practice; stay correct anyway.
-            self.node_gen.fill(0);
-            self.run_gen = 1;
-        }
+        self.roots.begin();
         self.buckets = max_depth as usize + 1;
         self.blocks.clear();
         self.links.clear();
-    }
-
-    /// Offset of `root`'s block, if a candidate is rooted there this run.
-    fn block(&self, root: NodeId) -> Option<usize> {
-        let id = root.0 as usize;
-        if self.node_gen.get(id).copied() != Some(self.run_gen) {
-            return None;
-        }
-        self.node_block.get(id).map(|&b| b as usize)
     }
 
     /// Indexes freshly admitted arena index `idx` (the current
@@ -472,22 +464,13 @@ impl PartnerIndex {
     pub(crate) fn push(&mut self, root: NodeId, idx: usize, depth: u32, size: usize) {
         debug_assert_eq!(self.links.len(), idx, "one link per store push");
         debug_assert!((depth as usize) < self.buckets, "depth within D");
-        let base = match self.block(root) {
+        let base = match self.roots.get(root) {
             Some(base) => base,
             None => {
-                let id = root.0 as usize;
-                if self.node_gen.len() <= id {
-                    self.node_gen.resize(id + 1, 0);
-                    self.node_block.resize(id + 1, 0);
-                }
                 let base = self.blocks.len();
                 self.blocks.push(0);
                 self.blocks.resize(base + 1 + self.buckets, NO_IDX);
-                if let (Some(g), Some(b)) = (self.node_gen.get_mut(id), self.node_block.get_mut(id))
-                {
-                    *g = self.run_gen;
-                    *b = u32::try_from(base).unwrap_or(u32::MAX);
-                }
+                self.roots.set(root, base);
                 base
             }
         };
@@ -506,7 +489,8 @@ impl PartnerIndex {
 
     /// Candidates admitted under `root` this run.
     pub(crate) fn count(&self, root: NodeId) -> usize {
-        self.block(root)
+        self.roots
+            .get(root)
             .and_then(|base| self.blocks.get(base))
             .map_or(0, |&c| c as usize)
     }
@@ -515,7 +499,7 @@ impl PartnerIndex {
     /// most `max_depth` and size at most `max_size`, in ascending order.
     fn collect(&mut self, root: NodeId, max_depth: u32, max_size: usize, out: &mut Vec<u32>) {
         out.clear();
-        let Some(base) = self.block(root) else {
+        let Some(base) = self.roots.get(root) else {
             return;
         };
         let last = (max_depth as usize).min(self.buckets - 1);
@@ -552,9 +536,8 @@ impl PartnerIndex {
     }
 
     fn capacity_bytes(&self) -> usize {
-        self.node_gen.capacity() * size_of::<u64>()
-            + (self.node_block.capacity() + self.blocks.capacity() + self.cursors.capacity())
-                * size_of::<u32>()
+        self.roots.capacity_bytes()
+            + (self.blocks.capacity() + self.cursors.capacity()) * size_of::<u32>()
             + self.links.capacity() * size_of::<Link>()
     }
 }
@@ -785,7 +768,7 @@ mod tests {
         };
         // A grow chain from node 0, each step stored as admission would.
         let run = |s: &mut SearchScratch| {
-            s.begin(4);
+            s.begin(2, 4);
             let mut pop = CandSlot::default();
             pop.cand.set_seed(NodeId(0), 0b01);
             fill(&pop.cand, &mut pop.flows);
@@ -823,7 +806,7 @@ mod tests {
         assert_eq!(s.capacity_bytes(), bytes);
         assert_eq!(s.slots_allocated(), 5);
         // A smaller run keeps the high-water mark.
-        s.begin(4);
+        s.begin(2, 4);
         assert_eq!(s.store.len(), 0);
         assert_eq!(s.slots_allocated(), 5);
     }
@@ -929,7 +912,7 @@ mod tests {
     #[test]
     fn root_chains_iterate_in_admission_order_and_reset_per_run() {
         let mut s = SearchScratch::new();
-        s.begin(4);
+        s.begin(2, 4);
         s.partner_index.push(NodeId(7), 0, 0, 1);
         s.partner_index.push(NodeId(3), 1, 0, 1);
         s.partner_index.push(NodeId(7), 2, 1, 2);
@@ -947,7 +930,7 @@ mod tests {
         assert!(s.partners.is_empty());
         assert_eq!(s.partner_index.count(NodeId(99)), 0);
         // A new run sees empty chains without any clearing pass.
-        s.begin(2);
+        s.begin(2, 2);
         s.collect_partners(NodeId(7), u32::MAX, usize::MAX);
         assert!(s.partners.is_empty());
         assert_eq!(s.partner_index.count(NodeId(7)), 0);
@@ -976,7 +959,7 @@ mod tests {
         ) {
             let mut s = SearchScratch::new();
             for (d, admissions) in &runs {
-                s.begin(*d);
+                s.begin(2, *d);
                 let mut walk: Vec<(u32, u32, usize)> = Vec::new();
                 for (idx, &(root, depth, size)) in admissions.iter().enumerate() {
                     let depth = depth % (d + 1);

@@ -420,14 +420,15 @@ const INNER_LOOP_FILES: &[&str] = &[
     "crates/search/src/candidate.rs",
     "crates/search/src/scratch.rs",
     "crates/search/src/query.rs",
+    "crates/search/src/roots.rs",
     "crates/search/src/validity.rs",
 ];
 
 /// Rule 6: no `HashMap`/`HashSet`/`BTreeMap` in the branch-and-bound
 /// inner-loop files. The hot path replaced per-candidate maps and sets
 /// with flat structures (oracle-cache slab, intrusive root chains, the
-/// flat per-run candidate store, open-addressing dedup set and matcher
-/// table); this keeps them from regressing. Tests may still use them, and
+/// flat per-run candidate store, open-addressing dedup set, matcher table
+/// and run-stamped root table); this keeps them from regressing. Tests may still use them, and
 /// an audited use can be tagged `LINT-EXEMPT(reason)`.
 fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
     for rel in INNER_LOOP_FILES {
