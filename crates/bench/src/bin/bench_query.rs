@@ -24,11 +24,12 @@
 //! the JSON as `"skipped": true` with the machine's parallelism, so a
 //! reader of the artifact can tell "not parallel here" from "not run".
 //!
-//! The warm-up pass also totals each query class's rejections — the
-//! candidates and merge attempts the search discarded, by reason
-//! ([`ci_search::SearchStats`] and its [`ci_search::RejectionStats`]) —
-//! reported under `"rejections"`, so a change in where the search spends
-//! its work shows up per class.
+//! The warm-up pass also totals each query class's work counters — the
+//! `(name, value)` list of [`ci_search::SearchStats::counters`]: pops,
+//! registrations, every rejection class and merge outcome, truncations by
+//! axis and oracle-cache traffic — reported under `"counters"` with the
+//! serving registry's names, so a change in where the search spends its
+//! work shows up per class.
 //!
 //! After the sweeps, each dataset's serving-metrics snapshot
 //! ([`ci_rank::MetricsRegistry`]) is embedded under `"metrics"` — the
@@ -88,49 +89,18 @@ struct ClassLatency {
     mean_ms: f64,
 }
 
-/// Rejection totals of one query class over the warm-up pass.
-struct ClassRejections {
+/// Work-counter totals of one query class over the warm-up pass.
+struct ClassCounters {
     class: &'static str,
-    /// `(name, total)` per rejection reason, in report order.
-    totals: [(&'static str, usize); 10],
+    /// `(name, total)` per entry of [`SearchStats::counters`], in list
+    /// order.
+    totals: [(&'static str, usize); SearchStats::COUNTERS],
 }
 
-impl ClassRejections {
-    fn new(class: &'static str) -> ClassRejections {
-        let names = [
-            "dead_pops",
-            "merge_shape",
-            "infeasible_leaves",
-            "duplicate",
-            "distance",
-            "bound",
-            "merge_rule",
-            "merge_sig_disjoint",
-            "merge_matcher_overlap",
-            "merge_overlap",
-        ];
-        ClassRejections {
-            class,
-            totals: names.map(|n| (n, 0)),
-        }
-    }
-
+impl ClassCounters {
     fn add(&mut self, stats: &SearchStats) {
-        let r = &stats.rejections;
-        let counts = [
-            r.dead_pops,
-            r.merge_shape,
-            r.infeasible_leaves,
-            r.duplicate,
-            stats.distance_pruned,
-            stats.bound_pruned,
-            r.merge_rule,
-            r.merge_sig_disjoint,
-            r.merge_matcher_overlap,
-            r.merge_overlap,
-        ];
-        for ((_, total), c) in self.totals.iter_mut().zip(counts) {
-            *total += c;
+        for ((_, total), (_, value)) in self.totals.iter_mut().zip(stats.counters()) {
+            *total += value;
         }
     }
 }
@@ -146,7 +116,7 @@ struct DatasetReport {
     name: &'static str,
     queries: usize,
     latency: Vec<ClassLatency>,
-    rejections: Vec<ClassRejections>,
+    counters: Vec<ClassCounters>,
     throughput: Vec<ThroughputPoint>,
     /// Serving-metrics JSON snapshot accumulated over every query the
     /// bench ran against this dataset's snapshot.
@@ -154,31 +124,32 @@ struct DatasetReport {
 }
 
 /// Single-thread replay: one warm session, per-query latency bucketed by
-/// query class, the warm-up pass's per-class rejection totals, plus the
+/// query class, the warm-up pass's per-class counter totals, plus the
 /// per-query reference fingerprints the throughput threads must reproduce
 /// bit-for-bit.
 fn single_thread_pass(
     snap: &EngineSnapshot,
     workload: &[(String, QueryPattern)],
-) -> (Vec<ClassLatency>, Vec<ClassRejections>, Vec<u64>) {
+) -> (Vec<ClassLatency>, Vec<ClassCounters>, Vec<u64>) {
     let session = snap.session();
     // Warm-up: oracle cache rows, candidate store, text-index structures.
-    let mut rejections: Vec<ClassRejections> = Vec::new();
+    let mut counters: Vec<ClassCounters> = Vec::new();
     for (q, pattern) in workload {
         let Ok((_, stats)) = session.search_with_stats(q) else {
             continue;
         };
         let class = pattern_name(*pattern);
-        match rejections.iter_mut().find(|c| c.class == class) {
-            Some(c) => c.add(&stats),
-            None => {
-                let mut c = ClassRejections::new(class);
-                c.add(&stats);
-                rejections.push(c);
-            }
+        if !counters.iter().any(|c| c.class == class) {
+            counters.push(ClassCounters {
+                class,
+                totals: SearchStats::counter_names().map(|n| (n, 0)),
+            });
+        }
+        if let Some(c) = counters.iter_mut().find(|c| c.class == class) {
+            c.add(&stats);
         }
     }
-    rejections.sort_by_key(|c| c.class);
+    counters.sort_by_key(|c| c.class);
     let warm_slots = session.scratch_slots_allocated();
 
     let mut fingerprints = Vec::with_capacity(workload.len());
@@ -210,7 +181,7 @@ fn single_thread_pass(
         })
         .collect();
     latency.sort_by_key(|c| c.class);
-    (latency, rejections, fingerprints)
+    (latency, counters, fingerprints)
 }
 
 /// Multi-thread replay over a shared snapshot: each thread owns a session
@@ -249,16 +220,16 @@ fn run_dataset(
     hardware_threads: usize,
 ) -> DatasetReport {
     eprintln!("bench_query: {name}: {} queries", workload.len());
-    let (latency, rejections, reference) = single_thread_pass(snap, workload);
+    let (latency, counters, reference) = single_thread_pass(snap, workload);
     for c in &latency {
         eprintln!(
             "  {name:5} {:13} n={:3}  p50 {:.3}ms  p95 {:.3}ms  mean {:.3}ms",
             c.class, c.count, c.p50_ms, c.p95_ms, c.mean_ms
         );
     }
-    for c in &rejections {
+    for c in &counters {
         let totals: Vec<String> = c.totals.iter().map(|(n, t)| format!("{n} {t}")).collect();
-        eprintln!("  {name:5} {:13} rejected: {}", c.class, totals.join(", "));
+        eprintln!("  {name:5} {:13} counters: {}", c.class, totals.join(", "));
     }
 
     let mut throughput = Vec::new();
@@ -281,7 +252,7 @@ fn run_dataset(
         name,
         queries: workload.len(),
         latency,
-        rejections,
+        counters,
         throughput,
         metrics_json: snap.metrics().snapshot().to_json(),
     }
@@ -306,9 +277,9 @@ fn json(reports: &[DatasetReport], hardware_threads: usize, quick: bool) -> Stri
             );
         }
         out.push_str("      },\n");
-        out.push_str("      \"rejections\": {\n");
-        for (j, c) in r.rejections.iter().enumerate() {
-            let comma = if j + 1 < r.rejections.len() { "," } else { "" };
+        out.push_str("      \"counters\": {\n");
+        for (j, c) in r.counters.iter().enumerate() {
+            let comma = if j + 1 < r.counters.len() { "," } else { "" };
             let fields: Vec<String> = c
                 .totals
                 .iter()

@@ -109,14 +109,15 @@ impl CiRankConfig {
     }
 
     /// The default per-session [`QueryBudget`] implied by this
-    /// configuration: the branch-and-bound expansion cap when one is set,
-    /// otherwise unlimited (preserving the exactness guarantee). Deadlines
-    /// and memory caps are per-query decisions — set them on the session
-    /// via [`crate::QuerySession::with_budget`].
+    /// configuration: [`QueryBudget::default`] (unlimited on every
+    /// truncation axis, preserving the exactness guarantee, with the
+    /// default oracle-cache cap) plus the branch-and-bound expansion cap
+    /// when one is set. Deadlines and memory caps are per-query decisions
+    /// — set them on the session via [`crate::QuerySession::with_budget`].
     pub fn query_budget(&self) -> QueryBudget {
         match self.max_expansions {
             Some(n) => QueryBudget::default().with_max_expansions(n),
-            None => QueryBudget::UNLIMITED,
+            None => QueryBudget::default(),
         }
     }
 }
@@ -134,6 +135,24 @@ mod tests {
         assert_eq!(c.diameter, 4);
         assert!(matches!(c.index, IndexKind::Star { relations: None }));
         assert!(c.build_threads >= 1, "build_threads must be usable as-is");
+    }
+
+    #[test]
+    fn every_engine_budget_caps_the_oracle_cache() {
+        let exact = CiRankConfig::default().query_budget();
+        assert!(exact.is_unlimited(), "the default engine runs exact search");
+        assert_eq!(
+            exact.max_cache_entries,
+            Some(QueryBudget::DEFAULT_CACHE_ENTRIES)
+        );
+        assert_eq!(CiRankConfig::default().search_options().budget, exact);
+        let capped = CiRankConfig {
+            max_expansions: Some(3000),
+            ..CiRankConfig::default()
+        }
+        .query_budget();
+        assert_eq!(capped.max_expansions, Some(3000));
+        assert_eq!(capped.max_cache_entries, exact.max_cache_entries);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!
 //! Design constraints (see `docs/observability.md` for the catalogue):
 //!
+//! * **One counter list.** The per-run counters are the `(name, value)`
+//!   pairs of [`SearchStats::counters`], declared once in `ci-search`;
+//!   the registry keeps one atomic per entry and every method here
+//!   iterates that list, so a new counter is one list entry.
 //! * **Concurrent-safe, never blocking.** Every update is a relaxed
 //!   atomic add; there are no locks, so recording can sit on the serving
 //!   path of a snapshot shared across threads.
@@ -29,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use ci_search::{CacheStats, RejectionStats, SearchStats, TruncationReason};
+use ci_search::SearchStats;
 
 /// Upper bounds (inclusive, in microseconds) of the fixed latency
 /// histogram buckets; a final overflow bucket catches everything slower.
@@ -61,46 +65,8 @@ pub struct MetricsRegistry {
     errors: AtomicU64,
     /// Total answers returned across all successful searches.
     answers: AtomicU64,
-    /// Σ [`SearchStats::pops`].
-    pops: AtomicU64,
-    /// Σ [`SearchStats::registered`].
-    registered: AtomicU64,
-    /// Σ [`SearchStats::bound_pruned`].
-    bound_pruned: AtomicU64,
-    /// Σ [`SearchStats::distance_pruned`].
-    distance_pruned: AtomicU64,
-    /// Σ [`SearchStats::merges`].
-    merges: AtomicU64,
-    /// Σ [`RejectionStats::dead_pops`].
-    dead_pops: AtomicU64,
-    /// Σ [`RejectionStats::merge_shape`].
-    merge_shape: AtomicU64,
-    /// Σ [`RejectionStats::infeasible_leaves`].
-    rejected_infeasible_leaves: AtomicU64,
-    /// Σ [`RejectionStats::duplicate`].
-    rejected_duplicate: AtomicU64,
-    /// Σ [`RejectionStats::merge_rule`].
-    merge_rule: AtomicU64,
-    /// Σ [`RejectionStats::merge_sig_disjoint`].
-    merge_sig_disjoint: AtomicU64,
-    /// Σ [`RejectionStats::merge_matcher_overlap`].
-    merge_matcher_overlap: AtomicU64,
-    /// Σ [`RejectionStats::merge_overlap`].
-    merge_overlap: AtomicU64,
-    /// Runs truncated by the expansion budget.
-    truncated_expansions: AtomicU64,
-    /// Runs truncated by the wall-clock deadline.
-    truncated_deadline: AtomicU64,
-    /// Runs truncated by the candidate-memory budget.
-    truncated_candidates: AtomicU64,
-    /// Runs truncated by a naive enumeration cap.
-    truncated_enumeration: AtomicU64,
-    /// Σ oracle-cache hits over runs that reported [`CacheStats`].
-    cache_hits: AtomicU64,
-    /// Σ oracle-cache misses over runs that reported [`CacheStats`].
-    cache_misses: AtomicU64,
-    /// Σ oracle-cache overflow over runs that reported [`CacheStats`].
-    cache_overflow: AtomicU64,
+    /// Σ of each [`SearchStats::counters`] entry, in list order.
+    counters: [AtomicU64; SearchStats::COUNTERS],
     /// Σ wall-clock search time in microseconds (saturating).
     latency_total_us: AtomicU64,
     /// Query counts per latency bucket; see [`LATENCY_BUCKET_BOUNDS_US`].
@@ -125,30 +91,8 @@ impl MetricsRegistry {
         let r = Ordering::Relaxed;
         self.queries.fetch_add(1, r);
         self.answers.fetch_add(to_u64(answers), r);
-        self.pops.fetch_add(to_u64(stats.pops), r);
-        self.registered.fetch_add(to_u64(stats.registered), r);
-        self.bound_pruned.fetch_add(to_u64(stats.bound_pruned), r);
-        self.distance_pruned
-            .fetch_add(to_u64(stats.distance_pruned), r);
-        self.merges.fetch_add(to_u64(stats.merges), r);
-        self.record_rejections(&stats.rejections);
-        match stats.truncation {
-            None => {}
-            Some(TruncationReason::Expansions) => {
-                self.truncated_expansions.fetch_add(1, r);
-            }
-            Some(TruncationReason::Deadline) => {
-                self.truncated_deadline.fetch_add(1, r);
-            }
-            Some(TruncationReason::CandidateMemory) => {
-                self.truncated_candidates.fetch_add(1, r);
-            }
-            Some(TruncationReason::EnumerationCaps) => {
-                self.truncated_enumeration.fetch_add(1, r);
-            }
-        }
-        if let Some(cache) = &stats.cache {
-            self.record_cache(cache);
+        for (total, (_, value)) in self.counters.iter().zip(stats.counters()) {
+            total.fetch_add(to_u64(value), r);
         }
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         self.latency_total_us.fetch_add(us, r);
@@ -167,30 +111,6 @@ impl MetricsRegistry {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds a run's rejection and merge-outcome counters into the totals.
-    fn record_rejections(&self, rej: &RejectionStats) {
-        let r = Ordering::Relaxed;
-        self.dead_pops.fetch_add(to_u64(rej.dead_pops), r);
-        self.merge_shape.fetch_add(to_u64(rej.merge_shape), r);
-        self.rejected_infeasible_leaves
-            .fetch_add(to_u64(rej.infeasible_leaves), r);
-        self.rejected_duplicate.fetch_add(to_u64(rej.duplicate), r);
-        self.merge_rule.fetch_add(to_u64(rej.merge_rule), r);
-        self.merge_sig_disjoint
-            .fetch_add(to_u64(rej.merge_sig_disjoint), r);
-        self.merge_matcher_overlap
-            .fetch_add(to_u64(rej.merge_matcher_overlap), r);
-        self.merge_overlap.fetch_add(to_u64(rej.merge_overlap), r);
-    }
-
-    /// Folds a run's oracle-cache delta into the totals.
-    fn record_cache(&self, cache: &CacheStats) {
-        let r = Ordering::Relaxed;
-        self.cache_hits.fetch_add(to_u64(cache.hits), r);
-        self.cache_misses.fetch_add(to_u64(cache.misses), r);
-        self.cache_overflow.fetch_add(to_u64(cache.overflow), r);
-    }
-
     /// A point-in-time copy of every counter. Each counter is read with a
     /// separate relaxed load, so a snapshot taken mid-query may tear
     /// *across* counters (never within one); totals are exact once the
@@ -202,35 +122,19 @@ impl MetricsRegistry {
             queries: self.queries.load(r),
             errors: self.errors.load(r),
             answers: self.answers.load(r),
-            pops: self.pops.load(r),
-            registered: self.registered.load(r),
-            bound_pruned: self.bound_pruned.load(r),
-            distance_pruned: self.distance_pruned.load(r),
-            merges: self.merges.load(r),
-            dead_pops: self.dead_pops.load(r),
-            merge_shape: self.merge_shape.load(r),
-            rejected_infeasible_leaves: self.rejected_infeasible_leaves.load(r),
-            rejected_duplicate: self.rejected_duplicate.load(r),
-            merge_rule: self.merge_rule.load(r),
-            merge_sig_disjoint: self.merge_sig_disjoint.load(r),
-            merge_matcher_overlap: self.merge_matcher_overlap.load(r),
-            merge_overlap: self.merge_overlap.load(r),
-            truncated_expansions: self.truncated_expansions.load(r),
-            truncated_deadline: self.truncated_deadline.load(r),
-            truncated_candidates: self.truncated_candidates.load(r),
-            truncated_enumeration: self.truncated_enumeration.load(r),
-            cache_hits: self.cache_hits.load(r),
-            cache_misses: self.cache_misses.load(r),
-            cache_overflow: self.cache_overflow.load(r),
+            counters: self.counters.each_ref().map(|c| c.load(r)),
             latency_total_us: self.latency_total_us.load(r),
-            latency_buckets: std::array::from_fn(|i| {
-                self.latency_buckets.get(i).map_or(0, |b| b.load(r))
-            }),
+            latency_buckets: self.latency_buckets.each_ref().map(|b| b.load(r)),
         }
     }
 }
 
 /// A plain-data copy of a [`MetricsRegistry`] at one instant.
+///
+/// The per-run counter totals are read by name with
+/// [`MetricsSnapshot::counter`] or all at once, in list order, with
+/// [`MetricsSnapshot::counters`]; the names are those of
+/// [`SearchStats::counters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Searches completed successfully.
@@ -239,51 +143,8 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Total answers returned.
     pub answers: u64,
-    /// Total branch-and-bound queue pops.
-    pub pops: u64,
-    /// Total candidate registrations.
-    pub registered: u64,
-    /// Total candidates rejected by the upper-bound test.
-    pub bound_pruned: u64,
-    /// Total candidates rejected by the distance-feasibility test.
-    pub distance_pruned: u64,
-    /// Total merge attempts.
-    pub merges: u64,
-    /// Pops whose every grow exceeds the diameter or size cap, so their
-    /// neighbour walk was skipped.
-    pub dead_pops: u64,
-    /// Merge attempts over the diameter or size cap, skipped by the
-    /// partner index.
-    pub merge_shape: u64,
-    /// Candidates rejected because their frozen leaves admit no keyword
-    /// assignment.
-    pub rejected_infeasible_leaves: u64,
-    /// Candidates rejected as duplicates of an admitted `(root, tree)`.
-    pub rejected_duplicate: u64,
-    /// Merge attempts refused by the paper's merge rule.
-    pub merge_rule: u64,
-    /// Merge attempts accepted on disjoint node signatures, without the
-    /// exact overlap scan.
-    pub merge_sig_disjoint: u64,
-    /// Merge attempts rejected without the scan: both operands hold the
-    /// same non-root matcher.
-    pub merge_matcher_overlap: u64,
-    /// Merge attempts rejected by the exact overlap scan.
-    pub merge_overlap: u64,
-    /// Runs truncated by the expansion budget.
-    pub truncated_expansions: u64,
-    /// Runs truncated by the wall-clock deadline.
-    pub truncated_deadline: u64,
-    /// Runs truncated by the candidate-memory budget.
-    pub truncated_candidates: u64,
-    /// Runs truncated by a naive enumeration cap.
-    pub truncated_enumeration: u64,
-    /// Oracle-cache hits (runs that reported cache stats only).
-    pub cache_hits: u64,
-    /// Oracle-cache misses (runs that reported cache stats only).
-    pub cache_misses: u64,
-    /// Oracle-cache overflow events.
-    pub cache_overflow: u64,
+    /// Σ of each [`SearchStats::counters`] entry, in list order.
+    counters: [u64; SearchStats::COUNTERS],
     /// Total search wall-clock time in microseconds.
     pub latency_total_us: u64,
     /// Query counts per latency bucket (see [`LATENCY_BUCKET_BOUNDS_US`];
@@ -292,24 +153,38 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Runs truncated for any reason.
+    /// Every per-run counter total as `(name, total)`, in the order of
+    /// [`SearchStats::counters`] (which is also the JSON order).
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        SearchStats::counter_names().into_iter().zip(self.counters)
+    }
+
+    /// The total of the counter `name` (e.g. `"pops"`,
+    /// `"truncated_deadline"`), or `None` if no counter has that name.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters().find(|&(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Runs truncated for any reason: the sum of the `truncated_*`
+    /// counters.
     #[must_use]
     pub fn truncated_total(&self) -> u64 {
-        self.truncated_expansions
-            .saturating_add(self.truncated_deadline)
-            .saturating_add(self.truncated_candidates)
-            .saturating_add(self.truncated_enumeration)
+        self.counters()
+            .filter(|(name, _)| name.starts_with("truncated_"))
+            .fold(0, |sum, (_, v)| sum.saturating_add(v))
     }
 
     /// Oracle-cache hit rate in `[0, 1]`, or `None` before any probe.
     #[must_use]
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits.saturating_add(self.cache_misses);
+        let hits = self.counter("cache_hits")?;
+        let total = hits.saturating_add(self.counter("cache_misses")?);
         if total == 0 {
             return None;
         }
         #[allow(clippy::cast_precision_loss)] // counters are far below 2^52
-        Some(self.cache_hits as f64 / total as f64)
+        Some(hits as f64 / total as f64)
     }
 
     /// Mean search latency in microseconds, or `None` before any query.
@@ -326,100 +201,47 @@ impl MetricsSnapshot {
     /// measuring one workload's contribution against a live registry.
     #[must_use]
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        fn sub<const N: usize>(mut a: [u64; N], b: &[u64; N]) -> [u64; N] {
+            for (a, b) in a.iter_mut().zip(b) {
+                *a = a.saturating_sub(*b);
+            }
+            a
+        }
         MetricsSnapshot {
             queries: self.queries.saturating_sub(earlier.queries),
             errors: self.errors.saturating_sub(earlier.errors),
             answers: self.answers.saturating_sub(earlier.answers),
-            pops: self.pops.saturating_sub(earlier.pops),
-            registered: self.registered.saturating_sub(earlier.registered),
-            bound_pruned: self.bound_pruned.saturating_sub(earlier.bound_pruned),
-            distance_pruned: self.distance_pruned.saturating_sub(earlier.distance_pruned),
-            merges: self.merges.saturating_sub(earlier.merges),
-            dead_pops: self.dead_pops.saturating_sub(earlier.dead_pops),
-            merge_shape: self.merge_shape.saturating_sub(earlier.merge_shape),
-            rejected_infeasible_leaves: self
-                .rejected_infeasible_leaves
-                .saturating_sub(earlier.rejected_infeasible_leaves),
-            rejected_duplicate: self
-                .rejected_duplicate
-                .saturating_sub(earlier.rejected_duplicate),
-            merge_rule: self.merge_rule.saturating_sub(earlier.merge_rule),
-            merge_sig_disjoint: self
-                .merge_sig_disjoint
-                .saturating_sub(earlier.merge_sig_disjoint),
-            merge_matcher_overlap: self
-                .merge_matcher_overlap
-                .saturating_sub(earlier.merge_matcher_overlap),
-            merge_overlap: self.merge_overlap.saturating_sub(earlier.merge_overlap),
-            truncated_expansions: self
-                .truncated_expansions
-                .saturating_sub(earlier.truncated_expansions),
-            truncated_deadline: self
-                .truncated_deadline
-                .saturating_sub(earlier.truncated_deadline),
-            truncated_candidates: self
-                .truncated_candidates
-                .saturating_sub(earlier.truncated_candidates),
-            truncated_enumeration: self
-                .truncated_enumeration
-                .saturating_sub(earlier.truncated_enumeration),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_overflow: self.cache_overflow.saturating_sub(earlier.cache_overflow),
+            counters: sub(self.counters, &earlier.counters),
             latency_total_us: self
                 .latency_total_us
                 .saturating_sub(earlier.latency_total_us),
-            latency_buckets: std::array::from_fn(|i| {
-                let a = self.latency_buckets.get(i).copied().unwrap_or(0);
-                let b = earlier.latency_buckets.get(i).copied().unwrap_or(0);
-                a.saturating_sub(b)
-            }),
+            latency_buckets: sub(self.latency_buckets, &earlier.latency_buckets),
         }
     }
 
     /// Renders the snapshot as a single JSON object (hand-rolled; the
     /// workspace keeps external dependencies to the approved list). The
-    /// layout is stable for dashboard scraping: scalar counters, then a
-    /// `latency_histogram_us` array of `{le, count}` pairs where `le` is
-    /// the inclusive microsecond bound (`null` for the overflow bucket).
+    /// layout is stable for dashboard scraping: `queries`, `errors`,
+    /// `answers`, the per-run counters in list order, `latency_total_us`,
+    /// then a `latency_histogram_us` array of `{le, count}` pairs where
+    /// `le` is the inclusive microsecond bound (`null` for the overflow
+    /// bucket).
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
+        let scalars = [
+            ("queries", self.queries),
+            ("errors", self.errors),
+            ("answers", self.answers),
+        ];
+        let latency = ("latency_total_us", self.latency_total_us);
         let mut s = String::with_capacity(1024);
         s.push('{');
         // `fmt::Write` into a String cannot fail; the results are ignored.
-        let field = |s: &mut String, key: &str, value: u64| {
+        for (key, value) in scalars.into_iter().chain(self.counters()).chain([latency]) {
             let _ = write!(s, "\"{key}\":{value},");
-        };
-        field(&mut s, "queries", self.queries);
-        field(&mut s, "errors", self.errors);
-        field(&mut s, "answers", self.answers);
-        field(&mut s, "pops", self.pops);
-        field(&mut s, "registered", self.registered);
-        field(&mut s, "bound_pruned", self.bound_pruned);
-        field(&mut s, "distance_pruned", self.distance_pruned);
-        field(&mut s, "merges", self.merges);
-        field(&mut s, "dead_pops", self.dead_pops);
-        field(&mut s, "merge_shape", self.merge_shape);
-        field(
-            &mut s,
-            "rejected_infeasible_leaves",
-            self.rejected_infeasible_leaves,
-        );
-        field(&mut s, "rejected_duplicate", self.rejected_duplicate);
-        field(&mut s, "merge_rule", self.merge_rule);
-        field(&mut s, "merge_sig_disjoint", self.merge_sig_disjoint);
-        field(&mut s, "merge_matcher_overlap", self.merge_matcher_overlap);
-        field(&mut s, "merge_overlap", self.merge_overlap);
-        field(&mut s, "truncated_expansions", self.truncated_expansions);
-        field(&mut s, "truncated_deadline", self.truncated_deadline);
-        field(&mut s, "truncated_candidates", self.truncated_candidates);
-        field(&mut s, "truncated_enumeration", self.truncated_enumeration);
-        field(&mut s, "cache_hits", self.cache_hits);
-        field(&mut s, "cache_misses", self.cache_misses);
-        field(&mut s, "cache_overflow", self.cache_overflow);
-        field(&mut s, "latency_total_us", self.latency_total_us);
-        let _ = write!(s, "\"latency_histogram_us\":[");
+        }
+        s.push_str("\"latency_histogram_us\":[");
         for (i, count) in self.latency_buckets.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -441,6 +263,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ci_search::{CacheStats, RejectionStats, TruncationReason};
 
     fn stats(pops: usize, truncation: Option<TruncationReason>) -> SearchStats {
         SearchStats {
@@ -484,22 +307,28 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert_eq!(s.errors, 1);
         assert_eq!(s.answers, 4);
-        assert_eq!(s.pops, 14);
-        assert_eq!(s.registered, 28);
-        assert_eq!(s.merges, 6);
-        assert_eq!(s.dead_pops, 16);
-        assert_eq!(s.merge_shape, 10);
-        assert_eq!(s.rejected_infeasible_leaves, 8);
-        assert_eq!(s.rejected_duplicate, 4);
-        assert_eq!(s.merge_rule, 0);
-        assert_eq!(s.merge_sig_disjoint, 2);
-        assert_eq!(s.merge_matcher_overlap, 18);
-        assert_eq!(s.merge_overlap, 12);
-        assert_eq!(s.truncated_deadline, 1);
+        for (name, total) in [
+            ("pops", 14),
+            ("registered", 28),
+            ("merges", 6),
+            ("dead_pops", 16),
+            ("merge_shape", 10),
+            ("rejected_infeasible_leaves", 8),
+            ("rejected_duplicate", 4),
+            ("merge_rule", 0),
+            ("merge_sig_disjoint", 2),
+            ("merge_matcher_overlap", 18),
+            ("merge_overlap", 12),
+            ("truncated_deadline", 1),
+            ("truncated_expansions", 0),
+            ("cache_hits", 10),
+            ("cache_misses", 14),
+            ("cache_overflow", 2),
+        ] {
+            assert_eq!(s.counter(name), Some(total), "{name}");
+        }
+        assert_eq!(s.counter("no_such_counter"), None);
         assert_eq!(s.truncated_total(), 1);
-        assert_eq!(s.cache_hits, 10);
-        assert_eq!(s.cache_misses, 14);
-        assert_eq!(s.cache_overflow, 2);
         assert_eq!(s.latency_total_us, 600_120);
         // 120µs → the 250µs bucket (index 2); 600ms → the 1s bucket.
         assert_eq!(s.latency_buckets[2], 1);
@@ -530,9 +359,9 @@ mod tests {
         );
         let delta = m.snapshot().delta_since(&before);
         assert_eq!(delta.queries, 1);
-        assert_eq!(delta.pops, 5);
+        assert_eq!(delta.counter("pops"), Some(5));
         assert_eq!(delta.answers, 2);
-        assert_eq!(delta.truncated_expansions, 1);
+        assert_eq!(delta.counter("truncated_expansions"), Some(1));
         assert_eq!(
             delta.latency_buckets[1], 1,
             "90µs lands in the ≤100µs bucket"
@@ -584,6 +413,46 @@ mod tests {
         );
         // Balanced braces (cheap well-formedness check without a parser).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    /// The JSON layout is a scraping contract: keys, their order and the
+    /// histogram shape stay byte-identical across refactors.
+    #[test]
+    fn json_snapshot_matches_golden() {
+        let m = MetricsRegistry::new();
+        m.record_search(&stats(10, None), 3, Duration::from_micros(120));
+        m.record_search(
+            &stats(4, Some(TruncationReason::Deadline)),
+            1,
+            Duration::from_micros(600_000),
+        );
+        m.record_search(
+            &SearchStats {
+                cache: None,
+                ..stats(1, Some(TruncationReason::EnumerationCaps))
+            },
+            0,
+            Duration::from_secs(11),
+        );
+        m.record_error();
+        let golden = concat!(
+            "{\"queries\":3,\"errors\":1,\"answers\":4,\"pops\":15,\"registered\":30,",
+            "\"bound_pruned\":3,\"distance_pruned\":6,\"merges\":9,\"dead_pops\":24,",
+            "\"merge_shape\":15,\"rejected_infeasible_leaves\":12,\"rejected_duplicate\":6,",
+            "\"merge_rule\":0,\"merge_sig_disjoint\":3,\"merge_matcher_overlap\":27,",
+            "\"merge_overlap\":18,\"truncated_expansions\":0,\"truncated_deadline\":1,",
+            "\"truncated_candidates\":0,\"truncated_enumeration\":1,\"cache_hits\":10,",
+            "\"cache_misses\":14,\"cache_overflow\":2,\"latency_total_us\":11600120,",
+            "\"latency_histogram_us\":[{\"le\":50,\"count\":0},{\"le\":100,\"count\":0},",
+            "{\"le\":250,\"count\":1},{\"le\":500,\"count\":0},{\"le\":1000,\"count\":0},",
+            "{\"le\":2500,\"count\":0},{\"le\":5000,\"count\":0},{\"le\":10000,\"count\":0},",
+            "{\"le\":25000,\"count\":0},{\"le\":50000,\"count\":0},{\"le\":100000,\"count\":0},",
+            "{\"le\":250000,\"count\":0},{\"le\":500000,\"count\":0},",
+            "{\"le\":1000000,\"count\":1},{\"le\":2500000,\"count\":0},",
+            "{\"le\":5000000,\"count\":0},{\"le\":10000000,\"count\":0},",
+            "{\"le\":null,\"count\":1}]}"
+        );
+        assert_eq!(m.snapshot().to_json(), golden);
     }
 
     #[test]

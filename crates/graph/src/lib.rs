@@ -17,8 +17,8 @@
 //! * [`build_graph`] — mapping a [`ci_storage::Database`] to a graph,
 //!   including the *person merge* of §VI-A (the same person appearing as
 //!   both actor and director becomes a single node);
-//! * traversals — bounded BFS and bounded Dijkstra used by search and
-//!   indexing.
+//! * traversals — bounded BFS, and the hop-bounded path costs
+//!   ([`hop_bounded_costs`]) the distance indexes are built from.
 
 // LINT-EXEMPT(tests): the workspace lint wall (workspace Cargo.toml) bans
 // panicking constructs in library code; unit tests opt back in. Clippy still
@@ -47,7 +47,5 @@ mod weights;
 pub use builder::GraphBuilder;
 pub use csr::{tuple_id_from_row, EdgeRef, Graph, NodeId};
 pub use mapping::{build_graph, MergeSpec};
-pub use traverse::{
-    bfs_within, bounded_dijkstra, connected_components, hop_bounded_costs, Reached,
-};
+pub use traverse::{bfs_within, hop_bounded_costs, Reached};
 pub use weights::WeightConfig;

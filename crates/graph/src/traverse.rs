@@ -1,5 +1,3 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -12,8 +10,8 @@ pub struct Reached {
     pub node: NodeId,
     /// Hop distance from the source.
     pub dist: u32,
-    /// Traversal-specific cost (equals `dist` for BFS; accumulated cost for
-    /// Dijkstra).
+    /// The hop distance as a path cost (`dist as f64`): BFS prices every
+    /// edge at 1.
     pub cost: f64,
 }
 
@@ -53,109 +51,17 @@ pub fn bfs_within(graph: &Graph, src: NodeId, max_dist: u32) -> Vec<Reached> {
     out
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    dist: u32,
-    node: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on cost: reverse the comparison.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.dist.cmp(&self.dist))
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Bounded Dijkstra from `src`: explores nodes within `max_dist` hops,
-/// minimizing the sum of `edge_cost(from, to)` along the path. Used to
-/// compute the index's "minimal loss of messages" (costs are `−ln d` of the
-/// entered node, so the cheapest path has the highest retention).
-///
-/// `edge_cost` must be non-negative. Returns the cheapest reached entry per
-/// node, source included at cost 0.
-pub fn bounded_dijkstra<F>(graph: &Graph, src: NodeId, max_dist: u32, edge_cost: F) -> Vec<Reached>
-where
-    F: Fn(NodeId, NodeId) -> f64,
-{
-    let mut best: HashMap<u32, (f64, u32)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        cost: 0.0,
-        dist: 0,
-        node: src.0,
-    });
-    best.insert(src.0, (0.0, 0));
-    while let Some(HeapEntry { cost, dist, node }) = heap.pop() {
-        if let Some(&(c, d)) = best.get(&node) {
-            let stale = match cost.total_cmp(&c) {
-                Ordering::Greater => true,
-                Ordering::Equal => dist > d,
-                Ordering::Less => false,
-            };
-            if stale {
-                continue;
-            }
-        }
-        if dist == max_dist {
-            continue;
-        }
-        let v = NodeId(node);
-        for n in graph.neighbors(v) {
-            let c = edge_cost(v, n);
-            debug_assert!(c >= 0.0, "edge costs must be non-negative");
-            let nc = cost + c;
-            let nd = dist + 1;
-            let better = match best.get(&n.0) {
-                None => true,
-                Some(&(bc, bd)) => match nc.total_cmp(&bc) {
-                    Ordering::Less => true,
-                    Ordering::Equal => nd < bd,
-                    Ordering::Greater => false,
-                },
-            };
-            if better {
-                best.insert(n.0, (nc, nd));
-                heap.push(HeapEntry {
-                    cost: nc,
-                    dist: nd,
-                    node: n.0,
-                });
-            }
-        }
-    }
-    let mut out: Vec<Reached> = best
-        .into_iter()
-        .map(|(node, (cost, dist))| Reached {
-            node: NodeId(node),
-            dist,
-            cost,
-        })
-        .collect();
-    out.sort_unstable_by(|a, b| a.cost.total_cmp(&b.cost).then(a.node.0.cmp(&b.node.0)));
-    out
-}
-
 /// Minimum path cost from `src` to every node over paths of **at most**
 /// `max_hops` edges (hop-layered Bellman–Ford, `O(max_hops · |E|)`).
 ///
-/// This differs from [`bounded_dijkstra`] in an important way: Dijkstra
-/// settles each node on its *globally* cheapest path and then applies the
-/// hop cap to that path, so a node whose cheapest route is long gets
-/// dropped even when a short-but-expensive route exists. The index build
-/// needs "best cost among ≤ cap-hop paths", which is exactly this DP.
+/// Both index builds compute their "minimal loss of messages" with it
+/// (edge costs are `−ln d` of the entered node, so the cheapest path has
+/// the highest retention). A hop-capped Dijkstra would be wrong for the
+/// job: it settles each node on its *globally* cheapest path and then
+/// applies the hop cap to that path, so a node whose cheapest route is
+/// long gets dropped even when a short-but-expensive route exists. The
+/// index needs "best cost among ≤ cap-hop paths", which is exactly this
+/// DP.
 ///
 /// Returns `(cost, hop_distance)` per reachable node; `hop_distance` is
 /// the BFS shortest hop count.
@@ -201,39 +107,6 @@ where
             (node, (cost, d))
         })
         .collect()
-}
-
-/// Partitions the graph into (undirected) connected components; returns one
-/// representative-sorted node list per component.
-pub fn connected_components(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut seen = vec![false; n];
-    let mut comps = Vec::new();
-    for start in graph.nodes() {
-        if seen.get(start.idx()).copied().unwrap_or(true) {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        if let Some(s) = seen.get_mut(start.idx()) {
-            *s = true;
-        }
-        while let Some(v) = queue.pop_front() {
-            comp.push(v);
-            for nb in graph.neighbors(v) {
-                if let Some(s) = seen.get_mut(nb.idx()) {
-                    if !*s {
-                        *s = true;
-                        queue.push_back(nb);
-                    }
-                }
-            }
-        }
-        comp.sort_unstable();
-        comps.push(comp);
-    }
-    comps
 }
 
 #[cfg(test)]
@@ -284,52 +157,19 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_picks_cheapest_path() {
-        // 0→1→3 costs 0.1+0.1; 0→2→3 costs 1.0+1.0.
-        let mut b = GraphBuilder::new();
-        let n: Vec<NodeId> = (0..4).map(|_| b.add_node(0, vec![])).collect();
-        b.add_pair(n[0], n[1], 1.0, 1.0);
-        b.add_pair(n[1], n[3], 1.0, 1.0);
-        b.add_pair(n[0], n[2], 1.0, 1.0);
-        b.add_pair(n[2], n[3], 1.0, 1.0);
-        let g = b.build();
-        // Entering node 2 is expensive.
-        let r = bounded_dijkstra(
-            &g,
-            NodeId(0),
-            5,
-            |_, t| {
-                if t == NodeId(2) {
-                    1.0
-                } else {
-                    0.1
-                }
-            },
-        );
-        let e3 = r.iter().find(|x| x.node == NodeId(3)).unwrap();
-        assert!((e3.cost - 0.2).abs() < 1e-12);
-        assert_eq!(e3.dist, 2);
-    }
-
-    #[test]
-    fn dijkstra_respects_hop_bound() {
-        let g = path5();
-        let r = bounded_dijkstra(&g, NodeId(0), 2, |_, _| 1.0);
-        assert_eq!(r.len(), 3);
-        assert!(r.iter().all(|x| x.dist <= 2));
-    }
-
-    #[test]
-    fn components_found() {
+    fn hop_cap_keeps_the_short_expensive_route() {
+        // 0-1-2-3 is cheap but 3 hops; 0-4-3 is 2 hops through costly 4.
         let mut b = GraphBuilder::new();
         let n: Vec<NodeId> = (0..5).map(|_| b.add_node(0, vec![])).collect();
-        b.add_pair(n[0], n[1], 1.0, 1.0);
-        b.add_pair(n[2], n[3], 1.0, 1.0);
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)] {
+            b.add_pair(n[x], n[y], 1.0, 1.0);
+        }
         let g = b.build();
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![NodeId(0), NodeId(1)]);
-        assert_eq!(comps[1], vec![NodeId(2), NodeId(3)]);
-        assert_eq!(comps[2], vec![NodeId(4)]);
+        let cost = |_: NodeId, to: NodeId| if to == NodeId(4) { 1.0 } else { 0.1 };
+        let uncapped = hop_bounded_costs(&g, NodeId(0), 3, cost);
+        assert!((uncapped[&3].0 - 0.3).abs() < 1e-12, "{uncapped:?}");
+        assert_eq!(uncapped[&3].1, 2, "hop distance is the BFS one");
+        let capped = hop_bounded_costs(&g, NodeId(0), 2, cost);
+        assert!((capped[&3].0 - 1.1).abs() < 1e-12, "{capped:?}");
     }
 }

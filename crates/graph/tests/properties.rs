@@ -9,7 +9,7 @@
     clippy::indexing_slicing
 )]
 
-use ci_graph::{bfs_within, bounded_dijkstra, connected_components, GraphBuilder, NodeId};
+use ci_graph::{bfs_within, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -77,44 +77,34 @@ proptest! {
         }
     }
 
-    /// Dijkstra with unit costs agrees with BFS hop distances.
+    /// BFS from any node reaches exactly its connected component, found
+    /// independently by union-find over the case's edges.
     #[test]
-    fn dijkstra_unit_cost_equals_bfs(case in edge_case()) {
+    fn bfs_reaches_exactly_the_component(case in edge_case()) {
         let g = build(&case);
-        let cap = g.node_count() as u32;
-        for u in g.nodes().take(3) {
-            let bfs: std::collections::HashMap<u32, u32> =
-                bfs_within(&g, u, cap).into_iter().map(|r| (r.node.0, r.dist)).collect();
-            for r in bounded_dijkstra(&g, u, cap, |_, _| 1.0) {
-                prop_assert_eq!(
-                    r.cost as u32, bfs[&r.node.0],
-                    "unit dijkstra vs bfs at node {}", r.node
-                );
+        let mut parent: Vec<usize> = (0..case.nodes).collect();
+        fn find(parent: &mut [usize], mut v: usize) -> usize {
+            while parent[v] != v {
+                parent[v] = parent[parent[v]];
+                v = parent[v];
             }
+            v
         }
-    }
-
-    /// Connected components partition the node set, and BFS from any node
-    /// reaches exactly its component.
-    #[test]
-    fn components_partition(case in edge_case()) {
-        let g = build(&case);
-        let comps = connected_components(&g);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, g.node_count());
-        let mut seen = std::collections::HashSet::new();
-        for c in &comps {
-            for &v in c {
-                prop_assert!(seen.insert(v), "node {v} in two components");
-            }
+        for &(x, y, _, _) in &case.edges {
+            let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
+            parent[rx] = ry;
         }
-        if let Some(first) = comps.first() {
+        for u in g.nodes().take(5) {
             let reach: std::collections::HashSet<u32> =
-                bfs_within(&g, first[0], g.node_count() as u32)
+                bfs_within(&g, u, g.node_count() as u32)
                     .into_iter()
                     .map(|r| r.node.0)
                     .collect();
-            let comp: std::collections::HashSet<u32> = first.iter().map(|v| v.0).collect();
+            let root = find(&mut parent, u.0 as usize);
+            let comp: std::collections::HashSet<u32> = (0..case.nodes)
+                .filter(|&v| find(&mut parent, v) == root)
+                .map(|v| v as u32)
+                .collect();
             prop_assert_eq!(reach, comp);
         }
     }

@@ -8,9 +8,10 @@ use crate::parallel::{map_sources, serialize_tables};
 /// §V-A naive index: exact shortest distances and maximal retention factors
 /// for every node pair within `cap` hops.
 ///
-/// Build cost is one bounded BFS plus one bounded Dijkstra per node; space
-/// is `O(|V|²)` in the worst case (the paper's motivation for star
-/// indexing). Use it on samples or as the exactness oracle in tests.
+/// Build cost is one hop-layered DP ([`ci_graph::hop_bounded_costs`],
+/// `O(cap · |E|)`) per node; space is `O(|V|²)` in the worst case (the
+/// paper's motivation for star indexing). Use it on samples or as the
+/// exactness oracle in tests.
 pub struct NaiveIndex {
     cap: u32,
     // (u, v) -> (distance, retention upper bound)

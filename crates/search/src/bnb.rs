@@ -1,5 +1,4 @@
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use ci_graph::NodeId;
 use ci_index::DistanceOracle;
@@ -7,7 +6,7 @@ use ci_rwmp::Scorer;
 
 use crate::answer::{Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
-use crate::budget::TruncationReason;
+use crate::budget::{DeadlinePoll, TruncationReason};
 use crate::candidate::Shape;
 use crate::query::QuerySpec;
 use crate::scratch::{Overlap, SearchScratch};
@@ -90,10 +89,55 @@ pub struct RejectionStats {
 }
 
 impl SearchStats {
+    /// Number of entries in [`SearchStats::counters`].
+    pub const COUNTERS: usize = 20;
+
     /// True if the run stopped before exhausting its search space — the
     /// top-k guarantee does not hold for a truncated run.
     pub fn truncated(&self) -> bool {
         self.truncation.is_some()
+    }
+
+    /// The run's work counters as `(name, value)` pairs, in report order:
+    /// the one list every aggregate of per-run counters iterates (the
+    /// serving registry and its JSON, `bench_query`'s per-class table).
+    /// The truncation reason reads as one `truncated_*` entry per axis
+    /// (1 for the run's reason, 0 otherwise), and an absent
+    /// [`SearchStats::cache`] as zero cache counters. `candidates_peak`
+    /// is a level, not a counter, and `CacheStats::entries` likewise, so
+    /// neither is listed.
+    pub fn counters(&self) -> [(&'static str, usize); SearchStats::COUNTERS] {
+        use TruncationReason::{CandidateMemory, Deadline, EnumerationCaps, Expansions};
+        let r = &self.rejections;
+        let cache = self.cache.unwrap_or_default();
+        let truncated = |reason| usize::from(self.truncation == Some(reason));
+        [
+            ("pops", self.pops),
+            ("registered", self.registered),
+            ("bound_pruned", self.bound_pruned),
+            ("distance_pruned", self.distance_pruned),
+            ("merges", self.merges),
+            ("dead_pops", r.dead_pops),
+            ("merge_shape", r.merge_shape),
+            ("rejected_infeasible_leaves", r.infeasible_leaves),
+            ("rejected_duplicate", r.duplicate),
+            ("merge_rule", r.merge_rule),
+            ("merge_sig_disjoint", r.merge_sig_disjoint),
+            ("merge_matcher_overlap", r.merge_matcher_overlap),
+            ("merge_overlap", r.merge_overlap),
+            ("truncated_expansions", truncated(Expansions)),
+            ("truncated_deadline", truncated(Deadline)),
+            ("truncated_candidates", truncated(CandidateMemory)),
+            ("truncated_enumeration", truncated(EnumerationCaps)),
+            ("cache_hits", cache.hits),
+            ("cache_misses", cache.misses),
+            ("cache_overflow", cache.overflow),
+        ]
+    }
+
+    /// The names of [`SearchStats::counters`], in the same order.
+    pub fn counter_names() -> [&'static str; SearchStats::COUNTERS] {
+        SearchStats::default().counters().map(|(name, _)| name)
     }
 }
 
@@ -149,12 +193,6 @@ pub(crate) enum Pending {
     },
 }
 
-/// Wall-clock polling stride: the deadline is re-read from the OS once per
-/// this many budget checks, keeping `Instant::now` off the per-candidate
-/// fast path. The first check of a run always polls, so an
-/// already-expired deadline truncates deterministically before any work.
-const DEADLINE_POLL_STRIDE: u32 = 64;
-
 struct SearchRun<'a, O: DistanceOracle> {
     scorer: &'a Scorer<'a>,
     query: &'a QuerySpec,
@@ -164,8 +202,7 @@ struct SearchRun<'a, O: DistanceOracle> {
     topk: TopK,
     stats: SearchStats,
     /// The run's wall-clock limit, armed by the prologue from the budget.
-    deadline: Option<Instant>,
-    deadline_ticks: u32,
+    deadline: DeadlinePoll,
     /// Last oracle `(hits, misses)` snapshot emitted into the trace, so
     /// cache events record transitions, not every pop.
     last_cache: Option<(u64, u64)>,
@@ -226,8 +263,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
         scratch,
         topk: TopK::new(opts.k),
         stats: SearchStats::default(),
-        deadline: opts.budget.arm(),
-        deadline_ticks: 0,
+        deadline: DeadlinePoll::arm(&opts.budget),
         last_cache: None,
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         last_pop: None,
@@ -406,23 +442,14 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         None
     }
 
-    /// Polls the wall-clock deadline (strided — see
-    /// [`DEADLINE_POLL_STRIDE`]) and records the truncation on expiry.
+    /// Polls the wall-clock deadline ([`DeadlinePoll`]) and records the
+    /// truncation on expiry.
     fn deadline_hit(&mut self) -> bool {
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let tick = self.deadline_ticks;
-        self.deadline_ticks = self.deadline_ticks.wrapping_add(1);
-        if !tick.is_multiple_of(DEADLINE_POLL_STRIDE) {
-            return false;
-        }
-        if Instant::now() >= deadline {
+        let hit = self.deadline.poll();
+        if hit {
             self.truncate(TruncationReason::Deadline);
-            true
-        } else {
-            false
         }
+        hit
     }
 
     /// The budget gate every worklist entry passes before it is built:
@@ -789,6 +816,102 @@ mod tests {
             vec!["a".into(), "b".into()],
             vec![(NodeId(0), 0b01, 2), (NodeId(2), 0b10, 2)],
         )
+    }
+
+    /// The counter list is the only mapping from `SearchStats` fields to
+    /// the registry's names, so it is checked here against the fields.
+    #[test]
+    fn counter_list_reads_each_field_under_its_own_name() {
+        let distinct = SearchStats {
+            pops: 1,
+            registered: 2,
+            bound_pruned: 3,
+            distance_pruned: 4,
+            merges: 5,
+            candidates_peak: 6,
+            truncation: None,
+            cache: Some(crate::CacheStats {
+                hits: 7,
+                misses: 8,
+                overflow: 9,
+                entries: 10,
+            }),
+            rejections: RejectionStats {
+                dead_pops: 11,
+                merge_shape: 12,
+                infeasible_leaves: 13,
+                duplicate: 14,
+                merge_rule: 15,
+                merge_sig_disjoint: 16,
+                merge_matcher_overlap: 17,
+                merge_overlap: 18,
+            },
+        };
+        let truncated = [
+            ("truncated_expansions", TruncationReason::Expansions),
+            ("truncated_deadline", TruncationReason::Deadline),
+            ("truncated_candidates", TruncationReason::CandidateMemory),
+            ("truncated_enumeration", TruncationReason::EnumerationCaps),
+        ];
+        let fields: Vec<(&str, usize)> = distinct
+            .counters()
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("truncated_"))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("pops", 1),
+                ("registered", 2),
+                ("bound_pruned", 3),
+                ("distance_pruned", 4),
+                ("merges", 5),
+                ("dead_pops", 11),
+                ("merge_shape", 12),
+                ("rejected_infeasible_leaves", 13),
+                ("rejected_duplicate", 14),
+                ("merge_rule", 15),
+                ("merge_sig_disjoint", 16),
+                ("merge_matcher_overlap", 17),
+                ("merge_overlap", 18),
+                ("cache_hits", 7),
+                ("cache_misses", 8),
+                ("cache_overflow", 9),
+            ]
+        );
+        let names = SearchStats::counter_names();
+        assert_eq!(names.len(), fields.len() + truncated.len());
+        assert!(names
+            .iter()
+            .enumerate()
+            .all(|(i, n)| !names[..i].contains(n)));
+        let truncated_entries = |stats: SearchStats| -> Vec<(&str, usize)> {
+            let c = stats.counters();
+            c.into_iter()
+                .filter(|(n, _)| n.starts_with("truncated_"))
+                .collect()
+        };
+        assert_eq!(
+            truncated_entries(distinct),
+            truncated.map(|(name, _)| (name, 0))
+        );
+        for (set, reason) in truncated {
+            let stats = SearchStats {
+                truncation: Some(reason),
+                ..distinct
+            };
+            let expected = truncated.map(|(name, _)| (name, usize::from(name == set)));
+            assert_eq!(truncated_entries(stats), expected, "{reason:?}");
+        }
+        let uncached = SearchStats {
+            cache: None,
+            ..distinct
+        };
+        for (name, value) in uncached.counters() {
+            if name.starts_with("cache_") {
+                assert_eq!(value, 0, "{name} without cache stats");
+            }
+        }
     }
 
     #[test]

@@ -133,6 +133,51 @@ impl QueryBudget {
     }
 }
 
+/// A run's strided wall-clock poll over the deadline [`QueryBudget::arm`]
+/// sets. The clock is read once per [`DeadlinePoll::STRIDE`] checks,
+/// keeping `Instant::now` off the per-candidate fast path; the first check
+/// of a run always polls, so an already-expired deadline truncates
+/// deterministically before any work. Both searches poll through it.
+#[derive(Debug)]
+pub(crate) struct DeadlinePoll {
+    deadline: Option<Instant>,
+    ticks: u32,
+    expired: bool,
+}
+
+impl DeadlinePoll {
+    /// Checks per clock read.
+    const STRIDE: u32 = 64;
+
+    /// Arms `budget`'s wall-clock limit for a run starting now.
+    pub(crate) fn arm(budget: &QueryBudget) -> DeadlinePoll {
+        DeadlinePoll {
+            deadline: budget.arm(),
+            ticks: 0,
+            expired: false,
+        }
+    }
+
+    /// One check: true if it read the clock and the deadline has passed.
+    pub(crate) fn poll(&mut self) -> bool {
+        let Some(deadline) = self.deadline else {
+            return false;
+        };
+        let tick = self.ticks;
+        self.ticks = self.ticks.wrapping_add(1);
+        if !tick.is_multiple_of(DeadlinePoll::STRIDE) {
+            return false;
+        }
+        self.expired = Instant::now() >= deadline;
+        self.expired
+    }
+
+    /// True once a poll has found the deadline passed. Reads no clock.
+    pub(crate) fn expired(&self) -> bool {
+        self.expired
+    }
+}
+
 /// Why a search run stopped before exhausting its search space.
 ///
 /// Reported uniformly by both algorithms through
@@ -232,6 +277,17 @@ mod tests {
             .with_deadline(late)
             .with_timeout(Duration::ZERO);
         assert!(b.arm().unwrap() < late);
+    }
+
+    #[test]
+    fn deadline_poll_reads_the_clock_on_the_first_check_and_every_stride() {
+        let mut expired = DeadlinePoll::arm(&QueryBudget::default().with_deadline(Instant::now()));
+        assert!(!expired.expired(), "no poll yet");
+        let hits: Vec<usize> = (0..130).filter(|_| expired.poll()).collect();
+        assert_eq!(hits, vec![0, 64, 128], "first check, then every 64th");
+        assert!(expired.expired());
+        let mut unlimited = DeadlinePoll::arm(&QueryBudget::default());
+        assert!(!(0..130).any(|_| unlimited.poll()) && !unlimited.expired());
     }
 
     #[test]

@@ -1,52 +1,14 @@
 use std::collections::HashMap;
-use std::time::Instant;
 
 use ci_graph::NodeId;
 use ci_rwmp::{Jtt, Scorer};
 
 use crate::answer::{score_answer, Answer, TopK};
 use crate::bnb::SearchStats;
-use crate::budget::{QueryBudget, TruncationReason};
+use crate::budget::{DeadlinePoll, TruncationReason};
 use crate::query::QuerySpec;
 use crate::validity::is_valid_answer;
 use crate::SearchOptions;
-
-/// Strided wall-clock poll shared by the enumeration loops (mirrors the
-/// branch-and-bound stride: the deadline is read from the OS once per this
-/// many checks, and the first check always polls).
-struct DeadlineGate {
-    deadline: Option<Instant>,
-    ticks: u32,
-    expired: bool,
-}
-
-impl DeadlineGate {
-    const STRIDE: u32 = 64;
-
-    fn new(budget: QueryBudget) -> Self {
-        DeadlineGate {
-            deadline: budget.arm(),
-            ticks: 0,
-            expired: false,
-        }
-    }
-
-    fn hit(&mut self) -> bool {
-        if self.expired {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let tick = self.ticks;
-        self.ticks = self.ticks.wrapping_add(1);
-        if !tick.is_multiple_of(Self::STRIDE) {
-            return false;
-        }
-        self.expired = Instant::now() >= deadline;
-        self.expired
-    }
-}
 
 /// The naive search algorithm (§IV-A).
 ///
@@ -74,7 +36,7 @@ pub fn naive_search(
     let half = opts.diameter.div_ceil(2);
     let graph = scorer.graph();
     let mut capped = false;
-    let mut gate = DeadlineGate::new(opts.budget);
+    let mut deadline = DeadlinePoll::arm(&opts.budget);
 
     // endpoint -> matcher -> paths (each path runs endpoint → … → matcher).
     let mut by_endpoint: HashMap<NodeId, HashMap<NodeId, Vec<Vec<NodeId>>>> = HashMap::new();
@@ -97,7 +59,7 @@ pub fn naive_search(
             rp.reverse();
             slot.push(rp);
         });
-        if gate.hit() {
+        if deadline.poll() {
             break;
         }
     }
@@ -111,7 +73,9 @@ pub fn naive_search(
         let Some(per_matcher) = by_endpoint.get(&root) else {
             continue;
         };
-        if gate.hit() {
+        // Once a poll found the deadline passed, stop without waiting
+        // for the next clock read.
+        if deadline.expired() || deadline.poll() {
             break;
         }
         // Options per keyword: (matcher, path index) pairs.
@@ -157,7 +121,7 @@ pub fn naive_search(
     }
     // Uniform truncation reporting: the deadline outranks the enumeration
     // caps (the run stopped for time, whatever else it also hit).
-    stats.truncation = if gate.expired {
+    stats.truncation = if deadline.expired() {
         Some(TruncationReason::Deadline)
     } else if capped {
         Some(TruncationReason::EnumerationCaps)
@@ -253,6 +217,7 @@ fn union_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::QueryBudget;
     use ci_graph::GraphBuilder;
     use ci_rwmp::Dampening;
 

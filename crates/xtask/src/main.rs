@@ -66,6 +66,14 @@
 //!    records the run the engine does; a level stored in a variable or
 //!    mixed into another condition is how a trace level starts steering
 //!    the enumeration, so that a traced run does different work.
+//! 10. **One counter list** — the non-test code of the per-run counter
+//!     aggregates (`crates/core/src/metrics.rs`,
+//!     `crates/bench/src/bin/bench_query.rs`) may not read a
+//!     `.rejections` or `.cache` field. Both iterate
+//!     `SearchStats::counters`, the one `(name, value)` list of per-run
+//!     counters; reading the fields one by one is how every aggregate
+//!     once kept its own copy of the list, and a counter missing from one
+//!     copy silently dropped out of the JSON or the agreement test.
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -133,6 +141,7 @@ fn lint() -> ExitCode {
     check_single_flow_kernel(&root, &mut findings);
     check_single_metered_path(&root, &mut findings);
     check_trace_level_guards(&root, &mut findings);
+    check_counter_list_reads(&root, &mut findings);
 
     if findings.is_empty() {
         println!("xtask lint: ok");
@@ -536,6 +545,54 @@ fn check_trace_level_guards(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// The per-run counter aggregates that must read `SearchStats` through
+/// its counter list (rule 10).
+const COUNTER_LIST_READERS: &[&str] = &[
+    "crates/core/src/metrics.rs",
+    "crates/bench/src/bin/bench_query.rs",
+];
+
+/// Rule 10: the counter aggregates iterate `SearchStats::counters`. In
+/// their non-test code, no `.rejections` or `.cache` field is read.
+fn check_counter_list_reads(root: &Path, findings: &mut Vec<String>) {
+    for rel in COUNTER_LIST_READERS {
+        let path = root.join(rel);
+        let Ok(src) = fs::read_to_string(&path) else {
+            findings.push(format!("{}: cannot read file", path.display()));
+            continue;
+        };
+        for n in per_field_stats_hits(&src) {
+            findings.push(format!(
+                "{}:{}: a per-run counter read field by field — iterate \
+                 `SearchStats::counters()` (the one counter list) instead",
+                path.display(),
+                n
+            ));
+        }
+    }
+}
+
+/// 1-based line numbers in the non-test region of `src` that read a
+/// `.rejections` or `.cache` field outside comments and string literals.
+/// A name continuing past the field (`.cache_hits`) or a method call
+/// (`.cache(`) is not a read of the field.
+fn per_field_stats_hits(src: &str) -> Vec<usize> {
+    non_test_region(src)
+        .enumerate()
+        .filter(|(_, line)| {
+            let stripped = strip_strings(line);
+            let code = stripped.split("//").next().unwrap_or_default();
+            [".rejections", ".cache"].iter().any(|field| {
+                code.match_indices(field).any(|(i, _)| {
+                    let rest = code.get(i + field.len()..).unwrap_or_default();
+                    !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_' || c == '(')
+                })
+            })
+        })
+        .map(|(n, _)| n + 1)
+        .collect()
+}
+
 /// 1-based line numbers in the non-test region of `src` of statements
 /// that read `level().full()` or `level().pops()` and either start with
 /// `let` or contain `&&` / `||`. A statement runs from the line after the
@@ -908,6 +965,22 @@ mod tests {
         assert!(trace_level_hits(in_tests).is_empty());
         let mut findings = Vec::new();
         check_trace_level_guards(&workspace_root(), &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn per_field_counter_reads_flagged_outside_tests_only() {
+        // Per-field reads as the registry and bench_query once made them.
+        let registry = "fn f() {\n        self.record_rejections(&stats.rejections);\n        if let Some(cache) = &stats.cache {\n";
+        assert_eq!(per_field_stats_hits(registry), vec![2, 3]);
+        let bench = "fn f() {\n    let r = &stats.rejections;\n    for c in r.rejections.iter() {}\n    let c = stats.cache\n";
+        assert_eq!(per_field_stats_hits(bench), vec![2, 3, 4]);
+        let list = "fn f() {\n    for (n, v) in stats.counters() {}\n    self.cache_hits.load(r);\n    s.cache().stats();\n    // stats.rejections is summed by the list\n    let k = \"x.cache\";\n}\n";
+        assert!(per_field_stats_hits(list).is_empty());
+        let in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    let r = stats.rejections;\n}\n";
+        assert!(per_field_stats_hits(in_tests).is_empty());
+        let mut findings = Vec::new();
+        check_counter_list_reads(&workspace_root(), &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

@@ -19,31 +19,35 @@
 
 use ci_rank::Ranker;
 use ci_rank_suite::fingerprint::{build, cases};
-use ci_search::SearchOptions;
+use ci_search::{SearchOptions, SearchStats};
 
-/// Hand-summed expectations for one replayed workload.
+/// Hand-summed expectations for one replayed workload: the registry-level
+/// values, and one total per entry of the per-run counter list.
 #[derive(Default)]
 struct Expected {
     queries: u64,
     errors: u64,
     answers: u64,
-    pops: u64,
-    registered: u64,
-    bound_pruned: u64,
-    distance_pruned: u64,
-    merges: u64,
-    dead_pops: u64,
-    merge_shape: u64,
-    merge_rule: u64,
-    infeasible_leaves: u64,
-    duplicate: u64,
-    merge_sig_disjoint: u64,
-    merge_matcher_overlap: u64,
-    merge_overlap: u64,
+    /// Runs with any truncation reason.
     truncated: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_overflow: u64,
+    counters: [u64; SearchStats::COUNTERS],
+}
+
+impl Expected {
+    fn add(&mut self, other: &Expected) {
+        self.queries += other.queries;
+        self.errors += other.errors;
+        self.answers += other.answers;
+        self.truncated += other.truncated;
+        for (total, v) in self.counters.iter_mut().zip(other.counters) {
+            *total += v;
+        }
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        let names = SearchStats::counter_names();
+        self.counters[names.iter().position(|n| *n == name).unwrap()]
+    }
 }
 
 fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
@@ -53,25 +57,9 @@ fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
             Ok((answers, stats)) => {
                 e.queries += 1;
                 e.answers += answers.len() as u64;
-                e.pops += stats.pops as u64;
-                e.registered += stats.registered as u64;
-                e.bound_pruned += stats.bound_pruned as u64;
-                e.distance_pruned += stats.distance_pruned as u64;
-                e.merges += stats.merges as u64;
-                let r = &stats.rejections;
-                e.dead_pops += r.dead_pops as u64;
-                e.merge_shape += r.merge_shape as u64;
-                e.merge_rule += r.merge_rule as u64;
-                e.infeasible_leaves += r.infeasible_leaves as u64;
-                e.duplicate += r.duplicate as u64;
-                e.merge_sig_disjoint += r.merge_sig_disjoint as u64;
-                e.merge_matcher_overlap += r.merge_matcher_overlap as u64;
-                e.merge_overlap += r.merge_overlap as u64;
                 e.truncated += u64::from(stats.truncation.is_some());
-                if let Some(c) = &stats.cache {
-                    e.cache_hits += c.hits as u64;
-                    e.cache_misses += c.misses as u64;
-                    e.cache_overflow += c.overflow as u64;
+                for (total, (_, v)) in e.counters.iter_mut().zip(stats.counters()) {
+                    *total += v as u64;
                 }
             }
             Err(_) => e.errors += 1,
@@ -84,42 +72,21 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
     assert_eq!(delta.queries, e.queries, "{label}: queries");
     assert_eq!(delta.errors, e.errors, "{label}: errors");
     assert_eq!(delta.answers, e.answers, "{label}: answers");
-    assert_eq!(delta.pops, e.pops, "{label}: pops");
-    assert_eq!(delta.registered, e.registered, "{label}: registered");
-    assert_eq!(delta.bound_pruned, e.bound_pruned, "{label}: bound_pruned");
-    assert_eq!(
-        delta.distance_pruned, e.distance_pruned,
-        "{label}: distance_pruned"
-    );
-    assert_eq!(delta.merges, e.merges, "{label}: merges");
-    assert_eq!(delta.dead_pops, e.dead_pops, "{label}: dead pops");
-    assert_eq!(delta.merge_shape, e.merge_shape, "{label}: shape merges");
-    assert_eq!(delta.merge_rule, e.merge_rule, "{label}: merge rule");
-    assert_eq!(
-        delta.rejected_infeasible_leaves, e.infeasible_leaves,
-        "{label}: infeasible leaves"
-    );
-    assert_eq!(delta.rejected_duplicate, e.duplicate, "{label}: duplicate");
-    assert_eq!(
-        delta.merge_sig_disjoint, e.merge_sig_disjoint,
-        "{label}: signature-disjoint merges"
-    );
-    assert_eq!(
-        delta.merge_matcher_overlap, e.merge_matcher_overlap,
-        "{label}: matcher-signature overlaps"
-    );
-    assert_eq!(delta.merge_overlap, e.merge_overlap, "{label}: overlap");
+    for ((name, total), want) in delta.counters().zip(e.counters) {
+        assert_eq!(total, want, "{label}: {name}");
+    }
     assert!(
-        e.dead_pops > 0 && e.merge_shape > 0 && e.merge_matcher_overlap > 0 && e.merge_overlap > 0,
+        [
+            "dead_pops",
+            "merge_shape",
+            "merge_matcher_overlap",
+            "merge_overlap"
+        ]
+        .iter()
+        .all(|name| e.counter(name) > 0),
         "{label}: the workload exercises the rejection counters"
     );
     assert_eq!(delta.truncated_total(), e.truncated, "{label}: truncations");
-    assert_eq!(delta.cache_hits, e.cache_hits, "{label}: cache hits");
-    assert_eq!(delta.cache_misses, e.cache_misses, "{label}: cache misses");
-    assert_eq!(
-        delta.cache_overflow, e.cache_overflow,
-        "{label}: cache overflow"
-    );
     // Every successful query lands in exactly one latency bucket, and the
     // total time is consistent with the bucketed counts.
     assert_eq!(
@@ -142,10 +109,12 @@ fn metrics_agree_with_search_stats_totals() {
 
         // The JSON snapshot carries the same totals.
         let json = snap.metrics().snapshot().to_json();
-        assert!(
-            json.contains(&format!("\"pops\":{}", delta.pops)),
-            "{label}: {json}"
-        );
+        for (name, total) in delta.counters() {
+            assert!(
+                json.contains(&format!("\"{name}\":{total},")),
+                "{label}: {name} in {json}"
+            );
+        }
         assert!(
             json.contains("\"latency_histogram_us\":["),
             "{label}: {json}"
@@ -167,26 +136,7 @@ fn metrics_are_exact_across_concurrent_sessions() {
     });
     let mut total = Expected::default();
     for e in &per_thread {
-        total.queries += e.queries;
-        total.errors += e.errors;
-        total.answers += e.answers;
-        total.pops += e.pops;
-        total.registered += e.registered;
-        total.bound_pruned += e.bound_pruned;
-        total.distance_pruned += e.distance_pruned;
-        total.merges += e.merges;
-        total.dead_pops += e.dead_pops;
-        total.merge_shape += e.merge_shape;
-        total.merge_rule += e.merge_rule;
-        total.infeasible_leaves += e.infeasible_leaves;
-        total.duplicate += e.duplicate;
-        total.merge_sig_disjoint += e.merge_sig_disjoint;
-        total.merge_matcher_overlap += e.merge_matcher_overlap;
-        total.merge_overlap += e.merge_overlap;
-        total.truncated += e.truncated;
-        total.cache_hits += e.cache_hits;
-        total.cache_misses += e.cache_misses;
-        total.cache_overflow += e.cache_overflow;
+        total.add(e);
     }
     let delta = snap.metrics().snapshot().delta_since(&before);
     assert_agrees(&delta, &total, label);
@@ -241,14 +191,8 @@ fn ranking_entry_points_feed_the_registry() {
     assert_eq!(banks.errors, 1, "{label}: BANKS parse error");
     assert_eq!(banks.answers, answers, "{label}: BANKS answers");
     assert_eq!(banks.latency_buckets.iter().sum::<u64>(), parsed);
-    assert_eq!(
-        (
-            banks.pops,
-            banks.registered,
-            banks.merges,
-            banks.truncated_total()
-        ),
-        (0, 0, 0, 0),
+    assert!(
+        banks.counters().all(|(_, total)| total == 0),
         "{label}: BANKS runs no branch-and-bound"
     );
 
@@ -277,9 +221,16 @@ fn ranking_entry_points_feed_the_registry() {
     assert_eq!(ranked.queries, parsed, "{label}: search_ranked counts once");
     assert_eq!(ranked.errors, 1, "{label}: search_ranked parse error");
     assert_eq!(ranked.answers, answers, "{label}: search_ranked answers");
+    // The same runs, so the same work; only the oracle-cache traffic
+    // differs, because the session's cache is warm the second time.
+    let work = |m: &ci_rank::MetricsSnapshot| -> Vec<(&str, u64)> {
+        m.counters()
+            .filter(|(name, _)| !name.starts_with("cache_"))
+            .collect()
+    };
     assert_eq!(
-        (ranked.pops, ranked.registered, ranked.merges),
-        (pool_run.pops, pool_run.registered, pool_run.merges),
+        work(&ranked),
+        work(&pool_run),
         "{label}: search_ranked records its pool run"
     );
 }
