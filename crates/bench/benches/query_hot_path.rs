@@ -13,6 +13,12 @@
 //!   Both read the missing-keyword term from one [`ci_search::RootTable`]
 //!   that stays warm across iterations, as it does for every candidate of
 //!   a run after the first one at its root.
+//! * **Flow kernel** — the Eq. 2 flow matrix of a branchy three-source
+//!   candidate: [`ci_rwmp::Scorer::fill_flows`] from scratch (edge table
+//!   loaded by weight lookups, then one walk and one sweep per source),
+//!   and one [`ci_rwmp::Scorer::grow_flows`] step, with the grown-from
+//!   table already loaded (every grow of a pop after its first) and
+//!   reloaded from stored rows (a pop's first grow).
 //!
 //! These use the `#[doc(hidden)]` hot-path re-exports from `ci-search`;
 //! they are not a stable API.
@@ -193,5 +199,106 @@ fn bench_bound_computation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_oracle_probes, bench_bound_computation);
+/// A hub `h` with three two-hop branches `h — a_i — m_i`, each ending in
+/// a matcher `m_i`, plus a node `g` beyond the hub; every node also has
+/// `extra` leaf neighbours, so weight lookups search real adjacency lists.
+/// Returns the graph and the nodes `[h, a_0, m_0, a_1, m_1, a_2, m_2, g]`.
+fn branchy_graph(extra: u32) -> (ci_graph::Graph, Vec<NodeId>) {
+    let mut b = GraphBuilder::new();
+    let named: Vec<NodeId> = (0..8).map(|i| b.add_node(i % 3, vec![])).collect();
+    let (h, g) = (named[0], named[7]);
+    for i in 0..3 {
+        let (a, m) = (named[1 + 2 * i], named[2 + 2 * i]);
+        b.add_pair(h, a, 0.9, 0.6);
+        b.add_pair(a, m, 0.7, 0.8);
+    }
+    b.add_pair(g, h, 0.5, 0.4);
+    for &v in &named {
+        for _ in 0..extra {
+            let leaf = b.add_node(2, vec![]);
+            b.add_pair(v, leaf, 0.3, 0.2);
+        }
+    }
+    (b.build(), named)
+}
+
+fn bench_flow_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flow_kernel");
+    group.sample_size(200);
+
+    let (graph, named) = branchy_graph(12);
+    let p: Vec<f64> = (0..graph.node_count())
+        .map(|i| 0.01 + 0.001 * f64::from(u32::try_from(i % 17).unwrap()))
+        .collect();
+    let scorer = Scorer::new(&graph, &p, 0.01, Dampening::paper_default());
+    let matchers = [named[2], named[4], named[6]];
+    let query = QuerySpec::from_matches(
+        &scorer,
+        vec!["x".into(), "y".into(), "z".into()],
+        vec![
+            (matchers[0], 0b001, 2),
+            (matchers[1], 0b010, 2),
+            (matchers[2], 0b100, 2),
+        ],
+    );
+    // The hub-rooted candidate of all three branches, as the search
+    // builds it: each matcher grown to the hub, the three merged.
+    let grow = |c: &Candidate, v: NodeId| {
+        let mut out = Candidate::empty();
+        c.grow_into(v, &query, &mut out);
+        out
+    };
+    let merge = |a: &Candidate, b: &Candidate| {
+        let mut out = Candidate::empty();
+        out.merge_into(a.view(), b.view());
+        out
+    };
+    let branch = |i: usize| {
+        let seed = Candidate::seed(matchers[i], 1 << i);
+        grow(&grow(&seed, named[1 + 2 * i]), named[0])
+    };
+    let cand = merge(&merge(&branch(0), &branch(1)), &branch(2));
+    let new_root = named[7];
+
+    group.bench_function("fill_flows", |b| {
+        let mut out = FlowState::default();
+        b.iter(|| {
+            scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut out);
+            black_box(out.value(0, 0))
+        })
+    });
+
+    let mut prev = FlowState::default();
+    scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut prev);
+    let (sources, values) = {
+        let (s, v) = prev.parts();
+        (s.to_vec(), v.to_vec())
+    };
+    group.bench_function("grow_flows", |b| {
+        let mut out = FlowState::default();
+        b.iter(|| {
+            scorer.grow_flows(cand.tree(), &mut prev, new_root, None, &mut out);
+            black_box(out.value(0, 0))
+        })
+    });
+
+    group.bench_function("grow_flows_reload", |b| {
+        let mut stored = FlowState::default();
+        let mut out = FlowState::default();
+        b.iter(|| {
+            stored.assign_parts(&sources, &values, cand.size());
+            scorer.grow_flows(cand.tree(), &mut stored, new_root, None, &mut out);
+            black_box(out.value(0, 0))
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_oracle_probes,
+    bench_bound_computation,
+    bench_flow_kernel
+);
 criterion_main!(benches);

@@ -20,9 +20,11 @@
 //! (Eq. 4).
 //!
 //! This arithmetic exists once, in [`FlowState`]: [`Scorer::fill_flows`]
-//! propagates every source over a tree in parent-array form
-//! ([`ParentTree`]), [`Scorer::grow_flows`] advances a matrix to the tree
-//! grown by a new root, and [`FlowState::reduce`] applies Eqs. 3–4. Tree
+//! loads a per-tree edge table of a tree in parent-array form
+//! ([`ParentTree`]) and propagates every source over it (one walk up to
+//! the root, one sweep down), [`Scorer::grow_flows`] advances a matrix to
+//! the tree grown by a new root, and [`FlowState::reduce`] applies
+//! Eqs. 3–4. Tree
 //! scores here, and the answer scores, search bounds and score
 //! explanations of `ci-search`, all run it.
 //!

@@ -184,7 +184,9 @@ impl<'g> Scorer<'g> {
     }
 
     /// Fills `out` with the Eq. 2 flow matrix of `tree`: one row per
-    /// `(source position, generation count)`, in the order given.
+    /// `(source position, generation count)`, in the order given. The
+    /// tree's edge table is loaded first, with the only weight lookups of
+    /// the fill: two per edge.
     pub fn fill_flows(
         &self,
         tree: ParentTree<'_>,
@@ -192,119 +194,138 @@ impl<'g> Scorer<'g> {
         out: &mut FlowState,
     ) {
         out.clear(tree.size());
-        for m in 0..tree.size() {
-            out.values.push(self.split_denominator(tree, m));
-        }
+        self.load_table(tree, out);
         for (src, gen) in sources {
-            self.push_source(tree, src, gen, out);
+            out.push_source(src, gen);
         }
     }
 
-    /// Advances `prev`, the flow matrix of a tree `T`, to `out`, the matrix
-    /// of `grown`: `T` under a new root at position 0 that adopts `T`'s
-    /// root as its only child, every position of `T` shifted up by one.
-    /// `root_gen` is the new root's generation count when it is a source;
-    /// its row comes first, then `prev`'s rows in order.
+    /// Advances `prev`, the flow matrix of `prev_tree`, to `out`, the
+    /// matrix of `prev_tree` grown by `new_root`: a new root at position 0
+    /// that adopts `prev_tree`'s root as its only child, every position
+    /// shifted up by one. `root_gen` is the new root's generation count
+    /// when it is a source; its row comes first, then `prev`'s sources in
+    /// order.
     ///
-    /// Bit-identical to [`Scorer::fill_flows`] over `grown`, but only the
-    /// region the new edge touches is recomputed. A flow depends only on
-    /// the split denominators of the positions before it on its path, and
-    /// the new edge changes only the denominator of `T`'s root. So a source
-    /// below `T`'s root keeps every flow up to and including `T`'s root,
-    /// and is resumed from there into the new root and the other branches.
+    /// Bit-identical to [`Scorer::fill_flows`] over the grown tree. The
+    /// grown edge table is `prev`'s plus the one new edge: only the old
+    /// root's denominator changes. `prev`'s table is loaded on first use
+    /// and kept, so the grows of one tree load it once.
     pub fn grow_flows(
         &self,
-        grown: ParentTree<'_>,
-        prev: &FlowState,
+        prev_tree: ParentTree<'_>,
+        prev: &mut FlowState,
+        new_root: NodeId,
         root_gen: Option<f64>,
         out: &mut FlowState,
     ) {
-        debug_assert_eq!(grown.size(), prev.size() + 1, "grown adds one node");
-        out.clear(grown.size());
-        out.values.push(self.split_denominator(grown, 0));
-        out.values.push(self.split_denominator(grown, 1));
-        out.values
-            .extend_from_slice(prev.denominators().get(1..).unwrap_or(&[]));
+        debug_assert_eq!(prev_tree.size(), prev.n, "prev holds prev_tree's flows");
+        if !prev.loaded {
+            self.load_table(prev_tree, prev);
+        }
+        out.clear(prev.n + 1);
+        let old_root = prev_tree.node(0).unwrap_or(new_root);
+        let (up, down) = self.weights(old_root, new_root);
+        // The new root's one neighbour is the old root.
+        out.links.push(Link {
+            damp: self.dampening(new_root),
+            denom: down,
+            ..Link::default()
+        });
+        out.links.extend(prev.links.iter().map(|l| Link {
+            parent: l.parent + 1,
+            ..*l
+        }));
+        out.order.push(0);
+        out.order.extend(prev.order.iter().map(|&k| k + 1));
+        // The old root: the new root is its first neighbour, then its
+        // children in ascending position.
+        let mut denom = up;
+        for l in out.links.iter().skip(2).filter(|l| l.parent == 1) {
+            denom += l.down;
+        }
+        if let Some(l) = out.links.get_mut(1) {
+            *l = Link {
+                parent: 0,
+                up,
+                down,
+                denom,
+                ..*l
+            };
+        }
+        out.loaded = true;
         if let Some(gen) = root_gen {
-            self.push_source(grown, 0, gen, out);
+            out.push_source(0, gen);
         }
-        for (s, &old) in prev.sources.iter().enumerate() {
-            let src = old as usize + 1;
-            if old == 0 {
-                // The source is `T`'s root, whose own split changed; its
-                // generation count is the row's value at the source.
-                self.push_source(grown, src, prev.value(s, 0), out);
-                continue;
-            }
-            out.sources.push(old + 1);
-            out.values.push(0.0);
-            out.values.extend_from_slice(prev.row(s));
-            // The branch the flow arrived through keeps its copied values.
-            let mut entry = src;
-            while let Some(p) = grown.parent(entry).filter(|&p| p > 1) {
-                entry = p;
-            }
-            let (denom, row) = out.last_row();
-            self.spread(grown, denom, row, 1, entry);
+        for (s, &src) in prev.sources.iter().enumerate() {
+            // A row holds its source's generation count at the source.
+            out.push_source(src as usize + 1, prev.value(s, src as usize));
         }
     }
 
-    /// Eq. 2 split denominator of position `m`: the raw edge weights from
-    /// `v_m` toward all its tree neighbors, summed in ascending position
-    /// order.
-    fn split_denominator(&self, tree: ParentTree<'_>, m: usize) -> f64 {
-        let Some(vm) = tree.node(m) else {
-            return 0.0;
-        };
-        let mut denom = 0.0;
-        for k in tree.neighbors(m) {
-            if let Some(w) = tree.node(k).and_then(|vk| self.graph.edge_weight(vm, vk)) {
-                denom += w;
-            }
-        }
-        denom
+    /// Weights `(w(child → parent), w(parent → child))` of a tree edge,
+    /// 0 for a missing direction (edge weights are positive).
+    fn weights(&self, child: NodeId, parent: NodeId) -> (f64, f64) {
+        (
+            self.graph.edge_weight(child, parent).unwrap_or(0.0),
+            self.graph.edge_weight(parent, child).unwrap_or(0.0),
+        )
     }
 
-    /// Appends the row of source `src` holding `gen` messages, propagated
-    /// through the whole tree.
-    fn push_source(&self, tree: ParentTree<'_>, src: usize, gen: f64, out: &mut FlowState) {
-        out.sources.push(u32::try_from(src).unwrap_or(u32::MAX));
-        let start = out.values.len();
-        out.values.resize(start + tree.size(), 0.0);
-        if let Some(slot) = out.values.get_mut(start + src) {
-            *slot = gen;
-        }
-        let (denom, row) = out.last_row();
-        self.spread(tree, denom, row, src, src);
-    }
-
-    /// The Eq. 2 propagation loop: the `row[m]` messages leaving position
-    /// `m` split over its neighbors by edge weight, each share dampened on
-    /// arrival, and on outward until the leaves. The share toward `from`,
-    /// the sender, is discarded (from the source itself, `from == m`
-    /// excludes nothing).
-    fn spread(&self, tree: ParentTree<'_>, denom: &[f64], row: &mut [f64], m: usize, from: usize) {
-        let leaving = row.get(m).copied().unwrap_or(0.0);
-        let d = denom.get(m).copied().unwrap_or(0.0);
-        let Some(vm) = tree.node(m) else {
-            return;
-        };
-        if leaving <= 0.0 || d <= 0.0 {
-            return;
-        }
-        for k in tree.neighbors(m).filter(|&k| k != from) {
-            let Some(vk) = tree.node(k) else {
-                continue;
+    /// Loads `tree`'s edge table into `flows`: per position its parent,
+    /// both edge weights toward it and its dampening rate, then the
+    /// parent-before-child order and the split denominators.
+    fn load_table(&self, tree: ParentTree<'_>, flows: &mut FlowState) {
+        flows.links.clear();
+        for pos in 0..tree.size() {
+            let p = tree.parent(pos).unwrap_or(0);
+            let (up, down) = match (tree.node(pos), tree.node(p)) {
+                (Some(v), Some(vp)) if pos != 0 => self.weights(v, vp),
+                _ => (0.0, 0.0),
             };
-            let Some(w) = self.graph.edge_weight(vm, vk) else {
-                continue;
-            };
-            if let Some(slot) = row.get_mut(k) {
-                *slot = leaving * w / d * self.dampening(vk);
-            }
-            self.spread(tree, denom, row, k, m);
+            flows.links.push(Link {
+                parent: u32::try_from(p).unwrap_or(0),
+                up,
+                down,
+                damp: tree.node(pos).map_or(0.0, |v| self.dampening(v)),
+                denom: 0.0,
+                mark: false,
+            });
         }
+        flows.index_table();
     }
+}
+
+/// One tree position in a [`FlowState`]'s edge table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Parent position (the root, position 0, is its own parent).
+    parent: u32,
+    /// Scratch flag: while a row is pushed, the position is on the path
+    /// from its source to the root; while the table is indexed, it is
+    /// placed in the order (and then, its parent term is summed).
+    mark: bool,
+    /// `w(v_i → v_parent)`, 0 when missing or at the root.
+    up: f64,
+    /// `w(v_parent → v_i)`, 0 when missing or at the root.
+    down: f64,
+    /// Dampening rate `d_i` of the position's node.
+    damp: f64,
+    /// Eq. 2 split denominator: the weights from `v_i` toward all its
+    /// tree neighbours, summed in ascending neighbour position.
+    denom: f64,
+}
+
+/// The Eq. 2 share of `leaving` messages sent over an edge of weight `w`
+/// (0 when missing) out of a node with split denominator `d`, dampened on
+/// arrival by `damp`. Nothing moves when the sender holds no messages or
+/// has no outgoing weight.
+#[inline]
+fn share(leaving: f64, w: f64, d: f64, damp: f64) -> f64 {
+    if leaving <= 0.0 || d <= 0.0 || w <= 0.0 {
+        return 0.0;
+    }
+    leaving * w / d * damp
 }
 
 /// The Eq. 2 flow matrix of one tree: for each message source, the flow it
@@ -312,26 +333,33 @@ impl<'g> Scorer<'g> {
 /// [`Scorer::grow_flows`] and reduced to Eqs. 3–4 by
 /// [`FlowState::reduce`]. Its buffers keep their capacity, so a reused
 /// matrix does not allocate.
+///
+/// Besides the rows it holds the tree's edge table: per position, its
+/// parent, the edge weights toward it, its dampening rate and its split
+/// denominator, plus a parent-before-child order. A row is then one walk
+/// from the source up to the root and one sweep down the order, reading
+/// no weight. The table is scratch: [`FlowState::parts`] leaves it out,
+/// and [`FlowState::assign_parts`] marks it unloaded.
 #[derive(Debug, Default, Clone)]
 pub struct FlowState {
-    /// Source positions (row order of the source rows).
+    /// Source positions (row order).
     sources: Vec<u32>,
-    /// Row-major, `1 + sources.len()` rows of `n`: first each position's
-    /// split denominator, then one row per source.
+    /// Row-major, one row of `n` per source.
     values: Vec<f64>,
     /// Number of tree positions (the row width).
     n: usize,
+    /// The edge table, one entry per position.
+    links: Vec<Link>,
+    /// Positions, every parent before its children.
+    order: Vec<u32>,
+    /// True when `links` and `order` describe the rows' tree.
+    loaded: bool,
 }
 
 impl FlowState {
     /// Source positions, in row order.
     pub fn sources(&self) -> &[u32] {
         &self.sources
-    }
-
-    /// Number of tree positions (the row width).
-    fn size(&self) -> usize {
-        self.n
     }
 
     /// Flow of source row `s` at tree position `pos`. Out-of-range reads
@@ -341,11 +369,7 @@ impl FlowState {
             return f64::INFINITY;
         }
         self.values
-            .get(
-                s.saturating_add(1)
-                    .saturating_mul(self.n)
-                    .saturating_add(pos),
-            )
+            .get(s.saturating_mul(self.n).saturating_add(pos))
             .copied()
             .unwrap_or(f64::INFINITY)
     }
@@ -353,53 +377,148 @@ impl FlowState {
     /// Source row `s` (empty when out of range).
     pub fn row(&self, s: usize) -> &[f64] {
         self.values
-            .get(s.saturating_add(1).saturating_mul(self.n)..)
+            .get(s.saturating_mul(self.n)..)
             .and_then(|rest| rest.get(..self.n))
             .unwrap_or(&[])
     }
 
     /// The matrix's raw parts — source positions, then the row-major
-    /// values (the denominator row first, then one row per source) — for
-    /// flat storage outside the matrix. [`FlowState::assign_parts`]
-    /// restores them.
+    /// values, one row per source — for flat storage outside the matrix.
+    /// [`FlowState::assign_parts`] restores them.
     pub fn parts(&self) -> (&[u32], &[f64]) {
         (&self.sources, &self.values)
     }
 
     /// Overwrites `self` with parts read from [`FlowState::parts`] of a
-    /// matrix over `n` tree positions, reusing the buffers.
+    /// matrix over `n` tree positions, reusing the buffers. The edge table
+    /// is not among the parts: [`Scorer::grow_flows`] reloads it on first
+    /// use.
     pub fn assign_parts(&mut self, sources: &[u32], values: &[f64], n: usize) {
-        debug_assert_eq!(values.len(), (sources.len() + 1) * n, "row-major parts");
+        debug_assert_eq!(values.len(), sources.len() * n, "row-major parts");
         self.clear(n);
         self.sources.extend_from_slice(sources);
         self.values.extend_from_slice(values);
     }
 
     /// Heap bytes the matrix's buffers hold (their capacity, not their
-    /// length).
+    /// length), the edge table included.
     pub fn capacity_bytes(&self) -> usize {
-        self.sources.capacity() * std::mem::size_of::<u32>()
+        (self.sources.capacity() + self.order.capacity()) * std::mem::size_of::<u32>()
             + self.values.capacity() * std::mem::size_of::<f64>()
+            + self.links.capacity() * std::mem::size_of::<Link>()
     }
 
     fn clear(&mut self, n: usize) {
         self.sources.clear();
         self.values.clear();
+        self.links.clear();
+        self.order.clear();
+        self.loaded = false;
         self.n = n;
     }
 
-    fn denominators(&self) -> &[f64] {
-        self.values.get(..self.n).unwrap_or(&[])
+    /// Completes a table whose links hold parents and weights: the
+    /// parent-before-child order, then the split denominators. Both are
+    /// one pass for any parent array, also one that numbers a parent
+    /// after its child (as [`Jtt::parent_positions`] may).
+    fn index_table(&mut self) {
+        let links = &mut self.links;
+        // Order: walk up from each unplaced position to its first placed
+        // ancestor, then append that path top-down.
+        self.order.clear();
+        if let Some(root) = links.first_mut() {
+            root.mark = true;
+            self.order.push(0);
+        }
+        for start in 1..links.len() {
+            let at = self.order.len();
+            let mut k = start;
+            while let Some(l) = links.get_mut(k).filter(|l| !l.mark) {
+                l.mark = true;
+                self.order.push(u32::try_from(k).unwrap_or(0));
+                k = l.parent as usize;
+            }
+            if let Some(path) = self.order.get_mut(at..) {
+                path.reverse();
+            }
+        }
+        for l in links.iter_mut() {
+            l.mark = false;
+        }
+        // Denominators, in ascending neighbour position: child `k` adds
+        // `down[k]` to its parent's sum in ascending `k`, and a position's
+        // own parent term joins its sum just before the first child
+        // numbered after the parent, or last.
+        for k in 1..links.len() {
+            let Some(&Link { parent, down, .. }) = links.get(k) else {
+                break;
+            };
+            let p = parent as usize;
+            let grand = links.get(p).map_or(0, |l| l.parent as usize);
+            if let Some(l) = links.get_mut(p) {
+                if p != 0 && !l.mark && grand < k {
+                    l.denom += l.up;
+                    l.mark = true;
+                }
+                l.denom += down;
+            }
+        }
+        for l in links.iter_mut().skip(1) {
+            if !l.mark {
+                l.denom += l.up;
+            }
+            l.mark = false;
+        }
+        self.loaded = true;
     }
 
-    /// The split denominators and the last row, for propagation.
-    fn last_row(&mut self) -> (&[f64], &mut [f64]) {
-        let n = self.n;
-        let Some((denom, rest)) = self.values.split_at_mut_checked(n) else {
-            return (&[], &mut []);
-        };
-        let at = rest.len().saturating_sub(n);
-        (denom, rest.get_mut(at..).unwrap_or(&mut []))
+    /// Appends the row of source `src` holding `gen` messages, propagated
+    /// through the whole tree: first up the path from the source to the
+    /// root, then down the order to every other position, each from the
+    /// neighbour the messages arrive through — its parent.
+    fn push_source(&mut self, src: usize, gen: f64) {
+        self.sources.push(u32::try_from(src).unwrap_or(u32::MAX));
+        let start = self.values.len();
+        self.values.resize(start + self.n, 0.0);
+        let links = &mut self.links;
+        let row = self.values.get_mut(start..).unwrap_or(&mut []);
+        if let Some(slot) = row.get_mut(src) {
+            *slot = gen;
+        }
+        let mut k = src;
+        while let Some(l) = links.get_mut(k).filter(|l| !l.mark) {
+            l.mark = true;
+            let (p, up, denom) = (l.parent as usize, l.up, l.denom);
+            if p == k {
+                break; // the root
+            }
+            let leaving = row.get(k).copied().unwrap_or(0.0);
+            let damp = links.get(p).map_or(0.0, |l| l.damp);
+            if let Some(slot) = row.get_mut(p) {
+                *slot = share(leaving, up, denom, damp);
+            }
+            k = p;
+        }
+        for &k in &self.order {
+            let k = k as usize;
+            let Some(&l) = links.get(k) else {
+                continue;
+            };
+            if l.mark {
+                continue;
+            }
+            let p = l.parent as usize;
+            let leaving = row.get(p).copied().unwrap_or(0.0);
+            let denom = links.get(p).map_or(0.0, |l| l.denom);
+            if let Some(slot) = row.get_mut(k) {
+                *slot = share(leaving, l.down, denom, l.damp);
+            }
+        }
+        let mut k = src;
+        while let Some(l) = links.get_mut(k).filter(|l| l.mark) {
+            l.mark = false;
+            k = l.parent as usize;
+        }
     }
 
     /// The Eq. 3–4 reduction: each source's node score is the least

@@ -328,18 +328,6 @@ impl<'a> ParentTree<'a> {
     pub(crate) fn parent(self, pos: usize) -> Option<usize> {
         self.parent.get(pos).map(|&p| p as usize)
     }
-
-    /// Tree neighbors of `pos` in ascending position order — the order of
-    /// [`Jtt::adjacent`], and for a candidate (`parent[i] < i`) `[parent,
-    /// children ascending]`.
-    pub(crate) fn neighbors(self, pos: usize) -> impl Iterator<Item = usize> + 'a {
-        let up = self.parent(pos);
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(move |&(k, &p)| k != pos && (Some(k) == up || p as usize == pos))
-            .map(|(k, _)| k)
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_form_neighbors_follow_adjacency_order() {
+    fn parent_positions_root_the_tree_at_position_zero() {
         // Rooted at position 0; positions 1 and 3 hang off position 4,
         // which is numbered after them (not a candidate rooting).
         let t = Jtt::new(
@@ -450,12 +438,6 @@ mod tests {
             vec![(0, 4), (4, 3), (4, 1), (0, 2)],
         )
         .unwrap();
-        let parent = t.parent_positions();
-        assert_eq!(parent, vec![0, 4, 0, 4, 0]);
-        let pt = ParentTree::new(t.nodes(), &parent);
-        for pos in 0..t.size() {
-            let ns: Vec<usize> = pt.neighbors(pos).collect();
-            assert_eq!(ns, t.adjacent(pos), "position {pos}");
-        }
+        assert_eq!(t.parent_positions(), vec![0, 4, 0, 4, 0]);
     }
 }

@@ -73,7 +73,8 @@ pub struct RejectionStats {
     pub merge_shape: usize,
     /// Candidates whose frozen leaves admit no keyword assignment.
     pub infeasible_leaves: usize,
-    /// Candidates whose `(root, tree)` identity was already admitted.
+    /// Candidates whose `(root, tree)` identity was already admitted:
+    /// seeds and merges only, as a grow never repeats a candidate.
     pub duplicate: usize,
     /// Merge attempts refused by the paper's merge rule (only when
     /// [`crate::SearchOptions::allow_redundant_matchers`] is off).
@@ -209,6 +210,11 @@ struct SearchRun<'a, O: DistanceOracle> {
     /// `(ub, idx)` of the previous pop, for the pop-order assertion.
     #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     last_pop: Option<(f64, usize)>,
+    /// Shadow of the dedup set with grows in it: every grow's identity,
+    /// pruned or not, and every seed's and merge's that passed dedup.
+    /// Checks the dedup proof of [`SearchRun::admit`].
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    shadow: crate::scratch::DedupSet,
 }
 
 /// Branch-and-bound top-k search (Algorithm 1 of the paper).
@@ -267,6 +273,8 @@ pub fn bnb_search_in<O: DistanceOracle>(
         last_cache: None,
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         last_pop: None,
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        shadow: crate::scratch::DedupSet::default(),
     };
     // With no room for even a seed there is nothing to enumerate.
     if !query.answerable() || opts.max_tree_nodes == 0 {
@@ -419,9 +427,16 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
     }
 
-    /// Counts the candidate in the build slot as rejected under `reason`
-    /// and, at the Full level, records a [`TraceEvent::Prune`] for it.
-    fn reject(&mut self, reason: PruneReason) -> Option<usize> {
+    /// Counts a candidate with this root, size and mask as rejected under
+    /// `reason` and, at the Full level, records a [`TraceEvent::Prune`]
+    /// for it.
+    fn reject(
+        &mut self,
+        reason: PruneReason,
+        root: NodeId,
+        size: usize,
+        mask: u32,
+    ) -> Option<usize> {
         let r = &mut self.stats.rejections;
         match reason {
             PruneReason::InfeasibleLeaves => r.infeasible_leaves += 1,
@@ -430,16 +445,22 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             PruneReason::Bound => self.stats.bound_pruned += 1,
         }
         if self.scratch.trace.level().full() {
-            let cand = &self.scratch.build_slot.cand;
             let event = TraceEvent::Prune {
                 reason,
-                root: cand.root(),
-                size: cand.size(),
-                mask: cand.mask,
+                root,
+                size,
+                mask,
             };
             self.scratch.trace.emit(event);
         }
         None
+    }
+
+    /// [`SearchRun::reject`] for the candidate in the build slot.
+    fn reject_built(&mut self, reason: PruneReason) -> Option<usize> {
+        let cand = &self.scratch.build_slot.cand;
+        let (root, size, mask) = (cand.root(), cand.size(), cand.mask);
+        self.reject(reason, root, size, mask)
     }
 
     /// Polls the wall-clock deadline ([`DeadlinePoll`]) and records the
@@ -494,9 +515,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             if self.deadline_hit() {
                 self.scratch.worklist.clear();
                 return;
-            }
-            if !self.build(entry) {
-                continue;
             }
             if let Some(idx) = self.admit(entry) {
                 self.merge_partners(idx);
@@ -570,6 +588,30 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         Some(store.overlap(idx, a, partner, b))
     }
 
+    /// Checks the grow proofs of [`SearchRun::admit`] on a grow, before
+    /// its distance prune (debug and `strict-invariants` builds): built,
+    /// it passes the leaf check, and its identity is new to the run.
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    fn check_grow(&mut self, entry: Pending) {
+        self.build(entry);
+        let SearchScratch {
+            build_slot: slot,
+            has_child,
+            key_buf,
+            ..
+        } = &mut *self.scratch;
+        assert!(
+            candidate_leaves_matchable(&slot.cand, self.query, false, has_child),
+            "a grow of an admitted candidate failed the leaf check"
+        );
+        slot.cand.identity_into(key_buf);
+        assert!(
+            self.shadow.insert(key_buf),
+            "a grow repeated an earlier candidate: {:?}",
+            slot.cand.nodes
+        );
+    }
+
     /// Builds a worklist entry's structure and signatures into the build
     /// slot; its flows wait until [`SearchRun::admit`] has passed the
     /// prunes that never read them. Returns whether it was built (a merge
@@ -619,73 +661,104 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         true
     }
 
-    /// Fills the build slot's Eq. 2 flow matrix. A grow copies every flow
-    /// of the pop slot it extends (untouched while the pop's expansions
-    /// register) and recomputes only the region the new edge touches;
-    /// seeds and merges, whose subtree positions interleave, fill from
-    /// scratch.
+    /// Fills the build slot's Eq. 2 flow matrix. A grow derives its edge
+    /// table from the pop slot's (loaded at the pop's first grow, then
+    /// kept while the pop's expansions register) plus the new edge;
+    /// seeds and merges load theirs.
     fn fill_flows(&mut self, entry: Pending) {
         let SearchScratch {
             pop_slot,
             build_slot: slot,
             ..
         } = &mut *self.scratch;
-        let tree = slot.cand.tree();
         if let Pending::Grow(v) = entry {
             let root_gen = self.query.matcher(v).map(|m| m.gen);
+            let prev = pop_slot.cand.tree();
             self.scorer
-                .grow_flows(tree, &pop_slot.flows, root_gen, &mut slot.flows);
+                .grow_flows(prev, &mut pop_slot.flows, v, root_gen, &mut slot.flows);
             #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-            assert_grow_exact(self.scorer, self.query, tree, &slot.flows);
+            assert_grow_exact(self.scorer, self.query, slot.cand.tree(), &slot.flows);
         } else {
+            let tree = slot.cand.tree();
             let sources = self.query.flow_sources(tree);
             self.scorer.fill_flows(tree, sources, &mut slot.flows);
         }
     }
 
-    /// Checks the freshly built `entry` in the build slot against the
-    /// prunes — leaf feasibility, dedup, distance, bound, in that order —
-    /// filling its flows only once the first three have passed, as the
-    /// bound is the first step that reads them. On success copies it
+    /// Runs a worklist entry through admission, each entry kind through
+    /// only the prunes it can fail, then the bound: on success copies it
     /// into the store, offers it to the top-k (if a valid complete
-    /// answer), and returns its arena index.
+    /// answer), and returns its arena index. Flows are filled only once
+    /// the bound, the first step that reads them, is reached.
     ///
-    /// Non-root leaves stay leaves under root-only extension, so their
-    /// keyword assignment must be feasible in any extension. A grow never
-    /// fails that check, so it skips it: its non-root leaves are the
-    /// popped candidate's, which passed it when admitted, except when the
-    /// pop is a single node — then its one non-root leaf is the pop's old
-    /// root, a seed matcher, which any keyword set can match alone.
+    /// * A seed or a merge is built, then checked for leaf feasibility,
+    ///   duplicates and distance, in that order. Non-root leaves stay
+    ///   leaves under root-only extension, so their keyword assignment
+    ///   must be feasible in any extension.
+    /// * A grow fails neither the leaf check nor the dedup check, so its
+    ///   distance prune runs first, before it is built, from the pop's
+    ///   depth and mask. Its non-root leaves are the popped candidate's,
+    ///   which passed the leaf check when admitted, except when the pop is
+    ///   a single node — then its one non-root leaf is the pop's old root,
+    ///   a seed matcher, which any keyword set can match alone. And it is
+    ///   never a duplicate: its root has one child, whose subtree is the
+    ///   pop, and pops are distinct admitted trees whose grows add
+    ///   distinct neighbours, so no two grows are equal; a seed has one
+    ///   node and a merge of two non-seed operands two root children, so
+    ///   neither equals a grow. Grows therefore never enter the dedup set.
+    /// * The one merge that can equal a grow — one with a seed operand,
+    ///   which rebuilds its other operand's tree — is therefore counted as
+    ///   a duplicate from the operand sizes instead of probing for it.
     fn admit(&mut self, entry: Pending) -> Option<usize> {
         let grow = matches!(entry, Pending::Grow(_));
-        let SearchScratch {
-            build_slot: slot,
-            has_child,
-            dedup,
-            key_buf,
-            roots,
-            ..
-        } = &mut *self.scratch;
-        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-        assert!(
-            !grow || candidate_leaves_matchable(&slot.cand, self.query, false, has_child),
-            "a grow of an admitted candidate failed the leaf check"
-        );
-        if !grow && !candidate_leaves_matchable(&slot.cand, self.query, false, has_child) {
-            return self.reject(PruneReason::InfeasibleLeaves);
+        let (root, size, mask, depth) = if let Pending::Grow(v) = entry {
+            #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+            self.check_grow(entry);
+            let pop = &self.scratch.pop_slot.cand;
+            let mask = pop.mask | self.query.mask_of(v);
+            (v, pop.size() + 1, mask, pop.depth + 1)
+        } else {
+            if !self.build(entry) {
+                return None;
+            }
+            let SearchScratch {
+                store,
+                build_slot: slot,
+                has_child,
+                dedup,
+                key_buf,
+                ..
+            } = &mut *self.scratch;
+            if !candidate_leaves_matchable(&slot.cand, self.query, false, has_child) {
+                return self.reject_built(PruneReason::InfeasibleLeaves);
+            }
+            let seed_operand = match entry {
+                Pending::Merge { idx, partner } => [idx, partner]
+                    .iter()
+                    .any(|&i| store.view(i).is_some_and(|c| c.nodes.len() == 1)),
+                _ => false,
+            };
+            slot.cand.identity_into(key_buf);
+            let duplicate = seed_operand || !dedup.insert(key_buf);
+            #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+            assert_eq!(
+                self.shadow.insert(key_buf),
+                !duplicate,
+                "a duplicate verdict disagrees with the run's full identity set"
+            );
+            if duplicate {
+                return self.reject_built(PruneReason::Duplicate);
+            }
+            let cand = &slot.cand;
+            (cand.root(), cand.size(), cand.mask, cand.depth)
+        };
+        let roots = &mut self.scratch.roots;
+        let d_max = self.opts.diameter;
+        if distance_prune(self.query, self.oracle, roots, root, mask, depth, d_max) {
+            return self.reject(PruneReason::Distance, root, size, mask);
         }
-        slot.cand.identity_into(key_buf);
-        if !dedup.insert(key_buf) {
-            return self.reject(PruneReason::Duplicate);
-        }
-        if distance_prune(
-            self.query,
-            self.oracle,
-            roots,
-            &slot.cand,
-            self.opts.diameter,
-        ) {
-            return self.reject(PruneReason::Distance);
+        if grow {
+            self.build(entry);
         }
         self.fill_flows(entry);
         let SearchScratch {
@@ -706,7 +779,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         let ub = parts.ub();
         if let Some(min) = self.topk.min_score() {
             if ub < min {
-                return self.reject(PruneReason::Bound);
+                return self.reject_built(PruneReason::Bound);
             }
         }
         // Stored for pop-time tracing: re-deriving the parts there would
@@ -1115,12 +1188,12 @@ mod flow_tests {
     fn grow(
         s: &Scorer<'_>,
         q: &QuerySpec,
-        prev: &FlowState,
+        (pop, prev): (&Candidate, &mut FlowState),
         grown: &Candidate,
         out: &mut FlowState,
     ) {
         let root_gen = q.matcher(grown.root()).map(|m| m.gen);
-        s.grow_flows(grown.tree(), prev, root_gen, out);
+        s.grow_flows(pop.tree(), prev, grown.root(), root_gen, out);
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         assert_grow_exact(s, q, grown.tree(), out);
     }
@@ -1216,7 +1289,7 @@ mod flow_tests {
         for next in [NodeId(2), NodeId(1), NodeId(0), NodeId(5)] {
             let grown = cand.grow(next, &q);
             let mut out = FlowState::default();
-            grow(&s, &q, &flows, &grown, &mut out);
+            grow(&s, &q, (&cand, &mut flows), &grown, &mut out);
             assert_matches_flows_from(&s, &q, &grown);
             cand = grown;
             flows = out;
@@ -1273,7 +1346,7 @@ mod flow_tests {
                 }
                 let grown = cand.grow(next, &q);
                 let mut out = FlowState::default();
-                grow(&s, &q, &flows, &grown, &mut out);
+                grow(&s, &q, (&cand, &mut flows), &grown, &mut out);
                 assert_matches_flows_from(&s, &q, &grown);
                 cand = grown;
                 flows = out;
@@ -1282,13 +1355,15 @@ mod flow_tests {
     }
 }
 
-/// The grow-leaf proof of [`SearchRun::admit`], checked against real runs.
+/// The grow-leaf and grow-dedup proofs of [`SearchRun::admit`], checked
+/// against real runs.
 #[cfg(test)]
 mod grow_leaf_props {
     use super::*;
     use crate::bounds::admissibility_props::{build_graph, case_query, case_scorer, random_case};
     use ci_index::NoIndex;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -1333,6 +1408,45 @@ mod grow_leaf_props {
                         v
                     );
                 }
+            }
+        }
+
+        /// After a run — with redundant matchers allowed too, where merges
+        /// with a seed operand happen — the identities of all stored
+        /// candidates are pairwise distinct, although grows never enter
+        /// the dedup set. (In this debug build the run also checks each
+        /// step of the proof against its shadow identity set.)
+        #[test]
+        fn stored_identities_are_pairwise_distinct(
+            case in random_case(7),
+            allow_redundant_matchers in proptest::bool::ANY,
+        ) {
+            let graph = build_graph(&case);
+            let scorer = case_scorer(&graph, &case);
+            let Some(query) = case_query(&case, &scorer, case.keywords, 0) else {
+                return Ok(());
+            };
+            let opts = SearchOptions {
+                diameter: 4,
+                k: 50,
+                max_tree_nodes: 6,
+                allow_redundant_matchers,
+                ..Default::default()
+            };
+            let mut scratch = SearchScratch::new();
+            bnb_search_in(&scorer, &query, &NoIndex, &opts, &mut scratch);
+            let SearchScratch { store, pop_slot, .. } = &mut scratch;
+            let mut seen = HashSet::new();
+            let mut key = Vec::new();
+            for idx in 0..store.len() {
+                prop_assert!(store.load(idx, pop_slot));
+                pop_slot.cand.identity_into(&mut key);
+                prop_assert!(
+                    seen.insert(key.clone()),
+                    "candidate {} repeats an earlier one: {:?}",
+                    idx,
+                    pop_slot.cand.nodes
+                );
             }
         }
     }

@@ -230,26 +230,29 @@ pub(crate) fn best_damped_gen<O: DistanceOracle + ?Sized>(
     best
 }
 
-/// Distance-based feasibility prune: the candidate can be discarded when
-/// some missing keyword has no matcher close enough to the root to keep the
-/// final diameter within `d_max` (every completion path attaches at the
-/// root, so it spans `depth(C) + dist(root, u)` hops to the deepest
-/// existing leaf). A matcher within reach exists exactly when the
-/// keyword's distance floor ([`distance_floor`], memoized per root in the
-/// [`RootTable`]) plus the depth stays within `d_max`.
+/// Distance-based feasibility prune of a candidate with this `root`,
+/// keyword `mask` and `depth`: it can be discarded when some missing
+/// keyword has no matcher close enough to the root to keep the final
+/// diameter within `d_max` (every completion path attaches at the root,
+/// so it spans `depth + dist(root, u)` hops to the deepest existing
+/// leaf). A matcher within reach exists exactly when the keyword's
+/// distance floor ([`distance_floor`], memoized per root in the
+/// [`RootTable`]) plus the depth stays within `d_max`. It reads nothing
+/// else of the candidate, so a grow is checked before it is built.
 pub fn distance_prune<O: DistanceOracle + ?Sized>(
     query: &QuerySpec,
     oracle: &O,
     roots: &mut RootTable,
-    cand: &Candidate,
+    root: NodeId,
+    mask: u32,
+    depth: u32,
     d_max: u32,
 ) -> bool {
-    let root = cand.root();
     (0..query.keyword_count()).any(|k| {
-        cand.mask & (1 << k) == 0
+        mask & (1 << k) == 0
             && roots
                 .floor(root, k, || distance_floor(query, oracle, root, k))
-                .saturating_add(cand.depth)
+                .saturating_add(depth)
                 > d_max
     })
 }
@@ -368,13 +371,16 @@ mod tests {
         let seed = Candidate::seed(NodeId(0), 0b01);
         let mut roots = RootTable::default();
         roots.begin(q.keyword_count());
+        let prune = |oracle: &dyn DistanceOracle, roots: &mut RootTable, d_max| {
+            distance_prune(&q, oracle, roots, seed.root(), seed.mask, seed.depth, d_max)
+        };
         // b-matcher (node 2) is 2 hops away: fine for D = 2…
-        assert!(!distance_prune(&q, &idx, &mut roots, &seed, 2));
+        assert!(!prune(&idx, &mut roots, 2));
         // …infeasible for D = 1, read from the same memoized floor.
-        assert!(distance_prune(&q, &idx, &mut roots, &seed, 1));
+        assert!(prune(&idx, &mut roots, 1));
         // Without an index nothing can be pruned.
         roots.begin(q.keyword_count());
-        assert!(!distance_prune(&q, &NoIndex, &mut roots, &seed, 1));
+        assert!(!prune(&NoIndex, &mut roots, 1));
     }
 
     #[test]

@@ -159,7 +159,6 @@ mod tests {
         build_graph, case_query, case_scorer, random_case, Case,
     };
     use crate::bounds::{best_damped_gen, distance_prune};
-    use crate::candidate::Candidate;
     use crate::scratch::SearchScratch;
     use crate::trace::{PruneReason, TraceEvent, TraceLevel};
     use crate::{bnb_search_in, SearchOptions};
@@ -224,9 +223,8 @@ mod tests {
                         let within_reach = matchers
                             .iter()
                             .any(|&u| oracle.dist_lb(root, u) + depth <= opts.diameter);
-                        let mut cand = Candidate::seed(root, mask);
-                        cand.depth = depth;
-                        let pruned = distance_prune(&query, oracle, table, &cand, opts.diameter);
+                        let pruned =
+                            distance_prune(&query, oracle, table, root, mask, depth, opts.diameter);
                         prop_assert_eq!(
                             pruned,
                             !within_reach,

@@ -17,7 +17,9 @@
 //! reusable build slot, checked there, and copied into the store only if
 //! admitted; the candidate being expanded is copied back out into the pop
 //! slot. Merges read their operands through [`CandidateRef`] views of the
-//! store. The buffers keep their capacity across runs, so a session's
+//! store. Only a candidate's flow rows are stored, not the per-position
+//! edge table its [`FlowState`] fills them from: the pop slot reloads
+//! that at its first grow. The buffers keep their capacity across runs, so a session's
 //! memory is the largest query's live set.
 //! [`SearchScratch::slots_allocated`] and [`SearchScratch::capacity_bytes`]
 //! let tests assert that steady state.
@@ -52,7 +54,9 @@
 //!
 //! The admission dedup set ([`DedupSet`]) follows the same pattern: a flat
 //! open-addressing table of run-stamped entry indices over one shared key
-//! buffer, with every hash hit verified by an exact key comparison.
+//! buffer, with every hash hit verified by an exact key comparison. It
+//! holds seed and merge identities only: a grow is never a duplicate (see
+//! `SearchRun::admit`), so grows neither probe nor fill it.
 
 use std::collections::BinaryHeap;
 use std::mem::size_of;
@@ -281,7 +285,7 @@ impl CandStore {
             .get(r.src_at..r.src_at + r.sources as usize);
         let values = self
             .flow_values
-            .get(r.val_at..r.val_at + (r.sources as usize + 1) * n);
+            .get(r.val_at..r.val_at + r.sources as usize * n);
         let (Some(sources), Some(values)) = (sources, values) else {
             return false;
         };
@@ -331,7 +335,8 @@ pub struct SearchScratch {
     high_water: usize,
     /// Max-heap over `(ub, arena idx)`.
     pub(crate) queue: BinaryHeap<HeapItem>,
-    /// Dedup set over candidate identities (`Candidate::identity_into`).
+    /// Dedup set over seed and merge identities
+    /// (`Candidate::identity_into`).
     pub(crate) dedup: DedupSet,
     /// Identity buffer for the dedup probe.
     pub(crate) key_buf: Vec<u64>,
@@ -543,7 +548,8 @@ impl PartnerIndex {
 }
 
 /// Flat open-addressing set of word-slice keys — the per-run admission
-/// dedup set. Keys live back to back in one buffer; the table holds
+/// dedup set of seed and merge identities (grows are never duplicates,
+/// so they skip it). Keys live back to back in one buffer; the table holds
 /// `stamp << 32 | entry` words, where a slot whose stamp is not the current
 /// run's is empty, so [`DedupSet::clear`] is a stamp bump and every buffer
 /// keeps its capacity across runs. A hash hit is confirmed by comparing the
@@ -778,7 +784,8 @@ mod tests {
                 pop.cand.grow_into(NodeId(v), &q, &mut grown.cand);
                 grown.grow_sigs(&pop, &q);
                 let root_gen = q.matcher(NodeId(v)).map(|m| m.gen);
-                scorer.grow_flows(grown.cand.tree(), &pop.flows, root_gen, &mut grown.flows);
+                let prev = pop.cand.tree();
+                scorer.grow_flows(prev, &mut pop.flows, NodeId(v), root_gen, &mut grown.flows);
                 grown.ce = f64::from(v);
                 s.store.push(&grown);
                 pop = grown;

@@ -82,7 +82,7 @@ pub enum PruneReason {
     /// redundant): no extension can make the leaf assignment feasible.
     InfeasibleLeaves,
     /// The `(root, canonical tree)` identity was already admitted this
-    /// run.
+    /// run. Only a seed or a merge can be one; a grow never is.
     Duplicate,
     /// Distance-feasibility: some missing keyword has no matcher close
     /// enough to the root to keep the final diameter within `D`
