@@ -1,30 +1,5 @@
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-
 use ci_graph::{Graph, NodeId};
 use ci_rwmp::Jtt;
-
-/// BANKS configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BanksConfig {
-    /// Exponent λ combining the node score into the edge score
-    /// (`score = E · N^λ`; the BANKS paper suggests small values).
-    pub lambda: f64,
-    /// Number of answers the backward expanding search emits.
-    pub max_answers: usize,
-    /// Hop cap per backward iterator (keeps the search bounded).
-    pub max_hops: u32,
-}
-
-impl Default for BanksConfig {
-    fn default() -> Self {
-        BanksConfig {
-            lambda: 0.2,
-            max_answers: 20,
-            max_hops: 4,
-        }
-    }
-}
 
 /// Node prestige values for BANKS: normalized logarithm of the in-degree
 /// (BANKS treats well-referenced tuples as prestigious).
@@ -110,162 +85,6 @@ pub fn banks_score(
     edge_score * node_score.max(f64::MIN_POSITIVE).powf(lambda)
 }
 
-#[derive(PartialEq)]
-struct IterEntry {
-    cost: f64,
-    node: u32,
-    source: u32,
-}
-impl Eq for IterEntry {}
-impl Ord for IterEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
-            .then_with(|| other.source.cmp(&self.source))
-    }
-}
-impl PartialOrd for IterEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The BANKS *backward expanding search*: single-source shortest-path
-/// iterators run backwards from every matcher; whenever some node has been
-/// reached from at least one matcher of every keyword, the union of the
-/// reaching paths (rooted at that node) is emitted as an answer.
-///
-/// `matchers[k]` lists the matcher nodes of keyword `k`. Answers are
-/// deduplicated by tree identity and returned in emission order (roughly
-/// increasing total path cost — BANKS's approximation of best-first).
-pub fn banks_search(
-    graph: &Graph,
-    matchers: &[Vec<NodeId>],
-    cfg: &BanksConfig,
-) -> Vec<(Jtt, usize)> {
-    // Per source matcher: best-known path (cost, predecessor) per node.
-    let mut best: HashMap<(u32, u32), (f64, u32)> = HashMap::new();
-    let mut hops: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    let mut keyword_of: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (k, list) in matchers.iter().enumerate() {
-        for &m in list {
-            keyword_of.entry(m.0).or_default().push(k);
-            best.insert((m.0, m.0), (0.0, m.0));
-            hops.insert((m.0, m.0), 0);
-            heap.push(IterEntry {
-                cost: 0.0,
-                node: m.0,
-                source: m.0,
-            });
-        }
-    }
-    // node -> reached sources.
-    let mut reached: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut answers: Vec<(Jtt, usize)> = Vec::new();
-    let mut seen_answers = std::collections::HashSet::new();
-
-    while let Some(IterEntry { cost, node, source }) = heap.pop() {
-        if answers.len() >= cfg.max_answers {
-            break;
-        }
-        match best.get(&(source, node)) {
-            Some(&(c, _)) if cost > c => continue,
-            None => continue,
-            _ => {}
-        }
-        let reach = reached.entry(node).or_default();
-        if !reach.contains(&source) {
-            reach.push(source);
-        }
-        // Does `node` now see every keyword?
-        let covered = (0..matchers.len()).all(|k| {
-            reach.iter().any(|&s| {
-                keyword_of
-                    .get(&s)
-                    .map(|ks| ks.contains(&k))
-                    .unwrap_or(false)
-            })
-        });
-        if covered {
-            if let Some(tree) = assemble(node, reach, &best) {
-                let key = tree.canonical_key();
-                if seen_answers.insert(key) {
-                    let Some(root_pos) = tree.position(NodeId(node)) else {
-                        debug_assert!(false, "assembled tree misses its root");
-                        continue;
-                    };
-                    answers.push((tree, root_pos));
-                }
-            }
-        }
-        // Expand backwards: an edge u → node means u can reach node.
-        let h = hops.get(&(source, node)).copied().unwrap_or(0);
-        if h >= cfg.max_hops {
-            continue;
-        }
-        for u in graph.neighbors(NodeId(node)) {
-            // A neighbor by definition shares an edge; treat a missing
-            // weight as an impassable (zero-strength) connection.
-            let w = graph.edge_weight(u, NodeId(node)).unwrap_or(0.0);
-            let step = 1.0 / w.max(f64::MIN_POSITIVE);
-            let nc = cost + step;
-            let better = match best.get(&(source, u.0)) {
-                None => true,
-                Some(&(c, _)) => nc < c,
-            };
-            if better {
-                best.insert((source, u.0), (nc, node));
-                hops.insert((source, u.0), h + 1);
-                heap.push(IterEntry {
-                    cost: nc,
-                    node: u.0,
-                    source,
-                });
-            }
-        }
-    }
-    answers
-}
-
-/// Rebuilds the answer tree rooted at `root` from the per-source
-/// predecessor maps. Returns `None` when the path union is inconsistent
-/// (shared nodes with conflicting predecessors → cycle).
-fn assemble(root: u32, sources: &[u32], best: &HashMap<(u32, u32), (f64, u32)>) -> Option<Jtt> {
-    let mut nodes: Vec<NodeId> = vec![NodeId(root)];
-    let mut pos: HashMap<u32, usize> = HashMap::from([(root, 0)]);
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for &s in sources {
-        // best[(s, x)].1 is x's next hop toward the source s, so the walk
-        // starts at the root and follows the chain down to s.
-        let mut cur = root;
-        let mut guard = 0;
-        while cur != s {
-            let &(_, next) = best.get(&(s, cur))?;
-            let a = *pos.entry(cur).or_insert_with(|| {
-                nodes.push(NodeId(cur));
-                nodes.len() - 1
-            });
-            let b = *pos.entry(next).or_insert_with(|| {
-                nodes.push(NodeId(next));
-                nodes.len() - 1
-            });
-            let e = (a.min(b), a.max(b));
-            if !edges.contains(&e) {
-                edges.push(e);
-            }
-            cur = next;
-            guard += 1;
-            if guard > 64 {
-                return None;
-            }
-        }
-    }
-    Jtt::new(nodes, edges).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,47 +160,5 @@ mod tests {
         let s_pair = banks_score(&g, &prestige, &pair, 0, 0.2);
         let s_star = banks_score(&g, &prestige, &star, 0, 0.2);
         assert!(s_pair > s_star, "more edges, lower edge score");
-    }
-
-    #[test]
-    fn backward_search_finds_connecting_trees() {
-        let g = costar_graph();
-        let matchers = vec![vec![NodeId(0)], vec![NodeId(1)], vec![NodeId(2)]];
-        let answers = banks_search(&g, &matchers, &BanksConfig::default());
-        assert!(!answers.is_empty());
-        // Every answer must contain all three actors.
-        for (tree, _) in &answers {
-            for a in 0..3u32 {
-                assert!(tree.contains(NodeId(a)), "answer misses actor {a}");
-            }
-        }
-        // Both movies appear across the answer set.
-        let any_popular = answers.iter().any(|(t, _)| t.contains(NodeId(3)));
-        let any_obscure = answers.iter().any(|(t, _)| t.contains(NodeId(4)));
-        assert!(any_popular && any_obscure);
-    }
-
-    #[test]
-    fn backward_search_single_keyword() {
-        let g = costar_graph();
-        let matchers = vec![vec![NodeId(1)]];
-        let answers = banks_search(&g, &matchers, &BanksConfig::default());
-        assert!(!answers.is_empty());
-        assert_eq!(answers[0].0.size(), 1);
-    }
-
-    #[test]
-    fn unreachable_keywords_give_no_answers() {
-        let mut b = GraphBuilder::new();
-        let x = b.add_node(0, vec![]);
-        let y = b.add_node(0, vec![]);
-        let _ = (x, y);
-        let g = b.build();
-        let answers = banks_search(
-            &g,
-            &[vec![NodeId(0)], vec![NodeId(1)]],
-            &BanksConfig::default(),
-        );
-        assert!(answers.is_empty());
     }
 }

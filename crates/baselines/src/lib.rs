@@ -6,8 +6,7 @@
 //!   (Luo, Lin, Wang, Zhou, SIGMOD 2007): tree-level TF-IDF ×
 //!   completeness × size normalization;
 //! * [`banks`] — the node/edge-score ranking of BANKS (Bhalotia et al.,
-//!   ICDE 2002), plus its backward expanding search as an independent
-//!   search strategy.
+//!   ICDE 2002).
 //!
 //! All scorers operate on the same answer trees (JTTs over graph nodes) as
 //! CI-Rank, exactly like the paper's evaluation, which re-ranks a common
@@ -51,6 +50,6 @@ pub mod banks;
 pub mod discover2;
 pub mod spark;
 
-pub use banks::{banks_score, banks_search, BanksConfig, BanksPrestige};
+pub use banks::{banks_score, BanksPrestige};
 pub use discover2::discover2_score;
 pub use spark::{spark_score, SparkParams};

@@ -1,8 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! * logarithmic (Eq. 2) vs linear dampening (§III-C.2's rejected design);
-//! * RWMP scoring vs the three rejected §III-B alternatives;
-//! * redundant-matcher extensions on vs off in branch-and-bound.
+//! * RWMP scoring vs the three rejected §III-B alternatives.
 
 // LINT-EXEMPT(tests): integration tests may unwrap/index freely; the
 // workspace lint wall applies to library code only (ISSUE 1).
@@ -13,13 +12,11 @@
     clippy::indexing_slicing
 )]
 
-use ci_bench::{dblp_data, dblp_queries};
+use ci_bench::dblp_data;
 use ci_graph::{build_graph, WeightConfig};
-use ci_index::NoIndex;
 use ci_rwmp::{
     dampening_rate, score_alternative, AlternativeScore, Dampening, Jtt, NodeBinding, Scorer,
 };
-use ci_search::{bnb_search, SearchOptions};
 use ci_walk::{pagerank, PowerOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -90,66 +87,6 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // Redundant-matcher extensions: search cost with the full JTT
-    // semantics vs the paper's strict merge rule.
-    let queries = dblp_queries(&data, 4);
-    let specs: Vec<_> = queries
-        .iter()
-        .filter_map(|q| {
-            let keywords: Vec<String> = q.split(' ').map(String::from).collect();
-            build_spec(&scorer, &data, &graph, keywords)
-        })
-        .collect();
-    let mut group = c.benchmark_group("ablation_redundant_matchers");
-    group.sample_size(10);
-    for (name, allow) in [("on", true), ("off", false)] {
-        let opts = SearchOptions {
-            k: 5,
-            allow_redundant_matchers: allow,
-            budget: ci_search::QueryBudget::default()
-                .with_max_expansions(ci_bench::BENCH_EXPANSION_CAP),
-            ..Default::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for spec in &specs {
-                    let _ = std::hint::black_box(bnb_search(&scorer, spec, &NoIndex, &opts));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Resolves keywords against node text the same way the engine does.
-fn build_spec(
-    scorer: &Scorer<'_>,
-    data: &ci_datagen::DblpData,
-    graph: &ci_graph::Graph,
-    keywords: Vec<String>,
-) -> Option<ci_search::QuerySpec> {
-    let mut matches = Vec::new();
-    for v in graph.nodes() {
-        let tid = graph.tuples(v)[0];
-        let text = data.db.tuple_text(tid).ok()?.to_lowercase();
-        let tokens = ci_text::tokenize(&text);
-        let mut mask = 0u32;
-        for (k, kw) in keywords.iter().enumerate() {
-            if tokens.iter().any(|t| t == kw) {
-                mask |= 1 << k;
-            }
-        }
-        if mask != 0 {
-            matches.push((v, mask, tokens.len() as u32));
-        }
-    }
-    if matches.is_empty() {
-        return None;
-    }
-    Some(ci_search::QuerySpec::from_matches(
-        scorer, keywords, matches,
-    ))
 }
 
 criterion_group!(benches, bench);

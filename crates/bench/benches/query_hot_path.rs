@@ -184,14 +184,14 @@ fn bench_bound_computation(c: &mut Criterion) {
         b.iter(|| {
             let mut fresh = FlowState::default();
             fill(&mut fresh);
-            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &fresh, true);
+            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &fresh);
             black_box(parts.ub())
         })
     });
 
     group.bench_function("incremental_flows", |b| {
         b.iter(|| {
-            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &flows, true);
+            let parts = bound_parts_from(&scorer, &query, &oracle, &mut roots, &cand, &flows);
             black_box(parts.ub())
         })
     });

@@ -7,9 +7,7 @@ use ci_index::{detect_star_relations, DistIndex, NaiveIndex, StarIndex};
 use ci_rwmp::{Dampening, Scorer};
 use ci_storage::Database;
 use ci_text::IndexBuilder;
-use ci_walk::{monte_carlo, pagerank, pagerank_personalized, PowerOptions};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ci_walk::{pagerank, pagerank_personalized, PowerOptions};
 
 use crate::config::{CiRankConfig, ImportanceMethod, IndexKind};
 use crate::error::CiRankError;
@@ -19,7 +17,7 @@ use crate::Result;
 /// The stages of [`EngineBuilder::build`], in execution order.
 ///
 /// Exposed so callers (the CLI's verbose mode, benchmarks) can observe
-/// build progress through [`EngineBuilder::on_stage`].
+/// build progress through [`EngineBuilder::on_stage_report`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildStage {
     /// Map the database to the weighted data graph (Table II).
@@ -86,7 +84,6 @@ pub struct StageReport {
 /// builder directly to observe stage progress.
 pub struct EngineBuilder {
     cfg: CiRankConfig,
-    on_stage: Option<Box<dyn FnMut(BuildStage)>>,
     on_stage_report: Option<Box<dyn FnMut(StageReport)>>,
     running: Option<(BuildStage, Instant, usize)>,
 }
@@ -104,17 +101,9 @@ impl EngineBuilder {
     pub fn new(cfg: CiRankConfig) -> Self {
         EngineBuilder {
             cfg,
-            on_stage: None,
             on_stage_report: None,
             running: None,
         }
-    }
-
-    /// Registers a progress callback, invoked as each [`BuildStage`]
-    /// starts.
-    pub fn on_stage(mut self, f: impl FnMut(BuildStage) + 'static) -> Self {
-        self.on_stage = Some(Box::new(f));
-        self
     }
 
     /// Registers a completion callback, invoked with a [`StageReport`]
@@ -127,9 +116,6 @@ impl EngineBuilder {
 
     fn enter(&mut self, stage: BuildStage, threads: usize) {
         self.finish_stage();
-        if let Some(f) = self.on_stage.as_mut() {
-            f(stage);
-        }
         self.running = Some((stage, Instant::now(), threads));
     }
 
@@ -182,13 +168,8 @@ impl EngineBuilder {
 
         // Stage 3: random-walk node importance (Eq. 1). The power-iteration
         // matvec fans out over `build_threads` workers and stays
-        // bit-identical to the serial path (see `PowerOptions::threads`);
-        // Monte-Carlo estimation is sequential over one RNG stream.
-        let importance_threads = match &cfg.importance {
-            ImportanceMethod::MonteCarlo { .. } => 1,
-            _ => threads,
-        };
-        self.enter(BuildStage::Importance, importance_threads);
+        // bit-identical to the serial path (see `PowerOptions::threads`).
+        self.enter(BuildStage::Importance, threads);
         let importance = match &cfg.importance {
             ImportanceMethod::PowerIteration => pagerank(
                 &graph,
@@ -198,13 +179,6 @@ impl EngineBuilder {
                     ..Default::default()
                 },
             ),
-            ImportanceMethod::MonteCarlo {
-                walks_per_node,
-                seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                monte_carlo(&graph, cfg.teleport, *walks_per_node, &mut rng)
-            }
             ImportanceMethod::Personalized(u) => pagerank_personalized(
                 &graph,
                 PowerOptions {
@@ -304,7 +278,7 @@ mod tests {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
         })
-        .on_stage(move |s| sink.borrow_mut().push(s))
+        .on_stage_report(move |r| sink.borrow_mut().push(r.stage))
         .build(&tiny_db())
         .unwrap();
         assert_eq!(seen.borrow().as_slice(), &BuildStage::ALL);
@@ -361,7 +335,7 @@ mod tests {
         let sink = Rc::clone(&seen);
         let (db, _) = schemas::dblp();
         let err = EngineBuilder::new(CiRankConfig::default())
-            .on_stage(move |s| sink.borrow_mut().push(s))
+            .on_stage_report(move |r| sink.borrow_mut().push(r.stage))
             .build(&db)
             .unwrap_err();
         assert_eq!(err, CiRankError::EmptyDatabase);

@@ -6,13 +6,6 @@ use ci_search::{QueryBudget, SearchOptions};
 pub enum ImportanceMethod {
     /// Power iteration (the default).
     PowerIteration,
-    /// Monte-Carlo estimation with the given walks per node and RNG seed.
-    MonteCarlo {
-        /// Walks started from every node.
-        walks_per_node: usize,
-        /// Seed for reproducibility.
-        seed: u64,
-    },
     /// Power iteration with a personalized teleport vector (one entry per
     /// graph node) — the user-feedback biasing mechanism.
     Personalized(Vec<f64>),
@@ -112,7 +105,7 @@ impl CiRankConfig {
     /// configuration: [`QueryBudget::default`] (unlimited on every
     /// truncation axis, preserving the exactness guarantee, with the
     /// default oracle-cache cap) plus the branch-and-bound expansion cap
-    /// when one is set. Deadlines and memory caps are per-query decisions
+    /// when one is set. Timeouts and memory caps are per-query decisions
     /// — set them on the session via [`crate::QuerySession::with_budget`].
     pub fn query_budget(&self) -> QueryBudget {
         match self.max_expansions {
@@ -177,7 +170,7 @@ mod tests {
         };
         let b = capped.query_budget();
         assert_eq!(b.max_expansions, Some(500));
-        assert!(b.deadline.is_none());
+        assert!(b.timeout.is_none());
         assert!(!b.is_unlimited());
     }
 }

@@ -200,35 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn banks_search_end_to_end() {
-        let e = engine();
-        let session = e.session();
-        let answers = session.search_banks("papakonstantinou ullman").unwrap();
-        assert!(!answers.is_empty());
-        for a in &answers {
-            // Every BANKS answer covers both keywords.
-            for kw in ["papakonstantinou", "ullman"] {
-                assert!(
-                    a.tree
-                        .nodes()
-                        .iter()
-                        .any(|&v| e.text_index().tf(kw, v.0) > 0),
-                    "answer misses {kw:?}"
-                );
-            }
-            assert!(a.score > 0.0);
-        }
-        for w in answers.windows(2) {
-            assert!(w[0].score >= w[1].score);
-        }
-        // Unanswerable query is clean.
-        assert!(session
-            .search_banks("papakonstantinou zzz")
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn explain_breaks_down_the_score() {
         let e = engine();
         let answers = e.session().search("papakonstantinou ullman").unwrap();
@@ -289,28 +260,6 @@ mod tests {
                 .iter()
                 .any(|n| n.text.contains("Heterogeneous")));
         }
-    }
-
-    #[test]
-    fn monte_carlo_importance_works() {
-        let e = Engine::build(
-            &tsimmis_db(),
-            CiRankConfig {
-                weights: WeightConfig::dblp_default(),
-                importance: ImportanceMethod::MonteCarlo {
-                    walks_per_node: 300,
-                    seed: 5,
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let answers = e.session().search("papakonstantinou ullman").unwrap();
-        assert_eq!(answers.len(), 2);
-        assert!(answers[0]
-            .nodes
-            .iter()
-            .any(|n| n.text.contains("Heterogeneous")));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use ci_search::SearchStats;
 /// benchmark's DBLP workload sit around 14 ms (wall-clock median); and the
 /// second-scale buckets separate slow queries from runaway ones. The
 /// overflow bucket flags runs that should have had a
-/// [`crate::QueryBudget`] deadline.
+/// [`crate::QueryBudget`] timeout.
 pub const LATENCY_BUCKET_BOUNDS_US: [u64; 17] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000, 10_000_000,
@@ -285,7 +285,6 @@ mod tests {
                 merge_shape: 5,
                 infeasible_leaves: 4,
                 duplicate: 2,
-                merge_rule: 0,
                 merge_sig_disjoint: 1,
                 merge_matcher_overlap: 9,
                 merge_overlap: 6,
@@ -315,7 +314,6 @@ mod tests {
             ("merge_shape", 10),
             ("rejected_infeasible_leaves", 8),
             ("rejected_duplicate", 4),
-            ("merge_rule", 0),
             ("merge_sig_disjoint", 2),
             ("merge_matcher_overlap", 18),
             ("merge_overlap", 12),
@@ -439,8 +437,8 @@ mod tests {
             "{\"queries\":3,\"errors\":1,\"answers\":4,\"pops\":15,\"registered\":30,",
             "\"bound_pruned\":3,\"distance_pruned\":6,\"merges\":9,\"dead_pops\":24,",
             "\"merge_shape\":15,\"rejected_infeasible_leaves\":12,\"rejected_duplicate\":6,",
-            "\"merge_rule\":0,\"merge_sig_disjoint\":3,\"merge_matcher_overlap\":27,",
-            "\"merge_overlap\":18,\"truncated_expansions\":0,\"truncated_deadline\":1,",
+            "\"merge_sig_disjoint\":3,\"merge_matcher_overlap\":27,\"merge_overlap\":18,",
+            "\"truncated_expansions\":0,\"truncated_deadline\":1,",
             "\"truncated_candidates\":0,\"truncated_enumeration\":1,\"cache_hits\":10,",
             "\"cache_misses\":14,\"cache_overflow\":2,\"latency_total_us\":11600120,",
             "\"latency_histogram_us\":[{\"le\":50,\"count\":0},{\"le\":100,\"count\":0},",

@@ -1,8 +1,6 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use ci_baselines::{banks_score, banks_search, BanksConfig};
-use ci_graph::NodeId;
 use ci_index::{DistanceOracle, OracleVisitor};
 use ci_rwmp::Scorer;
 use ci_search::{
@@ -181,18 +179,6 @@ impl<'s> QuerySession<'s> {
         .map(|(ranked, _)| ranked)
     }
 
-    /// Runs BANKS end to end as an independent search strategy: backward
-    /// expanding search from every matcher (§II-B.2's citation), answers
-    /// scored with the BANKS ranking function at their emission root, `k`
-    /// and the diameter `D` read from the session's options. Provided for
-    /// completeness alongside [`QuerySession::rank`]'s pool-re-ranking
-    /// mode, which is what the paper's evaluation uses. Counted as one
-    /// query with zero branch-and-bound counters.
-    pub fn search_banks(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        self.metered(query, |spec| (self.banks(spec), SearchStats::default()))
-            .map(|(answers, _)| answers)
-    }
-
     /// The one metered run path every query method takes: resolves
     /// `query`, hands the spec to `run`, and records the run's statistics,
     /// answer count and latency in the snapshot's registry.
@@ -255,31 +241,6 @@ impl<'s> QuerySession<'s> {
         .into_iter()
         .map(|(tree, score)| snap.to_ranked(spec, Answer { tree, score }))
         .collect()
-    }
-
-    fn banks(&self, spec: &QuerySpec) -> Vec<RankedAnswer> {
-        if !spec.answerable() {
-            return Vec::new();
-        }
-        let (graph, prestige) = (self.snap.graph(), self.snap.prestige());
-        let matchers: Vec<Vec<NodeId>> = (0..spec.keyword_count())
-            .map(|k| spec.matchers_of(k).to_vec())
-            .collect();
-        let cfg = BanksConfig {
-            max_answers: self.opts.k * 4,
-            max_hops: self.opts.diameter,
-            ..Default::default()
-        };
-        let mut answers: Vec<RankedAnswer> = banks_search(graph, &matchers, &cfg)
-            .into_iter()
-            .map(|(tree, root)| {
-                let score = banks_score(graph, prestige, &tree, root, cfg.lambda);
-                self.snap.to_ranked(spec, Answer { tree, score })
-            })
-            .collect();
-        answers.sort_by(|a, b| b.score.total_cmp(&a.score));
-        answers.truncate(self.opts.k);
-        answers
     }
 }
 

@@ -30,8 +30,11 @@ pub struct SearchStats {
     /// index in O(1), whether or not the partner was visited (see
     /// [`RejectionStats::merge_shape`]).
     pub merges: usize,
-    /// Peak number of live candidates held in the arena — what
-    /// [`crate::QueryBudget::max_candidates`] bounds.
+    /// Candidates held in the arena when the run ended. The arena is
+    /// append-only within a run, so this is its peak and always equals
+    /// `registered`: the one count that both
+    /// [`crate::QueryBudget::max_candidates`] and the registration cap
+    /// (10× [`crate::QueryBudget::max_expansions`]) bound.
     pub candidates_peak: usize,
     /// Why the run stopped early, if it did. `None` means the search space
     /// was exhausted and the top-k guarantee (Theorem 1) holds; any
@@ -54,12 +57,11 @@ pub struct SearchStats {
 /// every merge attempt that produced no candidate.
 ///
 /// Every merge attempt lands in exactly one class: over the caps
-/// (`merge_shape`, never visited), refused by the merge rule
-/// (`merge_rule`), proved disjoint by the 64-bit node signatures
-/// (`merge_sig_disjoint`, no scan), proved overlapping by the matcher
-/// signatures (`merge_matcher_overlap`, no scan), rejected by the exact
-/// scan (`merge_overlap`), or passed by the scan — the last is `merges`
-/// minus the five merge fields. The counters are the same at every
+/// (`merge_shape`, never visited), proved disjoint by the 64-bit node
+/// signatures (`merge_sig_disjoint`, no scan), proved overlapping by the
+/// matcher signatures (`merge_matcher_overlap`, no scan), rejected by the
+/// exact scan (`merge_overlap`), or passed by the scan — the last is
+/// `merges` minus the four merge fields. The counters are the same at every
 /// [`crate::TraceLevel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionStats {
@@ -76,9 +78,6 @@ pub struct RejectionStats {
     /// Candidates whose `(root, tree)` identity was already admitted:
     /// seeds and merges only, as a grow never repeats a candidate.
     pub duplicate: usize,
-    /// Merge attempts refused by the paper's merge rule (only when
-    /// [`crate::SearchOptions::allow_redundant_matchers`] is off).
-    pub merge_rule: usize,
     /// Merge attempts whose node signatures were disjoint: accepted
     /// without the exact overlap scan.
     pub merge_sig_disjoint: usize,
@@ -91,7 +90,7 @@ pub struct RejectionStats {
 
 impl SearchStats {
     /// Number of entries in [`SearchStats::counters`].
-    pub const COUNTERS: usize = 20;
+    pub const COUNTERS: usize = 19;
 
     /// True if the run stopped before exhausting its search space — the
     /// top-k guarantee does not hold for a truncated run.
@@ -122,7 +121,6 @@ impl SearchStats {
             ("merge_shape", r.merge_shape),
             ("rejected_infeasible_leaves", r.infeasible_leaves),
             ("rejected_duplicate", r.duplicate),
-            ("merge_rule", r.merge_rule),
             ("merge_sig_disjoint", r.merge_sig_disjoint),
             ("merge_matcher_overlap", r.merge_matcher_overlap),
             ("merge_overlap", r.merge_overlap),
@@ -399,6 +397,12 @@ pub fn bnb_search_in<O: DistanceOracle>(
             run.register(Pending::Grow(vj));
         }
     }
+    run.stats.candidates_peak = run.scratch.store.len();
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    assert_eq!(
+        run.stats.candidates_peak, run.stats.registered,
+        "the append-only arena holds every registered candidate"
+    );
     (run.topk.into_sorted(), run.stats)
 }
 
@@ -480,21 +484,20 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     /// quantities only grow, a gate at its cap admits nothing more — an
     /// untruncated budgeted run is the unlimited run. Merge cascades at hub
     /// roots can register far more candidates than the pop cap ever
-    /// touches, so the expansion budget also bounds total registrations
-    /// (at 10× the pop cap), and the candidate-memory budget bounds the
-    /// live store directly.
+    /// touches, so the expansion budget also bounds registrations (at 10×
+    /// the pop cap). The arena is append-only within a run, so the
+    /// registrations are also the stored candidates the candidate-memory
+    /// budget bounds: both caps bound one count.
     fn gate(&self) -> Option<TruncationReason> {
         let budget = &self.opts.budget;
+        let count = self.stats.registered;
         if budget
             .max_expansions
-            .is_some_and(|m| self.stats.registered >= m.saturating_mul(10))
+            .is_some_and(|m| count >= m.saturating_mul(10))
         {
             return Some(TruncationReason::Expansions);
         }
-        if budget
-            .max_candidates
-            .is_some_and(|cap| self.scratch.store.len() >= cap)
-        {
+        if budget.max_candidates.is_some_and(|cap| count >= cap) {
             return Some(TruncationReason::CandidateMemory);
         }
         None
@@ -526,7 +529,9 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     /// with every candidate admitted before it under the same root, in
     /// admission order, pushing each merge that succeeds. Only partners
     /// within `D − depth` and `max_tree_nodes + 1 − size` are visited; the
-    /// rest are counted in O(1) as `merge_shape`.
+    /// rest are counted in O(1) as `merge_shape`. Answers may hold more
+    /// matchers than keywords, so a visited pair merges exactly when its
+    /// non-root node sets are disjoint.
     fn merge_partners(&mut self, idx: usize) {
         let cand = &self.scratch.build_slot.cand;
         let (root, depth, size) = (cand.root(), cand.depth, cand.size());
@@ -549,16 +554,15 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                 continue;
             }
             visited += 1;
-            let outcome = self.merge_test(idx, partner);
+            let outcome = self.scratch.store.overlap(idx, partner);
             let r = &mut self.stats.rejections;
             match outcome {
-                None => r.merge_rule += 1,
-                Some(Overlap::SigDisjoint) => r.merge_sig_disjoint += 1,
-                Some(Overlap::SharedMatcher) => r.merge_matcher_overlap += 1,
-                Some(Overlap::ScanShared) => r.merge_overlap += 1,
-                Some(Overlap::ScanDisjoint) => {}
+                Overlap::SigDisjoint => r.merge_sig_disjoint += 1,
+                Overlap::SharedMatcher => r.merge_matcher_overlap += 1,
+                Overlap::ScanShared => r.merge_overlap += 1,
+                Overlap::ScanDisjoint => {}
             }
-            let merged = outcome.is_some_and(Overlap::disjoint);
+            let merged = outcome.disjoint();
             if self.scratch.trace.level().full() {
                 self.scratch.trace.emit(TraceEvent::Merge {
                     root,
@@ -572,20 +576,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             }
         }
         self.stats.rejections.merge_shape += count.saturating_sub(1 + visited);
-    }
-
-    /// The merge test of arena candidates `idx` and `partner` (same
-    /// root): `None` if the merge rule refuses the pair, else how their
-    /// overlap was settled — the merge happens when it is disjoint. Reads
-    /// only the dense merge keys unless the signatures leave the overlap
-    /// open, which the exact scan then settles.
-    fn merge_test(&self, idx: usize, partner: usize) -> Option<Overlap> {
-        let store = &self.scratch.store;
-        let (a, b) = (store.key(idx)?, store.key(partner)?);
-        if !merge_allowed(self.opts, a.mask, b.mask) {
-            return None;
-        }
-        Some(store.overlap(idx, a, partner, b))
     }
 
     /// Checks the grow proofs of [`SearchRun::admit`] on a grow, before
@@ -774,7 +764,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             roots,
             &slot.cand,
             &slot.flows,
-            self.opts.allow_redundant_matchers,
         );
         let ub = parts.ub();
         if let Some(min) = self.topk.min_score() {
@@ -804,7 +793,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         let idx = self.scratch.store.push(&self.scratch.build_slot);
         let cand = &self.scratch.build_slot.cand;
         let (root, size, mask, depth) = (cand.root(), cand.size(), cand.mask, cand.depth);
-        self.stats.candidates_peak = self.stats.candidates_peak.max(self.scratch.store.len());
         self.scratch.partner_index.push(root, idx, depth, size);
         self.scratch.queue.push(HeapItem { ub, idx });
         self.stats.registered += 1;
@@ -850,13 +838,6 @@ fn assert_grow_exact(
 /// True when a candidate of this shape fits `D` and `max_tree_nodes`.
 fn fits(opts: &SearchOptions, shape: Shape) -> bool {
     shape.diameter <= opts.diameter && shape.size <= opts.max_tree_nodes
-}
-
-/// The paper's merge rule, unless redundant matchers are allowed: the
-/// merge must cover more keywords than either operand.
-fn merge_allowed(opts: &SearchOptions, a: u32, b: u32) -> bool {
-    let union = a | b;
-    opts.allow_redundant_matchers || (union != a && union != b)
 }
 
 #[cfg(test)]
@@ -914,10 +895,9 @@ mod tests {
                 merge_shape: 12,
                 infeasible_leaves: 13,
                 duplicate: 14,
-                merge_rule: 15,
-                merge_sig_disjoint: 16,
-                merge_matcher_overlap: 17,
-                merge_overlap: 18,
+                merge_sig_disjoint: 15,
+                merge_matcher_overlap: 16,
+                merge_overlap: 17,
             },
         };
         let truncated = [
@@ -943,10 +923,9 @@ mod tests {
                 ("merge_shape", 12),
                 ("rejected_infeasible_leaves", 13),
                 ("rejected_duplicate", 14),
-                ("merge_rule", 15),
-                ("merge_sig_disjoint", 16),
-                ("merge_matcher_overlap", 17),
-                ("merge_overlap", 18),
+                ("merge_sig_disjoint", 15),
+                ("merge_matcher_overlap", 16),
+                ("merge_overlap", 17),
                 ("cache_hits", 7),
                 ("cache_misses", 8),
                 ("cache_overflow", 9),
@@ -1411,16 +1390,13 @@ mod grow_leaf_props {
             }
         }
 
-        /// After a run — with redundant matchers allowed too, where merges
-        /// with a seed operand happen — the identities of all stored
-        /// candidates are pairwise distinct, although grows never enter
-        /// the dedup set. (In this debug build the run also checks each
-        /// step of the proof against its shadow identity set.)
+        /// After a run — where merges with a seed operand happen — the
+        /// identities of all stored candidates are pairwise distinct,
+        /// although grows never enter the dedup set. (In this debug build
+        /// the run also checks each step of the proof against its shadow
+        /// identity set.)
         #[test]
-        fn stored_identities_are_pairwise_distinct(
-            case in random_case(7),
-            allow_redundant_matchers in proptest::bool::ANY,
-        ) {
+        fn stored_identities_are_pairwise_distinct(case in random_case(7)) {
             let graph = build_graph(&case);
             let scorer = case_scorer(&graph, &case);
             let Some(query) = case_query(&case, &scorer, case.keywords, 0) else {
@@ -1430,7 +1406,6 @@ mod grow_leaf_props {
                 diameter: 4,
                 k: 50,
                 max_tree_nodes: 6,
-                allow_redundant_matchers,
                 ..Default::default()
             };
             let mut scratch = SearchScratch::new();

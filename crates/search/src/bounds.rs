@@ -37,16 +37,12 @@ pub struct BoundParts {
     /// their per-node Eq. 3 score bound.
     pub ce: f64,
     /// Damped potential estimate — the best score an added matcher beyond
-    /// the root could still achieve — or `-inf` when no extension path
-    /// applies (complete candidate with redundant matchers disallowed), in
-    /// which case the bound reduces to `ce` exactly.
+    /// the root could still achieve.
     pub pe: f64,
 }
 
 impl BoundParts {
-    /// The admissible upper bound `ub(C) = max(ce, pe)`. Bit-identical to
-    /// the historical single-value computation: `-inf` never wins a
-    /// [`f64::max`] against the (finite, non-NaN) `ce`.
+    /// The admissible upper bound `ub(C) = max(ce, pe)`.
     #[inline]
     #[must_use]
     pub fn ub(self) -> f64 {
@@ -62,9 +58,8 @@ impl BoundParts {
 
 /// Computes the bound decomposition `(ce, pe)` of `ub(C)` from the
 /// candidate's [`FlowState`] — the one bound entry point; `ub(C)` is
-/// [`BoundParts::ub`] of the result. `allow_redundant` mirrors
-/// [`crate::SearchOptions::allow_redundant_matchers`]: when off, a complete
-/// candidate cannot be usefully extended and its bound is its exact score.
+/// [`BoundParts::ub`] of the result. Answers may hold more matchers than
+/// keywords, so even a complete candidate is bounded over its extensions.
 /// Allocation-free: it iterates the flow matrix and the query's dense
 /// matcher table directly instead of materializing per-source vectors,
 /// and reads each missing keyword's term from the run's [`RootTable`],
@@ -81,7 +76,6 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
     roots: &mut RootTable,
     cand: &Candidate,
     flows: &FlowState,
-    allow_redundant: bool,
 ) -> BoundParts {
     let root = cand.root();
     let sources = flows.sources();
@@ -91,7 +85,6 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
     );
 
     // Tightest bound over sources of the missing keywords.
-    let full = query.full_mask();
     let mut min_missing = f64::INFINITY;
     for k in 0..query.keyword_count() {
         if cand.mask & (1 << k) != 0 {
@@ -102,8 +95,6 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
         });
         min_missing = min_missing.min(b);
     }
-
-    let complete = cand.mask == full;
 
     // ce: mean over existing matchers of their per-node score bound.
     let mut ce_sum = 0.0;
@@ -124,46 +115,36 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
         let mut bound = internal_min.min(min_missing);
         if bound.is_infinite() {
             // Single matcher covering every keyword: the answer may be the
-            // candidate itself (score = its generation count)…
-            bound = m_i.gen;
-            if allow_redundant {
-                // …or an extension whose added sources flow through the
-                // root.
-                let ext =
-                    best_damped_gen(query, oracle, query.matchers_sorted(), root, Some(m_i.node));
-                bound = bound.max(ext);
-            }
+            // candidate itself (score = its generation count) or an
+            // extension whose added sources flow through the root.
+            let ext = best_damped_gen(query, oracle, query.matchers_sorted(), root, Some(m_i.node));
+            bound = m_i.gen.max(ext);
         }
         ce_sum += bound;
     }
     let ce = ce_sum / sources.len() as f64;
 
-    let pe = if complete && !allow_redundant {
-        // No extension can stay a valid answer: the bound is the score of
-        // the candidate itself (ce reduces to it), recorded as a `-inf`
-        // potential so `max(ce, pe)` still produces exactly `ce`.
-        f64::NEG_INFINITY
-    } else {
-        // pe: messages of each existing type available beyond the root. An
-        // added node sits at least one hop past the root, so it retains at
-        // most the global maximum dampening rate of that flow.
-        let mut pe = f64::INFINITY;
-        for (j, &pos_j32) in sources.iter().enumerate() {
-            let pos_j = pos_j32 as usize;
-            let at_root = if pos_j == 0 {
-                cand.nodes
-                    .get(pos_j)
-                    .and_then(|&v| query.matcher(v))
-                    .map_or(f64::INFINITY, |m| m.gen)
-            } else {
-                // A missing flow entry must not lower the bound.
-                flows.value(j, 0)
-            };
-            pe = pe.min(at_root);
-        }
-        pe * scorer.max_dampening()
+    // pe: messages of each existing type available beyond the root. An
+    // added node sits at least one hop past the root, so it retains at
+    // most the global maximum dampening rate of that flow.
+    let mut pe = f64::INFINITY;
+    for (j, &pos_j32) in sources.iter().enumerate() {
+        let pos_j = pos_j32 as usize;
+        let at_root = if pos_j == 0 {
+            cand.nodes
+                .get(pos_j)
+                .and_then(|&v| query.matcher(v))
+                .map_or(f64::INFINITY, |m| m.gen)
+        } else {
+            // A missing flow entry must not lower the bound.
+            flows.value(j, 0)
+        };
+        pe = pe.min(at_root);
+    }
+    let parts = BoundParts {
+        ce,
+        pe: pe * scorer.max_dampening(),
     };
-    let parts = BoundParts { ce, pe };
 
     // Admissibility (Lemma 1): the bound must dominate the score of every
     // answer grown from this candidate — in particular, a complete
@@ -173,7 +154,7 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
         "admissibility: ub(C) must be a number"
     );
     #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    if complete {
+    if cand.mask == query.full_mask() {
         let ub = parts.ub();
         if let Some(score) = flows.reduce(None) {
             assert!(
@@ -286,22 +267,12 @@ mod tests {
         query: &QuerySpec,
         oracle: &O,
         cand: &Candidate,
-        allow_redundant: bool,
     ) -> f64 {
         let mut flows = FlowState::default();
         scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut flows);
         let mut roots = RootTable::default();
         roots.begin(query.keyword_count());
-        bound_parts_from(
-            scorer,
-            query,
-            oracle,
-            &mut roots,
-            cand,
-            &flows,
-            allow_redundant,
-        )
-        .ub()
+        bound_parts_from(scorer, query, oracle, &mut roots, cand, &flows).ub()
     }
 
     /// Path 0(a) — 1 — 2(b), equal weights.
@@ -336,7 +307,7 @@ mod tests {
         let seed = Candidate::seed(NodeId(0), 0b01);
         let grown = seed.grow(NodeId(1), &q);
         for c in [&seed, &grown, &full] {
-            let ub = upper_bound(&scorer, &q, &NoIndex, c, true);
+            let ub = upper_bound(&scorer, &q, &NoIndex, c);
             assert!(
                 ub >= answer_score - 1e-12,
                 "ub {ub} must dominate answer score {answer_score}"
@@ -350,10 +321,10 @@ mod tests {
         let scorer = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
         let q = query_ab(&scorer);
         let seed = Candidate::seed(NodeId(0), 0b01);
-        let loose = upper_bound(&scorer, &q, &NoIndex, &seed, true);
+        let loose = upper_bound(&scorer, &q, &NoIndex, &seed);
         let damp: Vec<f64> = g.nodes().map(|v| scorer.dampening(v)).collect();
         let idx = NaiveIndex::build(&g, &damp, 6);
-        let tight = upper_bound(&scorer, &q, &idx, &seed, true);
+        let tight = upper_bound(&scorer, &q, &idx, &seed);
         assert!(tight <= loose + 1e-12, "indexed bound {tight} ≤ {loose}");
         assert!(
             tight < loose,
@@ -381,19 +352,6 @@ mod tests {
         // Without an index nothing can be pruned.
         roots.begin(q.keyword_count());
         assert!(!prune(&NoIndex, &mut roots, 1));
-    }
-
-    #[test]
-    fn complete_exclusive_candidate_bound_is_exact() {
-        let (g, p) = setup();
-        let scorer = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
-        let q = query_ab(&scorer);
-        let full = Candidate::seed(NodeId(0), 0b01)
-            .grow(NodeId(1), &q)
-            .grow(NodeId(2), &q);
-        let score = crate::answer::score_answer(&scorer, &q, &full.to_jtt()).unwrap();
-        let ub = upper_bound(&scorer, &q, &NoIndex, &full, false);
-        assert!((ub - score).abs() < 1e-12, "ub {ub} vs score {score}");
     }
 }
 
@@ -572,7 +530,7 @@ pub(crate) mod admissibility_props {
                     // reachable answers.
                     let full = rooted(tree, root_pos, &query);
                     for oracle in oracles {
-                        let ub = upper_bound(&scorer, &query, oracle, &full, true);
+                        let ub = upper_bound(&scorer, &query, oracle, &full);
                         prop_assert!(
                             ub >= a.score - 1e-9,
                             "complete candidate: ub {ub} < score {} (root {root_pos})",
@@ -604,7 +562,7 @@ pub(crate) mod admissibility_props {
                             // (a) the seed (step 0) and (b) each branchless
                             // prefix must dominate the final score.
                             for oracle in oracles {
-                                let ub = upper_bound(&scorer, &query, oracle, &cand, true);
+                                let ub = upper_bound(&scorer, &query, oracle, &cand);
                                 prop_assert!(
                                     ub >= a.score - 1e-9,
                                     "path candidate (matcher {mpos}, root {root_pos}, \

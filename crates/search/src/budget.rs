@@ -19,21 +19,21 @@ pub struct QueryBudget {
     /// Cap on branch-and-bound queue pops (grow steps). Also bounds total
     /// candidate registrations at 10× the cap, because merge cascades at
     /// hub roots can register far more candidates than the pop loop ever
-    /// touches.
+    /// touches. Registrations are the count
+    /// [`QueryBudget::max_candidates`] caps too.
     pub max_expansions: Option<usize>,
-    /// Absolute wall-clock deadline. Checked at bounded intervals, so a
-    /// run may overshoot by a few expansions but never hangs past the
-    /// check. It holds for every run that uses this budget, so it suits a
-    /// single call; use [`QueryBudget::timeout`] for a budget reused across
-    /// queries.
-    pub deadline: Option<Instant>,
-    /// Relative wall-clock limit, armed afresh at the start of every run
-    /// (`run start + timeout`). A long-lived session holding this budget
-    /// gives each query the full timeout. When both this and
-    /// [`QueryBudget::deadline`] are set, the earlier instant wins.
+    /// Wall-clock limit, armed afresh at the start of every run
+    /// (`run start + timeout`), so a long-lived session holding this
+    /// budget gives each query the full timeout. Checked at bounded
+    /// intervals, so a run may overshoot by a few expansions but never
+    /// hangs past the check.
     pub timeout: Option<Duration>,
     /// Cap on live candidates held in memory (the branch-and-bound arena,
-    /// an upper bound on resident candidate memory).
+    /// an upper bound on resident candidate memory). The arena is
+    /// append-only within a run, so this caps the same count as the
+    /// registration cap of [`QueryBudget::max_expansions`]:
+    /// [`crate::SearchStats::candidates_peak`], which equals
+    /// [`crate::SearchStats::registered`].
     pub max_candidates: Option<usize>,
     /// Cap on memoized oracle-probe slots held by the per-session
     /// [`crate::OracleCache`] (each slot is a few dozen bytes). Unlike the
@@ -61,7 +61,6 @@ impl QueryBudget {
     /// oracle cache may grow without bound.
     pub const UNLIMITED: QueryBudget = QueryBudget {
         max_expansions: None,
-        deadline: None,
         timeout: None,
         max_candidates: None,
         max_cache_entries: None,
@@ -80,14 +79,7 @@ impl QueryBudget {
         self
     }
 
-    /// Builder-style absolute deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Builder-style relative deadline: each run stops `timeout` after it
+    /// Builder-style wall-clock limit: each run stops `timeout` after it
     /// starts.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
@@ -115,21 +107,14 @@ impl QueryBudget {
     /// returns (overflowing probes fall through to the inner oracle), so
     /// a budget that only bounds the cache still runs the exact search.
     pub fn is_unlimited(&self) -> bool {
-        self.max_expansions.is_none()
-            && self.deadline.is_none()
-            && self.timeout.is_none()
-            && self.max_candidates.is_none()
+        self.max_expansions.is_none() && self.timeout.is_none() && self.max_candidates.is_none()
     }
 
-    /// The wall-clock deadline of a run starting now: the earlier of the
-    /// absolute deadline and `now + timeout`. Reads the clock only when a
-    /// timeout is set. Called once per run, in the search prologue.
+    /// The wall-clock deadline of a run starting now: `now + timeout`.
+    /// Reads the clock only when a timeout is set. Called once per run, in
+    /// the search prologue.
     pub(crate) fn arm(&self) -> Option<Instant> {
-        let relative = self.timeout.map(|t| Instant::now() + t);
-        match (self.deadline, relative) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.timeout.map(|t| Instant::now() + t)
     }
 }
 
@@ -187,8 +172,8 @@ pub enum TruncationReason {
     /// [`QueryBudget::max_expansions`] (or its derived registration cap)
     /// was reached.
     Expansions,
-    /// The run's wall-clock limit ([`QueryBudget::deadline`] or
-    /// [`QueryBudget::timeout`]) passed mid-run.
+    /// The run's wall-clock limit ([`QueryBudget::timeout`]) passed
+    /// mid-run.
     Deadline,
     /// [`QueryBudget::max_candidates`] live candidates were reached.
     CandidateMemory,
@@ -240,22 +225,20 @@ mod tests {
 
     #[test]
     fn builders_set_each_axis() {
-        let now = Instant::now();
         let b = QueryBudget::default()
             .with_max_expansions(10)
-            .with_deadline(now)
+            .with_timeout(Duration::from_secs(1))
             .with_max_candidates(100);
         assert_eq!(b.max_expansions, Some(10));
+        assert_eq!(b.timeout, Some(Duration::from_secs(1)));
         assert_eq!(b.max_candidates, Some(100));
         assert!(!b.is_unlimited());
-        assert_eq!(b.arm(), Some(now));
     }
 
     #[test]
     fn timeout_is_armed_per_run() {
         let b = QueryBudget::default().with_timeout(Duration::from_millis(20));
         assert!(!b.is_unlimited());
-        assert_eq!(b.deadline, None, "a timeout stores no instant");
         let first = b.arm().unwrap();
         std::thread::sleep(Duration::from_millis(30));
         // The same budget value, reused after its timeout elapsed, still
@@ -266,22 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn earlier_limit_wins() {
-        let now = Instant::now();
-        let b = QueryBudget::default()
-            .with_deadline(now)
-            .with_timeout(Duration::from_secs(3600));
-        assert_eq!(b.arm(), Some(now));
-        let late = now + Duration::from_secs(7200);
-        let b = QueryBudget::default()
-            .with_deadline(late)
-            .with_timeout(Duration::ZERO);
-        assert!(b.arm().unwrap() < late);
-    }
-
-    #[test]
     fn deadline_poll_reads_the_clock_on_the_first_check_and_every_stride() {
-        let mut expired = DeadlinePoll::arm(&QueryBudget::default().with_deadline(Instant::now()));
+        let mut expired = DeadlinePoll::arm(&QueryBudget::default().with_timeout(Duration::ZERO));
         assert!(!expired.expired(), "no poll yet");
         let hits: Vec<usize> = (0..130).filter(|_| expired.poll()).collect();
         assert_eq!(hits, vec![0, 64, 128], "first check, then every 64th");

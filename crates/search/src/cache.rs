@@ -320,20 +320,6 @@ impl OracleCache {
     }
 }
 
-enum Store<'a> {
-    Owned(OracleCache),
-    Shared(&'a OracleCache),
-}
-
-impl Store<'_> {
-    fn get(&self) -> &OracleCache {
-        match self {
-            Store::Owned(c) => c,
-            Store::Shared(c) => c,
-        }
-    }
-}
-
 /// Memoizing wrapper around a [`DistanceOracle`].
 ///
 /// The branch-and-bound search probes the same (matcher, root) pairs over
@@ -347,41 +333,19 @@ impl Store<'_> {
 /// (both bounds from one lookup) inlines into the cache-miss path.
 pub struct CachedOracle<'a, O: DistanceOracle + ?Sized> {
     inner: &'a O,
-    store: Store<'a>,
+    store: &'a OracleCache,
 }
 
 impl<'a, O: DistanceOracle + ?Sized> CachedOracle<'a, O> {
-    /// Wraps an oracle with a private cache (one query's lifetime).
-    pub fn new(inner: &'a O) -> Self {
-        CachedOracle {
-            inner,
-            store: Store::Owned(OracleCache::new()),
-        }
-    }
-
-    /// Wraps an oracle with an external [`OracleCache`], letting several
-    /// runs within one query session share their memoized probes.
+    /// Wraps an oracle with an [`OracleCache`] the caller owns, letting
+    /// several runs within one query session share their memoized probes.
     pub fn with_store(inner: &'a O, store: &'a OracleCache) -> Self {
-        CachedOracle {
-            inner,
-            store: Store::Shared(store),
-        }
+        CachedOracle { inner, store }
     }
 
     fn entry(&self, u: NodeId, v: NodeId) -> (u32, f64) {
         self.store
-            .get()
             .get_or_insert_with(u, v, || self.inner.probe(u, v))
-    }
-
-    /// Number of currently-valid cached directional probes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.store.get().len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.store.get().is_empty()
     }
 }
 
@@ -399,7 +363,7 @@ impl<'a, O: DistanceOracle + ?Sized> DistanceOracle for CachedOracle<'a, O> {
     }
 
     fn probe_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.store.get().stats();
+        let stats = self.store.stats();
         let hits = u64::try_from(stats.hits).unwrap_or(u64::MAX);
         let misses = u64::try_from(stats.misses).unwrap_or(u64::MAX);
         Some((hits, misses))
@@ -424,17 +388,18 @@ mod tests {
     #[test]
     fn caches_after_first_probe() {
         let inner = Counting(RefCell::new(0));
-        let cached = CachedOracle::new(&inner);
-        assert!(cached.is_empty());
+        let store = OracleCache::new();
+        let cached = CachedOracle::with_store(&inner, &store);
+        assert!(store.is_empty());
         for _ in 0..10 {
             assert_eq!(cached.dist_lb(NodeId(1), NodeId(2)), 3);
             assert_eq!(cached.retention_ub(NodeId(1), NodeId(2)), 0.5);
         }
         assert_eq!(*inner.0.borrow(), 1, "inner probed exactly once");
-        assert_eq!(cached.len(), 1);
+        assert_eq!(store.len(), 1);
         // A different ordered pair probes again (bounds are directional).
         cached.dist_lb(NodeId(2), NodeId(1));
-        assert_eq!(cached.len(), 2);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -462,7 +427,8 @@ mod tests {
         // are unavailable (the hot path itself never does this).
         let inner = Counting(RefCell::new(0));
         let dyn_inner: &dyn DistanceOracle = &inner;
-        let cached = CachedOracle::new(dyn_inner);
+        let store = OracleCache::new();
+        let cached = CachedOracle::with_store(dyn_inner, &store);
         cached.dist_lb(NodeId(0), NodeId(1));
         cached.dist_lb(NodeId(0), NodeId(1));
         assert_eq!(*inner.0.borrow(), 1);

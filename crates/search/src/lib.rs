@@ -123,12 +123,7 @@ pub struct SearchOptions {
     pub k: usize,
     /// Hard cap on answer-tree size in nodes.
     pub max_tree_nodes: usize,
-    /// Allow answers that contain more matcher nodes than keywords
-    /// (the extensions the potential estimate of §IV-B accounts for).
-    /// Disabling restricts the merge rule to the paper's "covers more
-    /// keywords than either" wording.
-    pub allow_redundant_matchers: bool,
-    /// Per-query resource budget (expansions, deadline, candidate memory).
+    /// Per-query resource budget (expansions, timeout, candidate memory).
     /// The default is unlimited, preserving exact-search semantics.
     pub budget: QueryBudget,
     /// Naive search: cap on stored paths per (matcher, endpoint) pair.
@@ -157,7 +152,6 @@ impl Default for SearchOptions {
             diameter: 4,
             k: 10,
             max_tree_nodes: 10,
-            allow_redundant_matchers: true,
             budget: QueryBudget::UNLIMITED,
             naive_max_paths: 256,
             naive_max_combinations: 100_000,

@@ -24,13 +24,14 @@
 //! [`SearchScratch::slots_allocated`] and [`SearchScratch::capacity_bytes`]
 //! let tests assert that steady state.
 //!
-//! **Merge keys.** A merge attempt needs only `(sig, msig, mask)`: the
-//! keyword masks decide the paper's merge rule, the 64-bit node signature
-//! `sig` (bit `node % 64` per non-root node) proves most pairs disjoint,
-//! and the matcher signature `msig` (bit `i` per non-root node that is the
-//! `i`-th matcher of [`crate::QuerySpec::matchers_sorted`], `i < 64`)
-//! proves most of the rest overlapping. Only pairs neither settles reach
-//! the exact scan ([`Candidate::disjoint_from`]).
+//! **Merge keys.** A merge attempt needs only `(sig, msig)`: the 64-bit
+//! node signature `sig` (bit `node % 64` per non-root node) proves most
+//! pairs disjoint, and the matcher signature `msig` (bit `i` per non-root
+//! node that is the `i`-th matcher of
+//! [`crate::QuerySpec::matchers_sorted`], `i < 64`) proves most of the
+//! rest overlapping. Only pairs neither settles reach the exact scan
+//! ([`Candidate::disjoint_from`]). Answers may hold more matchers than
+//! keywords, so keyword masks play no part in a merge.
 //!
 //! **The partner index.** [`PartnerIndex`] holds, per root, one intrusive
 //! newest-first chain of arena indices per candidate depth, plus the
@@ -83,8 +84,7 @@ pub(crate) struct CandSlot {
     /// report the bound decomposition at pop time without re-probing the
     /// oracle (an extra probe would perturb the cache counters).
     pub(crate) ce: f64,
-    /// Damped potential estimate `pe(C)` stored at admission
-    /// (`-inf` when the potential path was not applicable).
+    /// Damped potential estimate `pe(C)` stored at admission.
     pub(crate) pe: f64,
     /// Node signature (see [`MergeKey::sig`]).
     pub(crate) sig: u64,
@@ -152,8 +152,6 @@ pub(crate) struct MergeKey {
     /// A shared bit proves a shared node; matchers past the 64th have no
     /// bit, so pairs sharing only those fall through to the scan.
     pub(crate) msig: u64,
-    /// Union of matched keyword bits.
-    pub(crate) mask: u32,
 }
 
 /// How a merge attempt's overlap test was settled.
@@ -245,7 +243,6 @@ impl CandStore {
         self.keys.push(MergeKey {
             sig: slot.sig,
             msig: slot.msig,
-            mask: cand.mask,
         });
         self.nodes.extend_from_slice(&cand.nodes);
         self.parent.extend_from_slice(&cand.parent);
@@ -298,15 +295,17 @@ impl CandStore {
         true
     }
 
-    /// Settles whether same-rooted arena candidates `a` and `b` (with
-    /// merge keys `ka`, `kb`) have disjoint non-root node sets: node
-    /// signatures, then matcher signatures, then the exact scan.
-    pub(crate) fn overlap(&self, a: usize, ka: MergeKey, b: usize, kb: MergeKey) -> Overlap {
-        if ka.sig & kb.sig == 0 {
-            return Overlap::SigDisjoint;
-        }
-        if ka.msig & kb.msig != 0 {
-            return Overlap::SharedMatcher;
+    /// Settles whether same-rooted arena candidates `a` and `b` have
+    /// disjoint non-root node sets: node signatures, then matcher
+    /// signatures, then the exact scan.
+    pub(crate) fn overlap(&self, a: usize, b: usize) -> Overlap {
+        if let (Some(ka), Some(kb)) = (self.keys.get(a), self.keys.get(b)) {
+            if ka.sig & kb.sig == 0 {
+                return Overlap::SigDisjoint;
+            }
+            if ka.msig & kb.msig != 0 {
+                return Overlap::SharedMatcher;
+            }
         }
         match (self.view(a), self.view(b)) {
             (Some(va), Some(vb)) if Candidate::disjoint_from(va, vb) => Overlap::ScanDisjoint,
@@ -904,8 +903,7 @@ mod tests {
                     if x.cand.root() != y.cand.root() {
                         continue;
                     }
-                    let (ki, kj) = (store.key(i).unwrap(), store.key(j).unwrap());
-                    let decided = store.overlap(i, ki, j, kj);
+                    let decided = store.overlap(i, j);
                     prop_assert_eq!(
                         decided.disjoint(),
                         Candidate::disjoint_from(x.cand.view(), y.cand.view()),

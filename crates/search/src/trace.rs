@@ -116,9 +116,7 @@ pub enum TraceEvent {
         /// their per-node Eq. 3 score bound.
         ce: f64,
         /// Damped potential estimate at admission (what an added matcher
-        /// beyond the root could still score); `-inf` when the potential
-        /// path was not applicable (complete candidate, redundant
-        /// matchers disallowed).
+        /// beyond the root could still score).
         pe: f64,
     },
     /// A *tree grow* expansion was enumerated: the popped candidate's root
@@ -141,8 +139,7 @@ pub enum TraceEvent {
         /// Arena index of the existing merge partner.
         partner: usize,
         /// Whether the merge produced a candidate (disjoint non-root node
-        /// sets and, when redundant matchers are disallowed, strictly
-        /// wider keyword coverage).
+        /// sets).
         merged: bool,
     },
     /// A candidate passed every prune and entered the arena and queue

@@ -390,7 +390,9 @@ proptest! {
 /// trips only before buildable work is built, and no admission can happen
 /// once a gate is at its cap, so an untruncated run must equal the
 /// unlimited run bit for bit, answers and statistics. A truncated run
-/// must still return only valid answers, each with its exact score.
+/// must still return only valid answers, each with its exact score. The
+/// arena is append-only, so every run's peak equals its registrations:
+/// the one count both the registration cap and `max_candidates` bound.
 fn assert_budget_contract(
     name: &str,
     scorer: &Scorer<'_>,
@@ -403,6 +405,10 @@ fn assert_budget_contract(
         ..opts.clone()
     };
     let (answers, stats) = assert_trace_neutral(name, scorer, query, &NoIndex, &budgeted);
+    assert_eq!(
+        stats.candidates_peak, stats.registered,
+        "{name}: peak differs from registrations"
+    );
     if stats.truncated() {
         for a in &answers {
             assert!(is_valid_answer(&a.tree, query), "{name}: invalid answer");
@@ -422,11 +428,10 @@ fn assert_budget_contract(
 
 proptest! {
     // Thousands of cases: a gate reaching its cap just as the last
-    // buildable work runs out needs a rare combination of caps and rule.
+    // buildable work runs out needs a rare combination of caps.
     #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
 
-    /// Small expansion and candidate-memory budgets, under the paper's
-    /// strict merge rule and the redundant one: every run keeps the
+    /// Small expansion and candidate-memory budgets: every run keeps the
     /// budget contract (see [`assert_budget_contract`]).
     #[test]
     fn budgeted_runs_keep_the_budget_contract(
@@ -436,7 +441,6 @@ proptest! {
         max_expansions in 1usize..12,
         max_candidates in 2usize..200,
         axis in 0u8..3,
-        strict_rule in 0u8..2,
         k in 1usize..6,
     ) {
         let graph = build_graph(&case);
@@ -456,7 +460,6 @@ proptest! {
             diameter,
             k,
             max_tree_nodes,
-            allow_redundant_matchers: strict_rule == 0,
             ..Default::default()
         };
         assert_budget_contract("budgeted", &scorer, &query, &opts, budget);

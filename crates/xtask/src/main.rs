@@ -79,10 +79,18 @@
 //! no `syn`); the heuristics below are documented inline and tuned to this
 //! repository's layout: one `#[cfg(test)] mod tests` block at the end of a
 //! file, attribute-per-line formatting (enforced by rustfmt).
+//!
+//! `cargo xtask loc <rev>` reports a change's net size with the same
+//! non-test-region scanner: for every `.rs` file that differs between the
+//! git revision `<rev>` and the working tree (untracked files included),
+//! the non-test code lines and doc-comment lines on both sides, then the
+//! totals over the library crates' `src` trees (the crates rule 3
+//! scans). Code lines are non-blank lines that are not comments; doc
+//! lines are `///` and `//!` lines.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 /// Crates whose `#[allow(...)]`s require a `LINT-EXEMPT(reason)` tag.
 const HOT_PATH_CRATES: &[&str] = &["graph", "walk", "rwmp", "search", "index"];
@@ -108,19 +116,130 @@ const LIBRARY_CRATES: &[&str] = &[
 /// How many lines above a site a `LINT-EXEMPT` comment still covers it.
 const EXEMPT_WINDOW: usize = 8;
 
+const USAGE: &str = "USAGE:\n  cargo xtask lint\n  cargo xtask loc <rev>";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => lint(),
-        Some(other) => {
-            eprintln!("unknown xtask {other:?}\n\nUSAGE:\n  cargo xtask lint");
+    match (args.next().as_deref(), args.next()) {
+        (Some("lint"), None) => lint(),
+        (Some("loc"), Some(rev)) => match loc(&rev) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("xtask loc: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        (Some(other), _) => {
+            eprintln!("unknown xtask {other:?} or wrong arguments\n\n{USAGE}");
             ExitCode::FAILURE
         }
-        None => {
-            eprintln!("USAGE:\n  cargo xtask lint");
+        (None, _) => {
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Non-test line counts of one file version.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Loc {
+    /// Non-blank lines that are not comments.
+    code: usize,
+    /// `///` and `//!` lines.
+    docs: usize,
+}
+
+impl Loc {
+    fn add(self, other: Loc) -> Loc {
+        Loc {
+            code: self.code + other.code,
+            docs: self.docs + other.docs,
+        }
+    }
+}
+
+/// Counts the code and doc-comment lines of `src`'s non-test region.
+fn count_loc(src: &str) -> Loc {
+    let mut loc = Loc::default();
+    for line in non_test_region(src) {
+        let t = line.trim_start();
+        if t.starts_with("///") || t.starts_with("//!") {
+            loc.docs += 1;
+        } else if !t.is_empty() && !t.starts_with("//") {
+            loc.code += 1;
+        }
+    }
+    loc
+}
+
+/// True for a file under a library crate's `src` tree (see
+/// [`LIBRARY_CRATES`]).
+fn is_library_file(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some_and(|k| LIBRARY_CRATES.contains(&k))
+        && parts.next() == Some("src")
+}
+
+/// Runs git in the workspace root; `None` if it fails.
+fn git(root: &Path, args: &[&str]) -> Option<String> {
+    let out = Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(args)
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// Prints the per-file and library-crate non-test line counts at `rev`
+/// and in the working tree.
+fn loc(rev: &str) -> Result<(), String> {
+    let root = workspace_root();
+    let commit = format!("{rev}^{{commit}}");
+    git(&root, &["rev-parse", "--verify", "--quiet", &commit])
+        .ok_or_else(|| format!("{rev:?} is not a git revision"))?;
+    let changed =
+        git(&root, &["diff", "--name-only", rev, "--", "*.rs"]).ok_or("git diff failed")?;
+    let untracked = git(
+        &root,
+        &["ls-files", "--others", "--exclude-standard", "--", "*.rs"],
+    )
+    .ok_or("git ls-files failed")?;
+    let mut files: Vec<&str> = changed.lines().chain(untracked.lines()).collect();
+    files.sort_unstable();
+    files.dedup();
+
+    let signed = |before: usize, after: usize| {
+        let delta = after as i64 - before as i64;
+        format!("{before:>5} -> {after:>5} ({delta:+})")
+    };
+    println!("non-test lines, {rev} -> working tree");
+    println!("{:<27}{:<27}file", "code", "docs");
+    let (mut lib_before, mut lib_after) = (Loc::default(), Loc::default());
+    for file in files {
+        let before = git(&root, &["show", &format!("{rev}:{file}")])
+            .map_or_else(Loc::default, |src| count_loc(&src));
+        let after = fs::read_to_string(root.join(file))
+            .map_or_else(|_| Loc::default(), |src| count_loc(&src));
+        println!(
+            "{:<27}{:<27}{file}",
+            signed(before.code, after.code),
+            signed(before.docs, after.docs)
+        );
+        if is_library_file(file) {
+            lib_before = lib_before.add(before);
+            lib_after = lib_after.add(after);
+        }
+    }
+    println!(
+        "{:<27}{:<27}library crates (changed files)",
+        signed(lib_before.code, lib_after.code),
+        signed(lib_before.docs, lib_after.docs)
+    );
+    Ok(())
 }
 
 fn lint() -> ExitCode {
@@ -815,6 +934,31 @@ mod tests {
     fn strings_are_stripped() {
         assert_eq!(strip_strings(r#"let x = "a.unwrap()b";"#), "let x = ;");
         assert_eq!(strip_strings("y.unwrap();"), "y.unwrap();");
+    }
+
+    #[test]
+    fn loc_counts_code_and_docs_before_the_tests() {
+        let fixture = "//! Module doc.\n\
+                       \n\
+                       /// Item doc.\n\
+                       pub fn f() -> u32 {\n\
+                       \x20   // a plain comment\n\
+                       \x20   let s = \"// not a comment\";\n\
+                       \x20   1\n\
+                       }\n\
+                       #[cfg(test)]\n\
+                       mod tests {\n\
+                       \x20   /// Test doc.\n\
+                       \x20   fn t() {}\n\
+                       }\n";
+        assert_eq!(count_loc(fixture), Loc { code: 4, docs: 2 });
+        assert_eq!(count_loc(""), Loc::default());
+        assert!(is_library_file("crates/search/src/bnb.rs"));
+        assert!(is_library_file("crates/core/src/session.rs"));
+        assert!(!is_library_file("crates/search/tests/equivalence.rs"));
+        assert!(!is_library_file("crates/xtask/src/main.rs"));
+        assert!(!is_library_file("perfbench/src/main.rs"));
+        assert!(!is_library_file("src/fingerprint.rs"));
     }
 
     #[test]

@@ -164,11 +164,10 @@ fn candidate_pool_runs_and_errors_are_recorded() {
     assert_agrees(&delta, &expected, label);
 }
 
-/// `search_banks`, `rank` and `search_ranked` feed the registry like the
-/// branch-and-bound methods: a BANKS run is one query with its answers and
-/// latency and zero branch-and-bound counters; `rank` records only query
-/// parse errors, because the pool it re-ranks was already counted; and
-/// `search_ranked` counts once, with the counters of its pool run.
+/// `rank` and `search_ranked` feed the registry like the branch-and-bound
+/// methods: `rank` records only query parse errors, because the pool it
+/// re-ranks was already counted; and `search_ranked` counts once, with the
+/// counters of its pool run.
 #[test]
 fn ranking_entry_points_feed_the_registry() {
     let (label, kind, data, mut queries) = cases().remove(1); // zipf/star
@@ -184,17 +183,6 @@ fn ranking_entry_points_feed_the_registry() {
             answers as u64,
         )
     };
-
-    let (banks, answers) = delta_of(&|q| session.search_banks(q).map_or(0, |a| a.len()));
-    assert!(answers > 0, "{label}: BANKS answers the workload");
-    assert_eq!(banks.queries, parsed, "{label}: one query per BANKS run");
-    assert_eq!(banks.errors, 1, "{label}: BANKS parse error");
-    assert_eq!(banks.answers, answers, "{label}: BANKS answers");
-    assert_eq!(banks.latency_buckets.iter().sum::<u64>(), parsed);
-    assert!(
-        banks.counters().all(|(_, total)| total == 0),
-        "{label}: BANKS runs no branch-and-bound"
-    );
 
     let pools: Vec<_> = queries
         .iter()
@@ -235,34 +223,9 @@ fn ranking_entry_points_feed_the_registry() {
     );
 }
 
-/// `search_banks` reads `k` and `D` from the session's options, so a
-/// `with_options` override applies to it as to the branch-and-bound path.
-#[test]
-fn banks_honors_session_options() {
-    let (label, kind, data, queries) = cases().remove(1); // zipf/star
-    let snap = build(&data.db, kind, 1).unwrap();
-    assert_eq!(snap.config().k, 5);
-    let configured = snap.session();
-    let two = snap.session().with_options(SearchOptions {
-        k: 2,
-        ..snap.config().search_options()
-    });
-    let mut longer = 0;
-    for q in &queries {
-        let Ok(full) = configured.search_banks(q) else {
-            continue;
-        };
-        let short = two.search_banks(q).unwrap();
-        assert!(short.len() <= 2, "{label}: {q:?} gave {}", short.len());
-        assert_eq!(short.len(), full.len().min(2), "{label}: {q:?}");
-        longer += usize::from(full.len() > 2);
-    }
-    assert!(longer > 0, "{label}: some query has more than two answers");
-}
-
 /// Every merge attempt lands in exactly one class:
-/// `merges = merge_shape + merge_rule + merge_sig_disjoint +
-/// merge_matcher_overlap + merge_overlap + scan-passed`. The partner index
+/// `merges = merge_shape + merge_sig_disjoint + merge_matcher_overlap +
+/// merge_overlap + scan-passed`. The partner index
 /// skips over-cap partners and counts them in O(1) as `merge_shape`; every
 /// other attempt is enumerated, and a [`ci_rank::TraceLevel::Full`] run —
 /// which runs the same enumeration and must report identical statistics —
@@ -307,7 +270,6 @@ fn merge_attempts_land_in_exactly_one_class() {
         assert_eq!(
             stats.merges,
             r.merge_shape
-                + r.merge_rule
                 + r.merge_sig_disjoint
                 + r.merge_matcher_overlap
                 + r.merge_overlap
