@@ -18,7 +18,8 @@
 //!   loaded by weight lookups, then one walk and one sweep per source),
 //!   and one [`ci_rwmp::Scorer::grow_flows`] step, with the grown-from
 //!   table already loaded (every grow of a pop after its first) and
-//!   reloaded from stored rows (a pop's first grow).
+//!   reloaded from stored rows (a pop's first grow); plus one grow of a
+//!   single-branch pop by a free new root, which needs no table.
 //!
 //! These use the `#[doc(hidden)]` hot-path re-exports from `ci-search`;
 //! they are not a stable API.
@@ -288,6 +289,29 @@ fn bench_flow_kernel(c: &mut Criterion) {
         b.iter(|| {
             stored.assign_parts(&sources, &values, cand.size());
             scorer.grow_flows(cand.tree(), &mut stored, new_root, None, &mut out);
+            black_box(out.value(0, 0))
+        })
+    });
+
+    // A chain pop (one branch, grown to the free hub) grown by the free
+    // `g`: the rows are copied and one entry each is added, without the
+    // pop's table, from the hub's one cached weight toward its child.
+    let chain = branch(0);
+    let mut chain_prev = FlowState::default();
+    scorer.fill_flows(
+        chain.tree(),
+        query.flow_sources(chain.tree()),
+        &mut chain_prev,
+    );
+    let (sources, values) = {
+        let (s, v) = chain_prev.parts();
+        (s.to_vec(), v.to_vec())
+    };
+    chain_prev.assign_parts(&sources, &values, chain.size());
+    group.bench_function("grow_flows_chain", |b| {
+        let mut out = FlowState::default();
+        b.iter(|| {
+            scorer.grow_flows(chain.tree(), &mut chain_prev, new_root, None, &mut out);
             black_box(out.value(0, 0))
         })
     });

@@ -31,7 +31,8 @@ pub struct Scorer<'g> {
     graph: &'g Graph,
     p: &'g [f64],
     p_min: f64,
-    p_max: f64,
+    /// Eq. 2 rate of the most important node, [`Scorer::max_dampening`].
+    max_damp: f64,
     t: f64,
     dampening: Dampening,
     /// Precomputed per-node dampening rates, when the owner (an engine
@@ -55,7 +56,7 @@ impl<'g> Scorer<'g> {
             graph,
             p,
             p_min,
-            p_max,
+            max_damp: dampening_rate(dampening, p_max, p_min),
             t: 1.0 / p_min,
             dampening,
             damp: None,
@@ -121,8 +122,9 @@ impl<'g> Scorer<'g> {
 
     /// The largest dampening rate any node can have — an upper bound on the
     /// per-hop retention of a message, used by the search bounds.
+    /// Computed once, at construction.
     pub fn max_dampening(&self) -> f64 {
-        dampening_rate(self.dampening, self.p_max, self.p_min)
+        self.max_damp
     }
 
     /// Message generation count `r_ii = t · p_i · |v_i ∩ Q| / |v_i|`
@@ -208,9 +210,16 @@ impl<'g> Scorer<'g> {
     /// order.
     ///
     /// Bit-identical to [`Scorer::fill_flows`] over the grown tree. The
-    /// grown edge table is `prev`'s plus the one new edge: only the old
-    /// root's denominator changes. `prev`'s table is loaded on first use
-    /// and kept, so the grows of one tree load it once.
+    /// one new edge changes only the old root's denominator, so each of
+    /// `prev`'s rows is copied one position up and only what leaves the
+    /// old root is recomputed: the new root's entry, and the subtrees of
+    /// the old root's other children (all of them when the old root is
+    /// the row's source). Only a source new root sweeps a whole row.
+    /// `prev`'s edge table is loaded (on first use, then kept) only when
+    /// a grow reads it: a source new root, a branched old root, or an old
+    /// root that is a source with children. Otherwise the old root's
+    /// denominator needs one weight toward its child, looked up once per
+    /// `prev` and cached.
     pub fn grow_flows(
         &self,
         prev_tree: ParentTree<'_>,
@@ -220,47 +229,53 @@ impl<'g> Scorer<'g> {
         out: &mut FlowState,
     ) {
         debug_assert_eq!(prev_tree.size(), prev.n, "prev holds prev_tree's flows");
-        if !prev.loaded {
-            self.load_table(prev_tree, prev);
-        }
         out.clear(prev.n + 1);
         let old_root = prev_tree.node(0).unwrap_or(new_root);
         let (up, down) = self.weights(old_root, new_root);
-        // The new root's one neighbour is the old root.
-        out.links.push(Link {
-            damp: self.dampening(new_root),
-            denom: down,
-            ..Link::default()
-        });
-        out.links.extend(prev.links.iter().map(|l| Link {
-            parent: l.parent + 1,
-            ..*l
-        }));
-        out.order.push(0);
-        out.order.extend(prev.order.iter().map(|&k| k + 1));
-        // The old root: the new root is its first neighbour, then its
-        // children in ascending position.
-        let mut denom = up;
-        for l in out.links.iter().skip(2).filter(|l| l.parent == 1) {
-            denom += l.down;
-        }
-        if let Some(l) = out.links.get_mut(1) {
-            *l = Link {
-                parent: 0,
-                up,
-                down,
-                denom,
-                ..*l
-            };
-        }
-        out.loaded = true;
+        let damp = self.dampening(new_root);
+        let mut children = (1..prev.n).filter(|&k| prev_tree.parent(k) == Some(0));
+        let child = children.next();
+        let branched = children.next().is_some();
+        let root_source = prev.sources.contains(&0);
+        // The old root's denominator: the new root is its first
+        // neighbour, then its children in ascending position.
+        let denom = if root_gen.is_some() || branched || (root_source && child.is_some()) {
+            if !prev.loaded {
+                self.load_table(prev_tree, prev);
+            }
+            out.grow_table(prev, up, down, damp)
+        } else if let Some(c) = child {
+            up + self.root_down(prev_tree, prev, c)
+        } else {
+            up
+        };
         if let Some(gen) = root_gen {
             out.push_source(0, gen);
         }
         for (s, &src) in prev.sources.iter().enumerate() {
-            // A row holds its source's generation count at the source.
-            out.push_source(src as usize + 1, prev.value(s, src as usize));
+            let row = prev.row(s);
+            let leaving = row.first().copied().unwrap_or(0.0);
+            out.sources.push(src + 1);
+            out.values.push(share(leaving, up, denom, damp));
+            out.values.extend_from_slice(row);
+            if branched || (src == 0 && child.is_some()) {
+                out.reroute_last(src as usize + 1);
+            }
         }
+    }
+
+    /// `w(root → child)` of `tree`'s root and its only child `child`,
+    /// cached in `flows` until it is cleared.
+    fn root_down(&self, tree: ParentTree<'_>, flows: &mut FlowState, child: usize) -> f64 {
+        if let Some(w) = flows.root_down {
+            return w;
+        }
+        let w = match (tree.node(0), tree.node(child)) {
+            (Some(root), Some(v)) => self.graph.edge_weight(root, v).unwrap_or(0.0),
+            _ => 0.0,
+        };
+        flows.root_down = Some(w);
+        w
     }
 
     /// Weights `(w(child → parent), w(parent → child))` of a tree edge,
@@ -303,7 +318,8 @@ struct Link {
     parent: u32,
     /// Scratch flag: while a row is pushed, the position is on the path
     /// from its source to the root; while the table is indexed, it is
-    /// placed in the order (and then, its parent term is summed).
+    /// placed in the order (and then, its parent term is summed); while
+    /// a grown row is rerouted, its entry is redone.
     mark: bool,
     /// `w(v_i → v_parent)`, 0 when missing or at the root.
     up: f64,
@@ -354,6 +370,9 @@ pub struct FlowState {
     order: Vec<u32>,
     /// True when `links` and `order` describe the rows' tree.
     loaded: bool,
+    /// `w(root → child)` when the root has one child, cached by the
+    /// first grow that reads it without loading the table.
+    root_down: Option<f64>,
 }
 
 impl FlowState {
@@ -414,7 +433,86 @@ impl FlowState {
         self.links.clear();
         self.order.clear();
         self.loaded = false;
+        self.root_down = None;
         self.n = n;
+    }
+
+    /// Loads the table of `prev`'s tree grown by a new root with dampening
+    /// rate `damp` over an edge of weights `up` (old root → new root) and
+    /// `down` (back): `prev`'s table shifted by one position, with the new
+    /// root first and the old root's denominator, which it returns,
+    /// recomputed.
+    fn grow_table(&mut self, prev: &FlowState, up: f64, down: f64, damp: f64) -> f64 {
+        // The new root's one neighbour is the old root.
+        self.links.push(Link {
+            damp,
+            denom: down,
+            ..Link::default()
+        });
+        self.links.extend(prev.links.iter().map(|l| Link {
+            parent: l.parent + 1,
+            ..*l
+        }));
+        self.order.push(0);
+        self.order.extend(prev.order.iter().map(|&k| k + 1));
+        let mut denom = up;
+        for l in self.links.iter().skip(2).filter(|l| l.parent == 1) {
+            denom += l.down;
+        }
+        if let Some(l) = self.links.get_mut(1) {
+            *l = Link {
+                parent: 0,
+                up,
+                down,
+                denom,
+                ..*l
+            };
+        }
+        self.loaded = true;
+        denom
+    }
+
+    /// Recomputes the entries of the last row that the grown table's new
+    /// old-root denominator changes: the subtrees of the old root's
+    /// (position 1's) children, except the one holding the row's source
+    /// `src`. Down the order, a position is redone when its parent is the
+    /// old root and it is not on the source's side, or when its parent
+    /// was redone; every other entry keeps its operands.
+    fn reroute_last(&mut self, src: usize) {
+        let start = self.values.len().saturating_sub(self.n);
+        let row = self.values.get_mut(start..).unwrap_or(&mut []);
+        let links = &mut self.links;
+        // The old root's child on the source's side (the old root itself
+        // when it is the source, which leaves no side untouched).
+        let mut side = src;
+        while let Some(l) = links.get(side).filter(|l| l.parent > 1) {
+            side = l.parent as usize;
+        }
+        for &k in &self.order {
+            let k = k as usize;
+            let Some(&l) = links.get(k) else {
+                continue;
+            };
+            let p = l.parent as usize;
+            let redo = match p {
+                0 => false,
+                1 => k != side,
+                _ => links.get(p).is_some_and(|l| l.mark),
+            };
+            if let Some(l) = links.get_mut(k) {
+                l.mark = redo;
+            }
+            if redo {
+                let leaving = row.get(p).copied().unwrap_or(0.0);
+                let denom = links.get(p).map_or(0.0, |l| l.denom);
+                if let Some(slot) = row.get_mut(k) {
+                    *slot = share(leaving, l.down, denom, l.damp);
+                }
+            }
+        }
+        for l in links.iter_mut() {
+            l.mark = false;
+        }
     }
 
     /// Completes a table whose links hold parents and weights: the
@@ -805,6 +903,26 @@ mod tests {
             on_demand.score_tree(&tree, &bind).score,
             precomputed.score_tree(&tree, &bind).score
         );
+    }
+
+    /// The rate computed once at construction is the Eq. 2 rate of the
+    /// most important node, bit for bit, under either dampening kind and
+    /// with a precomputed per-node vector.
+    #[test]
+    fn max_dampening_is_the_rate_of_p_max() {
+        let (g, p) = path3(vec![0.2, 0.5, 0.3]);
+        for kind in [
+            Dampening::paper_default(),
+            Dampening::Logarithmic { alpha: 0.3, g: 3.0 },
+            Dampening::Linear { p_max: 0.5 },
+        ] {
+            let want = dampening_rate(kind, 0.5, 0.2).to_bits();
+            let s = Scorer::new(&g, &p, 0.2, kind);
+            assert_eq!(s.max_dampening().to_bits(), want, "{kind:?}");
+            let damp = s.dampening_vector();
+            let v = Scorer::with_dampening_vector(&g, &p, 0.2, kind, &damp);
+            assert_eq!(v.max_dampening().to_bits(), want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -343,3 +343,212 @@ fn parent_after_child_with_a_one_way_edge() {
         .all(|(i, &f)| i == 3 || f == 0.0));
     assert!(flows.row(0)[3] > 0.0);
 }
+
+/// The graph of the grow-branch tests: nodes 0–9, every tree edge of the
+/// trees below, both ways, with tenths weights (inexact, so summation
+/// order shows).
+fn branch_graph() -> (Graph, Vec<f64>) {
+    let mut b = GraphBuilder::new();
+    let n: Vec<NodeId> = (0..10).map(|_| b.add_node(0, vec![])).collect();
+    for (x, y, a, w) in [
+        (0, 1, 0.3, 0.7),
+        (0, 2, 0.6, 0.2),
+        (1, 3, 0.1, 0.9),
+        (2, 5, 0.4, 0.3),
+        (0, 6, 0.2, 0.6),
+        (0, 7, 0.9, 0.1),
+        (0, 8, 0.7, 0.3),
+        (8, 9, 0.3, 0.1),
+    ] {
+        b.add_pair(n[x], n[y], a, w);
+    }
+    let p = (0..10).map(|i| 0.05 + 0.01 * f64::from(i)).collect();
+    (b.build(), p)
+}
+
+/// Grows the tree `(nodes, parent)` with rows `sources` by `new_root`,
+/// from grown-from flows filled in place (`round_trip == false`) or
+/// restored from their parts into a fresh matrix. Checks the grown rows
+/// against the reference and a fresh fill, bit for bit, and returns
+/// whether the grow loaded the grown-from edge table — seen as the
+/// grown-from matrix's buffers growing, which only a table load does.
+fn grow_checked(
+    tree: (&[NodeId], &[u32], &[(usize, f64)]),
+    new_root: NodeId,
+    root_gen: Option<f64>,
+    round_trip: bool,
+) -> bool {
+    let (graph, p) = branch_graph();
+    let s = scorer(&graph, &p);
+    let (nodes, parent, sources) = tree;
+    let mut prev = FlowState::default();
+    s.fill_flows(
+        ParentTree::new(nodes, parent),
+        sources.iter().copied(),
+        &mut prev,
+    );
+    if round_trip {
+        let (src, values) = prev.parts();
+        let mut restored = FlowState::default();
+        restored.assign_parts(src, values, nodes.len());
+        prev = restored;
+    }
+    let before = prev.capacity_bytes();
+    let mut out = FlowState::default();
+    s.grow_flows(
+        ParentTree::new(nodes, parent),
+        &mut prev,
+        new_root,
+        root_gen,
+        &mut out,
+    );
+    let (nodes, parent, sources) = grown(tree, new_root, root_gen);
+    assert_bitwise(&s, &nodes, &parent, &sources, &out).unwrap();
+    let mut fresh = FlowState::default();
+    s.fill_flows(
+        ParentTree::new(&nodes, &parent),
+        sources.iter().copied(),
+        &mut fresh,
+    );
+    assert_eq!(fresh.parts(), out.parts());
+    // Every row has flow everywhere, so a wrong entry cannot hide as 0.
+    for r in 0..sources.len() {
+        assert!(
+            out.row(r).iter().all(|&f| f > 0.0),
+            "row {r}: {:?}",
+            out.row(r)
+        );
+    }
+    prev.capacity_bytes() != before
+}
+
+/// Runs [`grow_checked`] from in-place and from restored flows, and
+/// returns whether the restored grow loaded the table (an in-place fill
+/// has it already).
+fn grow_both_ways(
+    tree: (&[NodeId], &[u32], &[(usize, f64)]),
+    new_root: NodeId,
+    root_gen: Option<f64>,
+) -> bool {
+    assert!(!grow_checked(tree, new_root, root_gen, false));
+    grow_checked(tree, new_root, root_gen, true)
+}
+
+fn ids(xs: &[u32]) -> Vec<NodeId> {
+    xs.iter().copied().map(NodeId).collect()
+}
+
+/// A single-node pop: its row is its generation count, and the new root's
+/// entry needs only the new edge. No table.
+#[test]
+fn grow_of_a_single_node_pop() {
+    let nodes = ids(&[1]);
+    let loaded = grow_both_ways((&nodes, &[0], &[(0, 2.0)]), NodeId(0), None);
+    assert!(!loaded, "a single-node pop needs no table");
+}
+
+/// A chain pop `0 — 1 — 3` with the free root 0 and the source 3, grown
+/// by the free 8: each row gains one entry, from the root's one weight
+/// toward its child. No table.
+#[test]
+fn grow_of_a_chain_by_a_free_root_loads_no_table() {
+    let nodes = ids(&[0, 1, 3]);
+    let sources = [(1, 0.5), (2, 1.5)];
+    let loaded = grow_both_ways((&nodes, &[0, 0, 1], &sources), NodeId(8), None);
+    assert!(!loaded, "a free chain grow needs no table");
+}
+
+/// A pop branched at its free root 0 (children 1 and 2, sources 3 and 5
+/// below them), grown by the free 8: each row's other branch is
+/// recomputed with the root's new denominator.
+#[test]
+fn grow_of_a_branched_root() {
+    let nodes = ids(&[0, 1, 2, 3, 5, 6]);
+    let parent = [0, 0, 0, 1, 2, 0];
+    let sources = [(3, 1.5), (4, 2.5)];
+    let loaded = grow_both_ways((&nodes, &parent, &sources), NodeId(8), None);
+    assert!(loaded, "a branched root reads the table");
+}
+
+/// A pop whose root 0 is itself a source with children 1 and 7: its own
+/// row is recomputed below the root, the other rows only gain the new
+/// root's entry.
+#[test]
+fn grow_of_a_source_root_with_children() {
+    let nodes = ids(&[0, 1, 3]);
+    let sources = [(0, 2.0), (2, 1.5)];
+    let loaded = grow_both_ways((&nodes, &[0, 0, 1], &sources), NodeId(8), None);
+    assert!(loaded, "a source root with children reads the table");
+    let nodes = ids(&[0, 1, 7]);
+    let loaded = grow_both_ways((&nodes, &[0, 0, 0], &[(0, 2.0)]), NodeId(8), None);
+    assert!(loaded);
+}
+
+/// A source new root: its row is swept over the whole grown table, the
+/// existing rows gain one entry.
+#[test]
+fn grow_by_a_source_root() {
+    let nodes = ids(&[0, 1, 3]);
+    let loaded = grow_both_ways((&nodes, &[0, 0, 1], &[(2, 1.5)]), NodeId(8), Some(0.75));
+    assert!(loaded, "a source new root reads the table");
+    let nodes = ids(&[1]);
+    assert!(grow_both_ways(
+        (&nodes, &[0], &[(0, 2.0)]),
+        NodeId(0),
+        Some(1.25)
+    ));
+}
+
+/// Grows of grows, with and without a round trip through the parts in
+/// between: each step is checked against the reference. One chain starts
+/// at a single node (then a free chain, a source new root, a source root
+/// with children, a source new root); the other at a branched pop.
+#[test]
+fn grow_chains_through_every_branch() {
+    let (graph, p) = branch_graph();
+    let s = scorer(&graph, &p);
+    let single: (Vec<u32>, Vec<u32>, Vec<(usize, f64)>) = (vec![3], vec![0], vec![(0, 1.5)]);
+    let branched = (
+        vec![0, 1, 2, 3, 5, 6],
+        vec![0, 0, 0, 1, 2, 0],
+        vec![(3, 1.5), (4, 2.5)],
+    );
+    let chains = [
+        (
+            single,
+            vec![(1, None), (0, Some(2.0)), (8, None), (9, Some(0.5))],
+        ),
+        (branched, vec![(8, None), (9, Some(0.5))]),
+    ];
+    for round_trip in [false, true] {
+        for ((nodes, parent, sources), grows) in &chains {
+            let (mut nodes, mut parent, mut sources) =
+                (ids(nodes), parent.clone(), sources.clone());
+            let mut flows = FlowState::default();
+            s.fill_flows(
+                ParentTree::new(&nodes, &parent),
+                sources.iter().copied(),
+                &mut flows,
+            );
+            for &(v, gen) in grows {
+                if round_trip {
+                    let (src, values) = flows.parts();
+                    let (src, values) = (src.to_vec(), values.to_vec());
+                    flows.assign_parts(&src, &values, nodes.len());
+                }
+                let mut out = FlowState::default();
+                let new_root = NodeId(v);
+                s.grow_flows(
+                    ParentTree::new(&nodes, &parent),
+                    &mut flows,
+                    new_root,
+                    gen,
+                    &mut out,
+                );
+                (nodes, parent, sources) = grown((&nodes, &parent, &sources), new_root, gen);
+                assert_bitwise(&s, &nodes, &parent, &sources, &out).unwrap();
+                flows = out;
+            }
+        }
+    }
+}

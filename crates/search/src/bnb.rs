@@ -1,5 +1,3 @@
-use std::cmp::Ordering;
-
 use ci_graph::NodeId;
 use ci_index::DistanceOracle;
 use ci_rwmp::Scorer;
@@ -140,32 +138,46 @@ impl SearchStats {
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct HeapItem {
-    pub(crate) ub: f64,
-    pub(crate) idx: usize,
-}
+/// A queue entry: candidate `idx` with upper bound `ub`, packed into one
+/// integer key that orders as the queue pops. Max-heap on the upper
+/// bound; among equal bounds the *smallest* arena index wins, i.e. pops
+/// follow registration order. Arena indices grow monotonically within a
+/// run, so successive equal-`ub` pops always carry increasing indices —
+/// asserted in the pop loop. The high half holds the bits of `ub` mapped
+/// so that unsigned order is [`f64::total_cmp`]'s, the low half the
+/// index reversed, so one integer compare is the whole order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct HeapItem(u128);
 
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.ub == other.ub && self.idx == other.idx
+impl HeapItem {
+    const SIGN: u64 = 1 << 63;
+
+    pub(crate) fn new(ub: f64, idx: usize) -> Self {
+        let bits = ub.to_bits();
+        // A negative flips every bit, a non-negative only its sign.
+        let ord = if bits & Self::SIGN == 0 {
+            bits | Self::SIGN
+        } else {
+            !bits
+        };
+        let rev = u64::MAX - u64::try_from(idx).unwrap_or(u64::MAX);
+        HeapItem((u128::from(ord) << 64) | u128::from(rev))
     }
-}
-impl Eq for HeapItem {}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on the upper bound; among equal bounds the *smallest*
-        // arena index wins, i.e. pops follow registration order. Arena
-        // indices grow monotonically within a run, so successive equal-`ub`
-        // pops always carry increasing indices — asserted in the pop loop.
-        self.ub
-            .total_cmp(&other.ub)
-            .then_with(|| other.idx.cmp(&self.idx))
+
+    /// The upper bound, bit for bit as given to [`HeapItem::new`].
+    pub(crate) fn ub(self) -> f64 {
+        let ord = u64::try_from(self.0 >> 64).unwrap_or(0);
+        f64::from_bits(if ord & Self::SIGN == 0 {
+            !ord
+        } else {
+            ord ^ Self::SIGN
+        })
     }
-}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    /// The arena index given to [`HeapItem::new`].
+    pub(crate) fn idx(self) -> usize {
+        let rev = u64::try_from(self.0 & u128::from(u64::MAX)).unwrap_or(0);
+        usize::try_from(u64::MAX - rev).unwrap_or(usize::MAX)
     }
 }
 
@@ -285,8 +297,9 @@ pub fn bnb_search_in<O: DistanceOracle>(
     for m in query.matchers() {
         run.register(Pending::Seed(m.node, m.mask));
     }
-    while let Some(HeapItem { ub, idx }) = run.scratch.queue.pop() {
-        // Documented heap order (see `HeapItem::cmp`): equal-bound pops
+    while let Some(item) = run.scratch.queue.pop() {
+        let (ub, idx) = (item.ub(), item.idx());
+        // Documented heap order (see `HeapItem`): equal-bound pops
         // follow candidate (arena) index order. Sound because anything
         // pushed after a pop has a larger index than everything popped
         // before it.
@@ -794,7 +807,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         let cand = &self.scratch.build_slot.cand;
         let (root, size, mask, depth) = (cand.root(), cand.size(), cand.mask, cand.depth);
         self.scratch.partner_index.push(root, idx, depth, size);
-        self.scratch.queue.push(HeapItem { ub, idx });
+        self.scratch.queue.push(HeapItem::new(ub, idx));
         self.stats.registered += 1;
         if self.scratch.trace.level().full() {
             self.scratch.trace.emit(TraceEvent::Admit {
@@ -1424,5 +1437,113 @@ mod grow_leaf_props {
                 );
             }
         }
+    }
+}
+
+/// The packed queue key against the order it packs.
+#[cfg(test)]
+mod heap_key_props {
+    use super::HeapItem;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// The queue order, written out: max-heap on `ub` under
+    /// [`f64::total_cmp`], then the smaller arena index first.
+    fn reference(a: (f64, usize), b: (f64, usize)) -> Ordering {
+        a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1))
+    }
+
+    /// Bounds worth ordering: signed zeros, infinities, subnormals,
+    /// neighbours of 1, and arbitrary bit patterns.
+    fn ub_of(sel: usize, hi: u32, lo: u32) -> f64 {
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE - f64::from_bits(1),
+            1.0,
+            1.0 + f64::EPSILON,
+            -1.0,
+            f64::MAX,
+        ];
+        special
+            .get(sel)
+            .copied()
+            .unwrap_or_else(|| f64::from_bits((u64::from(hi) << 32) | u64::from(lo)))
+    }
+
+    fn idx_of(sel: usize, x: u32) -> usize {
+        match sel {
+            0 => 0,
+            1 => usize::MAX,
+            2 => usize::MAX - 1,
+            _ => x as usize,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Any two entries compare by key as by the written-out order;
+        /// equal bounds tie-break on the index. Each key decodes to its
+        /// bound's bits (the Pop trace event reports it) and its index,
+        /// and a heap of keys pops in the written-out order.
+        #[test]
+        fn packed_key_orders_and_decodes_like_the_pair(
+            items in proptest::collection::vec(
+                ((0usize..24, 0u32..u32::MAX, 0u32..u32::MAX), (0usize..6, 0u32..64)),
+                1..16,
+            ),
+            ties in proptest::collection::vec((0usize..16, 0usize..16), 0..8),
+        ) {
+            let mut pairs: Vec<(f64, usize)> = items
+                .iter()
+                .map(|&((s, hi, lo), (i, x))| (ub_of(s, hi, lo), idx_of(i, x)))
+                .collect();
+            // Copy some bounds onto other entries: equal-`ub` ties.
+            for &(from, to) in &ties {
+                let n = pairs.len();
+                pairs[to % n].0 = pairs[from % n].0;
+            }
+            for &(ub, idx) in &pairs {
+                let key = HeapItem::new(ub, idx);
+                prop_assert_eq!(key.ub().to_bits(), ub.to_bits());
+                prop_assert_eq!(key.idx(), idx);
+            }
+            for &a in &pairs {
+                for &b in &pairs {
+                    let by_key = HeapItem::new(a.0, a.1).cmp(&HeapItem::new(b.0, b.1));
+                    prop_assert_eq!(by_key, reference(a, b), "{:?} vs {:?}", a, b);
+                }
+            }
+            let mut heap: BinaryHeap<HeapItem> =
+                pairs.iter().map(|&(ub, idx)| HeapItem::new(ub, idx)).collect();
+            let mut want = pairs.clone();
+            want.sort_by(|&a, &b| reference(b, a));
+            for (ub, idx) in want {
+                let got = heap.pop().unwrap();
+                prop_assert_eq!((got.ub().to_bits(), got.idx()), (ub.to_bits(), idx));
+            }
+        }
+    }
+
+    /// The corner cases by name: `-0.0` below `+0.0`, subnormals between
+    /// zero and `MIN_POSITIVE`, `+∞` above everything finite, and equal
+    /// bounds popping the smaller index first.
+    #[test]
+    fn packed_key_corner_cases() {
+        let key = HeapItem::new;
+        assert!(key(0.0, 0) > key(-0.0, 0));
+        assert!(key(f64::from_bits(1), 9) > key(0.0, 0));
+        assert!(key(f64::MIN_POSITIVE, 9) > key(f64::from_bits(1), 0));
+        assert!(key(-f64::from_bits(1), 0) < key(-0.0, 9));
+        assert!(key(f64::INFINITY, usize::MAX) > key(f64::MAX, 0));
+        assert!(key(1.5, 3) > key(1.5, 4));
+        assert_eq!(key(-0.0, 7).ub().to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -100,10 +100,6 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
     let mut ce_sum = 0.0;
     for (i, &pos_i32) in sources.iter().enumerate() {
         let pos_i = pos_i32 as usize;
-        let Some(m_i) = cand.nodes.get(pos_i).and_then(|&v| query.matcher(v)) else {
-            debug_assert!(false, "flow sources are always matchers");
-            continue;
-        };
         let mut internal_min = f64::INFINITY;
         for j in 0..sources.len() {
             if j != i {
@@ -117,6 +113,10 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
             // Single matcher covering every keyword: the answer may be the
             // candidate itself (score = its generation count) or an
             // extension whose added sources flow through the root.
+            let Some(m_i) = cand.nodes.get(pos_i).and_then(|&v| query.matcher(v)) else {
+                debug_assert!(false, "flow sources are always matchers");
+                continue;
+            };
             let ext = best_damped_gen(query, oracle, query.matchers_sorted(), root, Some(m_i.node));
             bound = m_i.gen.max(ext);
         }
