@@ -14,9 +14,7 @@
 
 use ci_bench::dblp_data;
 use ci_graph::{build_graph, WeightConfig};
-use ci_rwmp::{
-    dampening_rate, score_alternative, AlternativeScore, Dampening, Jtt, NodeBinding, Scorer,
-};
+use ci_rwmp::{dampening_rate, score_alternative, AlternativeScore, Dampening, Jtt, Scorer};
 use ci_walk::{pagerank, PowerOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -38,24 +36,15 @@ fn bench(c: &mut Criterion) {
     }
     let edges = (1..nodes.len()).map(|i| (i - 1, i)).collect();
     let tree = Jtt::new(nodes, edges).unwrap();
-    let bindings = [
-        NodeBinding {
-            pos: 0,
-            match_count: 1,
-            word_count: 2,
-        },
-        NodeBinding {
-            pos: tree.size() - 1,
-            match_count: 1,
-            word_count: 2,
-        },
-    ];
+    // Its two ends match one keyword of two words each.
+    let matchers = [0, tree.size() - 1];
+    let sources = matchers.map(|pos| (pos, scorer.generation(tree.node(pos), 1, 2)));
 
     let mut group = c.benchmark_group("ablation_scoring");
     group.sample_size(20);
 
-    group.bench_function("rwmp/score_tree", |b| {
-        b.iter(|| std::hint::black_box(scorer.score_tree(&tree, &bindings)))
+    group.bench_function("rwmp/tree_flows", |b| {
+        b.iter(|| std::hint::black_box(scorer.tree_flows(&tree, sources).reduce(None)))
     });
     for (name, alt) in [
         ("alt/avg_nonfree", AlternativeScore::AvgNonFreeImportance),
@@ -63,7 +52,7 @@ fn bench(c: &mut Criterion) {
         ("alt/avg_per_size", AlternativeScore::AvgImportancePerSize),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(score_alternative(alt, &scorer, &tree, &bindings)))
+            b.iter(|| std::hint::black_box(score_alternative(alt, &scorer, &tree, &matchers)))
         });
     }
 

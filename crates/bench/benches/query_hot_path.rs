@@ -174,7 +174,7 @@ fn bench_bound_computation(c: &mut Criterion) {
         std::mem::swap(&mut cand, &mut grown);
     }
     let fill = |out: &mut FlowState| {
-        scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), out);
+        scorer.fill_flows(cand.tree(), query.flow_sources(&cand.nodes), out);
     };
     let mut flows = FlowState::default();
     fill(&mut flows);
@@ -264,13 +264,13 @@ fn bench_flow_kernel(c: &mut Criterion) {
     group.bench_function("fill_flows", |b| {
         let mut out = FlowState::default();
         b.iter(|| {
-            scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut out);
+            scorer.fill_flows(cand.tree(), query.flow_sources(&cand.nodes), &mut out);
             black_box(out.value(0, 0))
         })
     });
 
     let mut prev = FlowState::default();
-    scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut prev);
+    scorer.fill_flows(cand.tree(), query.flow_sources(&cand.nodes), &mut prev);
     let (sources, values) = {
         let (s, v) = prev.parts();
         (s.to_vec(), v.to_vec())
@@ -300,7 +300,7 @@ fn bench_flow_kernel(c: &mut Criterion) {
     let mut chain_prev = FlowState::default();
     scorer.fill_flows(
         chain.tree(),
-        query.flow_sources(chain.tree()),
+        query.flow_sources(&chain.nodes),
         &mut chain_prev,
     );
     let (sources, values) = {

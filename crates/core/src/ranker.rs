@@ -115,19 +115,13 @@ fn score_one(
             banks_score(graph, prestige, tree, root, 0.2)
         }
         Ranker::Alternative(kind) => {
-            let bindings: Vec<ci_rwmp::NodeBinding> = (0..tree.size())
-                .filter_map(|pos| {
-                    spec.matcher(tree.node(pos)).map(|m| ci_rwmp::NodeBinding {
-                        pos,
-                        match_count: m.match_count,
-                        word_count: m.word_count,
-                    })
-                })
+            let matchers: Vec<usize> = (0..tree.size())
+                .filter(|&pos| spec.matcher(tree.node(pos)).is_some())
                 .collect();
-            if bindings.is_empty() {
+            if matchers.is_empty() {
                 return 0.0;
             }
-            score_alternative(kind, scorer, tree, &bindings)
+            score_alternative(kind, scorer, tree, &matchers)
         }
     }
 }

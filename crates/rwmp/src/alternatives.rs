@@ -1,4 +1,4 @@
-use crate::scorer::{NodeBinding, Scorer};
+use crate::scorer::Scorer;
 use crate::tree::Jtt;
 
 /// The alternative scoring functions the paper considers and rejects in
@@ -16,24 +16,25 @@ pub enum AlternativeScore {
     AvgImportancePerSize,
 }
 
-/// Evaluates one of the §III-B alternatives on a tree.
+/// Evaluates one of the §III-B alternatives on a tree whose non-free
+/// nodes sit at `matchers` (tree positions; at least one).
 pub fn score_alternative(
     kind: AlternativeScore,
     scorer: &Scorer<'_>,
     tree: &Jtt,
-    bindings: &[NodeBinding],
+    matchers: &[usize],
 ) -> f64 {
     assert!(
-        !bindings.is_empty(),
+        !matchers.is_empty(),
         "a JTT needs at least one non-free node"
     );
     match kind {
         AlternativeScore::AvgNonFreeImportance => {
-            let sum: f64 = bindings
+            let sum: f64 = matchers
                 .iter()
-                .map(|b| scorer.importance(tree.node(b.pos)))
+                .map(|&pos| scorer.importance(tree.node(pos)))
                 .sum();
-            sum / bindings.len() as f64
+            sum / matchers.len() as f64
         }
         AlternativeScore::AvgAllImportance => {
             let sum: f64 = tree.nodes().iter().map(|&v| scorer.importance(v)).sum();
@@ -72,6 +73,15 @@ mod tests {
         (g, p)
     }
 
+    /// RWMP (Eq. 4) score of `tree` with sources at `(pos, match_count,
+    /// word_count)`.
+    fn rwmp(s: &Scorer<'_>, tree: &Jtt, sources: &[(usize, u32, u32)]) -> f64 {
+        let gens = sources
+            .iter()
+            .map(|&(pos, m, w)| (pos, s.generation(tree.node(pos), m, w)));
+        s.tree_flows(tree, gens).reduce(None).unwrap()
+    }
+
     #[test]
     fn avg_all_importance_suffers_free_node_domination() {
         let (g, p) = fig4();
@@ -82,30 +92,13 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3)],
         )
         .unwrap();
-        let b1 = [NodeBinding {
-            pos: 0,
-            match_count: 2,
-            word_count: 2,
-        }];
-        let b2 = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 4,
-            },
-            NodeBinding {
-                pos: 3,
-                match_count: 1,
-                word_count: 2,
-            },
-        ];
-        let alt1 = score_alternative(AlternativeScore::AvgAllImportance, &s, &t1, &b1);
-        let alt2 = score_alternative(AlternativeScore::AvgAllImportance, &s, &t2, &b2);
+        let alt1 = score_alternative(AlternativeScore::AvgAllImportance, &s, &t1, &[0]);
+        let alt2 = score_alternative(AlternativeScore::AvgAllImportance, &s, &t2, &[0, 3]);
         // The flawed alternative ranks the irrelevant tree higher...
         assert!(alt2 > alt1, "free-node domination: {alt2} vs {alt1}");
         // ...while RWMP ranks the single relevant node higher.
-        let rwmp1 = s.score_tree(&t1, &b1).score;
-        let rwmp2 = s.score_tree(&t2, &b2).score;
+        let rwmp1 = rwmp(&s, &t1, &[(0, 2, 2)]);
+        let rwmp2 = rwmp(&s, &t2, &[(0, 1, 4), (3, 1, 2)]);
         assert!(rwmp1 > rwmp2, "RWMP avoids domination: {rwmp1} vs {rwmp2}");
     }
 
@@ -120,38 +113,16 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3)],
         )
         .unwrap();
-        let bl = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 4,
-            },
-            NodeBinding {
-                pos: 3,
-                match_count: 1,
-                word_count: 2,
-            },
-        ];
         let short = Jtt::new(vec![NodeId(0), NodeId(1)], vec![(0, 1)]).unwrap();
-        let bs = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 2,
-            },
-            NodeBinding {
-                pos: 1,
-                match_count: 1,
-                word_count: 4,
-            },
-        ];
-        let alt_long = score_alternative(AlternativeScore::AvgNonFreeImportance, &s, &long, &bl);
-        let alt_short = score_alternative(AlternativeScore::AvgNonFreeImportance, &s, &short, &bs);
+        let alt_long =
+            score_alternative(AlternativeScore::AvgNonFreeImportance, &s, &long, &[0, 3]);
+        let alt_short =
+            score_alternative(AlternativeScore::AvgNonFreeImportance, &s, &short, &[0, 1]);
         // Endpoint averages: (0.1 + 0.15)/2 vs (0.05 + 0.1)/2.
         assert!(alt_long > alt_short);
         // RWMP penalizes the long, heavily dampened connection.
-        let r_long = s.score_tree(&long, &bl).score;
-        let r_short = s.score_tree(&short, &bs).score;
+        let r_long = rwmp(&s, &long, &[(0, 1, 4), (3, 1, 2)]);
+        let r_short = rwmp(&s, &short, &[(0, 1, 2), (1, 1, 4)]);
         assert!(r_short > r_long);
     }
 
@@ -183,27 +154,17 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3), (0, 4)],
         )
         .unwrap();
-        let bind_star = [1usize, 2, 3, 4].map(|pos| NodeBinding {
-            pos,
-            match_count: 1,
-            word_count: 1,
-        });
-        let bind_chain = [0usize, 2, 3, 4].map(|pos| NodeBinding {
-            pos,
-            match_count: 1,
-            word_count: 1,
-        });
         let a = score_alternative(
             AlternativeScore::AvgImportancePerSize,
             &s,
             &star,
-            &bind_star,
+            &[1, 2, 3, 4],
         );
         let c = score_alternative(
             AlternativeScore::AvgImportancePerSize,
             &s,
             &chain,
-            &bind_chain,
+            &[0, 2, 3, 4],
         );
         assert!(
             (a - c).abs() < 1e-12,

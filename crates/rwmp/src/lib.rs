@@ -23,16 +23,16 @@
 //! loads a per-tree edge table of a tree in parent-array form
 //! ([`ParentTree`]) and propagates every source over it (one walk up to
 //! the root, one sweep down), [`Scorer::grow_flows`] advances a matrix to
-//! the tree grown by a new root, and [`FlowState::reduce`] applies
-//! Eqs. 3–4. Tree
-//! scores here, and the answer scores, search bounds and score
-//! explanations of `ci-search`, all run it.
+//! the tree grown by a new root, [`Scorer::tree_flows`] fills the matrix
+//! of a finished [`Jtt`], and [`FlowState::reduce`] applies Eqs. 3–4. The
+//! answer scores, search bounds and score explanations of `ci-search` all
+//! run it.
 //!
 //! # Example
 //!
 //! ```
 //! use ci_graph::{GraphBuilder, NodeId};
-//! use ci_rwmp::{Dampening, Jtt, NodeBinding, Scorer};
+//! use ci_rwmp::{Dampening, Jtt, Scorer};
 //!
 //! // author — paper — author, unit edge weights.
 //! let mut b = GraphBuilder::new();
@@ -47,14 +47,15 @@
 //! let p = vec![0.25, 0.5, 0.25];
 //! let scorer = Scorer::new(&graph, &p, 0.25, Dampening::paper_default());
 //!
+//! // Both authors match one keyword of a two-word name: they are the
+//! // message sources, each with its generation count.
 //! let tree = Jtt::new(vec![a1, paper, a2], vec![(0, 1), (1, 2)]).unwrap();
-//! let bindings = [
-//!     NodeBinding { pos: 0, match_count: 1, word_count: 2 },
-//!     NodeBinding { pos: 2, match_count: 1, word_count: 2 },
-//! ];
-//! let score = scorer.score_tree(&tree, &bindings);
-//! assert!(score.score > 0.0);
-//! assert_eq!(score.node_scores.len(), 2);
+//! let sources = [0, 2].map(|pos| (pos, scorer.generation(tree.node(pos), 1, 2)));
+//! let flows = scorer.tree_flows(&tree, sources);
+//! let mut node_scores = Vec::new();
+//! let score = flows.reduce(Some(&mut node_scores)).unwrap();
+//! assert!(score > 0.0);
+//! assert_eq!(node_scores.len(), 2);
 //! ```
 //!
 //! The crate also implements the three rejected alternatives of §III-B
@@ -87,5 +88,5 @@ mod tree;
 
 pub use alternatives::{score_alternative, AlternativeScore};
 pub use dampen::{dampening_rate, Dampening};
-pub use scorer::{FlowState, NodeBinding, Scorer, TreeScore};
+pub use scorer::{FlowState, Scorer};
 pub use tree::{CanonicalKey, Jtt, ParentTree, TreeError};

@@ -3,26 +3,6 @@ use ci_graph::{Graph, NodeId};
 use crate::dampen::{dampening_rate, Dampening};
 use crate::tree::{Jtt, ParentTree};
 
-/// Query-dependent information about a non-free node of a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeBinding {
-    /// Position of the node within the JTT.
-    pub pos: usize,
-    /// Distinct query keywords matched by the node (`|v_i ∩ Q|`), ≥ 1.
-    pub match_count: u32,
-    /// Token count of the node (`|v_i|`), ≥ 1.
-    pub word_count: u32,
-}
-
-/// Per-node and aggregate scores of a JTT.
-#[derive(Debug, Clone)]
-pub struct TreeScore {
-    /// Eq. 3 score of each non-free node, in binding order.
-    pub node_scores: Vec<f64>,
-    /// Eq. 4 tree score: mean of the node scores.
-    pub score: f64,
-}
-
 /// Evaluates the RWMP scoring function over a data graph.
 ///
 /// Holds the node importance vector `p` (from `ci-walk`), the derived
@@ -134,55 +114,27 @@ impl<'g> Scorer<'g> {
         self.t * self.importance(v) * match_count as f64 / word_count as f64
     }
 
-    /// Propagates messages of one source through the tree.
+    /// The Eq. 2 flow matrix of a finished tree rooted at position 0
+    /// ([`Jtt::parent_positions`]): one row per `(source position,
+    /// generation count)`, in the order given. [`FlowState::reduce`] turns
+    /// it into the Eq. 3 node scores and the Eq. 4 tree score.
     ///
-    /// Returns, for each tree position `i`, the *leaving* message count
+    /// Each row holds, per tree position `i`, the *leaving* message count
     /// `f_{src,i}` (received messages dampened by `d_i`); the source
-    /// position itself carries its full generation count `gen`. Splits
-    /// follow the paper's rule: the share over edge `(m,k)` is
+    /// position itself carries its full generation count. Splits follow
+    /// the paper's rule: the share over edge `(m,k)` is
     /// `w_mk / Σ_{n ∈ N(v_m) ∩ V(T)} w_mn` with the denominator summing the
     /// weights toward *all* tree neighbors of `v_m` — including the one the
     /// messages came from, whose share is sent back and discarded.
-    pub fn flows_from(&self, tree: &Jtt, src: usize, gen: f64) -> Vec<f64> {
+    pub fn tree_flows(
+        &self,
+        tree: &Jtt,
+        sources: impl IntoIterator<Item = (usize, f64)>,
+    ) -> FlowState {
         let parent = tree.parent_positions();
         let mut flows = FlowState::default();
-        self.fill_flows(
-            ParentTree::new(tree.nodes(), &parent),
-            [(src, gen)],
-            &mut flows,
-        );
-        flows.row(0).to_vec()
-    }
-
-    /// Scores a JTT (Eqs. 3–4). `bindings` lists the tree's non-free nodes
-    /// with their match statistics; it must be non-empty.
-    ///
-    /// For a tree with a single non-free node the paper leaves the score
-    /// undefined (no incoming messages); we use the node's own generation
-    /// count, which preserves the importance ordering between single-node
-    /// answers (see DESIGN.md).
-    pub fn score_tree(&self, tree: &Jtt, bindings: &[NodeBinding]) -> TreeScore {
-        assert!(
-            !bindings.is_empty(),
-            "a JTT needs at least one non-free node"
-        );
-        debug_assert!(
-            bindings.iter().all(|b| b.pos < tree.size()),
-            "binding position out of range"
-        );
-        let parent = tree.parent_positions();
-        let mut flows = FlowState::default();
-        let sources = bindings.iter().map(|b| {
-            let gen = self.generation(tree.node(b.pos), b.match_count, b.word_count);
-            (b.pos, gen)
-        });
         self.fill_flows(ParentTree::new(tree.nodes(), &parent), sources, &mut flows);
-        let mut per_source = Vec::with_capacity(bindings.len());
-        let score = flows.reduce(Some(&mut per_source)).unwrap_or(f64::NAN);
-        TreeScore {
-            node_scores: per_source.into_iter().map(|(s, _)| s).collect(),
-            score,
-        }
+        flows
     }
 
     /// Fills `out` with the Eq. 2 flow matrix of `tree`: one row per
@@ -684,12 +636,31 @@ mod tests {
         assert_eq!(s.total_surfers(), 5.0);
     }
 
+    /// One source per position, each matching one keyword of two words.
+    fn sources(s: &Scorer<'_>, tree: &Jtt, positions: &[usize]) -> Vec<(usize, f64)> {
+        positions
+            .iter()
+            .map(|&pos| (pos, s.generation(tree.node(pos), 1, 2)))
+            .collect()
+    }
+
+    /// Eq. 4 tree score and Eq. 3 node scores of `tree` with `sources`.
+    fn score(s: &Scorer<'_>, tree: &Jtt, sources: Vec<(usize, f64)>) -> (f64, Vec<f64>) {
+        let mut per_source = Vec::new();
+        let score = s.tree_flows(tree, sources).reduce(Some(&mut per_source));
+        (
+            score.unwrap(),
+            per_source.into_iter().map(|(s, _)| s).collect(),
+        )
+    }
+
     #[test]
     fn flows_on_a_path_dampen_at_each_node() {
         let (g, p) = path3(vec![0.25, 0.5, 0.25]);
         let s = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
         let tree = Jtt::new(vec![NodeId(0), NodeId(1), NodeId(2)], vec![(0, 1), (1, 2)]).unwrap();
-        let f = s.flows_from(&tree, 0, 8.0);
+        let flows = s.tree_flows(&tree, [(0, 8.0)]);
+        let f = flows.row(0);
         assert_eq!(f[0], 8.0);
         // Node 0's only tree neighbor is 1; all messages go there, then
         // dampen by d_1. Expected f1 = 8 · d(v1).
@@ -715,7 +686,8 @@ mod tests {
         let s = Scorer::new(&g, &p, 0.2, Dampening::paper_default());
         let tree = Jtt::new(vec![n[1], n[0], n[2], n[3]], vec![(0, 1), (1, 2), (1, 3)]).unwrap();
         // Source at leaf 1 (tree pos 0); messages pass through the center.
-        let f = s.flows_from(&tree, 0, 10.0);
+        let flows = s.tree_flows(&tree, [(0, 10.0)]);
+        let f = flows.row(0);
         // Center (tree pos 1) receives everything (its only path), dampened.
         let d_center = s.dampening(n[0]);
         assert!((f[1] - 10.0 * d_center).abs() < 1e-9);
@@ -730,17 +702,10 @@ mod tests {
     fn single_non_free_node_scores_by_generation() {
         let (g, p) = path3(vec![0.25, 0.5, 0.25]);
         let s = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
-        let tree = Jtt::singleton(NodeId(1));
-        let score = s.score_tree(
-            &tree,
-            &[NodeBinding {
-                pos: 0,
-                match_count: 2,
-                word_count: 2,
-            }],
-        );
+        let gen = s.generation(NodeId(1), 2, 2);
+        let (score, _) = score(&s, &Jtt::singleton(NodeId(1)), vec![(0, gen)]);
         // gen = 4 · 0.5 · 2/2 = 2.
-        assert!((score.score - 2.0).abs() < 1e-12);
+        assert!((score - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -748,23 +713,11 @@ mod tests {
         let (g, p) = path3(vec![0.25, 0.5, 0.25]);
         let s = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
         let tree = Jtt::new(vec![NodeId(0), NodeId(1), NodeId(2)], vec![(0, 1), (1, 2)]).unwrap();
-        let bind = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 2,
-            },
-            NodeBinding {
-                pos: 2,
-                match_count: 1,
-                word_count: 2,
-            },
-        ];
-        let ts = s.score_tree(&tree, &bind);
+        let (score, nodes) = score(&s, &tree, sources(&s, &tree, &[0, 2]));
         // Symmetric ⇒ both node scores equal; score = node score.
-        assert!((ts.node_scores[0] - ts.node_scores[1]).abs() < 1e-12);
-        assert!((ts.score - ts.node_scores[0]).abs() < 1e-12);
-        assert!(ts.score > 0.0);
+        assert!((nodes[0] - nodes[1]).abs() < 1e-12);
+        assert!((score - nodes[0]).abs() < 1e-12);
+        assert!(score > 0.0);
     }
 
     #[test]
@@ -782,24 +735,10 @@ mod tests {
         let g = b.build();
         let p = vec![0.2, 0.05, 0.2, 0.55];
         let s = Scorer::new(&g, &p, 0.05, Dampening::paper_default());
-        let bind = |t: &Jtt| {
-            vec![
-                NodeBinding {
-                    pos: t.position(n[0]).unwrap(),
-                    match_count: 1,
-                    word_count: 2,
-                },
-                NodeBinding {
-                    pos: t.position(n[2]).unwrap(),
-                    match_count: 1,
-                    word_count: 2,
-                },
-            ]
-        };
         let weak = Jtt::new(vec![n[0], n[1], n[2]], vec![(0, 1), (1, 2)]).unwrap();
         let strong = Jtt::new(vec![n[0], n[3], n[2]], vec![(0, 1), (1, 2)]).unwrap();
-        let sw = s.score_tree(&weak, &bind(&weak)).score;
-        let st = s.score_tree(&strong, &bind(&strong)).score;
+        let (sw, _) = score(&s, &weak, sources(&s, &weak, &[0, 2]));
+        let (st, _) = score(&s, &strong, sources(&s, &strong, &[0, 2]));
         assert!(st > sw, "important connector {st} must beat {sw}");
     }
 
@@ -821,22 +760,8 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3), (3, 4)],
         )
         .unwrap();
-        let b2 = |a: usize, b_: usize| {
-            vec![
-                NodeBinding {
-                    pos: a,
-                    match_count: 1,
-                    word_count: 2,
-                },
-                NodeBinding {
-                    pos: b_,
-                    match_count: 1,
-                    word_count: 2,
-                },
-            ]
-        };
-        let s_short = s.score_tree(&short, &b2(0, 2)).score;
-        let s_long = s.score_tree(&long, &b2(0, 4)).score;
+        let (s_short, _) = score(&s, &short, sources(&s, &short, &[0, 2]));
+        let (s_long, _) = score(&s, &long, sources(&s, &long, &[0, 4]));
         assert!(s_short > s_long);
     }
 
@@ -852,27 +777,12 @@ mod tests {
         let p = vec![0.1, 0.8, 0.1];
         let s = Scorer::new(&g, &p, 0.1, Dampening::paper_default());
         let tree = Jtt::new(vec![n[0], n[1], n[2]], vec![(0, 1), (0, 2)]).unwrap();
-        let bind = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 1,
-            },
-            NodeBinding {
-                pos: 1,
-                match_count: 1,
-                word_count: 1,
-            },
-            NodeBinding {
-                pos: 2,
-                match_count: 1,
-                word_count: 1,
-            },
-        ];
-        let ts = s.score_tree(&tree, &bind);
-        let f_weak = s.flows_from(&tree, 2, s.generation(n[2], 1, 1));
+        let flows = s.tree_flows(&tree, (0..3).map(|pos| (pos, s.generation(n[pos], 1, 1))));
+        let mut per_source = Vec::new();
+        flows.reduce(Some(&mut per_source));
         // Node 0's score is min over sources 1 and 2 — the weak source 2.
-        assert!((ts.node_scores[0] - f_weak[0]).abs() < 1e-12);
+        assert_eq!(per_source[0], (flows.value(2, 0), Some(2)));
+        assert!(flows.value(2, 0) < flows.value(1, 0));
     }
 
     #[test]
@@ -887,21 +797,10 @@ mod tests {
         }
         // Tree scores agree bit-for-bit too.
         let tree = Jtt::new(vec![NodeId(0), NodeId(1), NodeId(2)], vec![(0, 1), (1, 2)]).unwrap();
-        let bind = [
-            NodeBinding {
-                pos: 0,
-                match_count: 1,
-                word_count: 2,
-            },
-            NodeBinding {
-                pos: 2,
-                match_count: 1,
-                word_count: 2,
-            },
-        ];
+        let src = sources(&on_demand, &tree, &[0, 2]);
         assert_eq!(
-            on_demand.score_tree(&tree, &bind).score,
-            precomputed.score_tree(&tree, &bind).score
+            score(&on_demand, &tree, src.clone()).0.to_bits(),
+            score(&precomputed, &tree, src).0.to_bits()
         );
     }
 
@@ -925,11 +824,19 @@ mod tests {
         }
     }
 
+    /// A tree with no source has no score: its flow matrix reduces to
+    /// `None`, the answer-scoring contract for a tree without a matcher.
     #[test]
-    #[should_panic(expected = "at least one non-free")]
-    fn empty_bindings_rejected() {
+    fn no_sources_reduce_to_none() {
         let (g, p) = path3(vec![0.25, 0.5, 0.25]);
         let s = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
-        s.score_tree(&Jtt::singleton(NodeId(0)), &[]);
+        let tree = Jtt::new(vec![NodeId(0), NodeId(1), NodeId(2)], vec![(0, 1), (1, 2)]).unwrap();
+        let flows = s.tree_flows(&tree, []);
+        assert!(flows.sources().is_empty());
+        assert_eq!(flows.reduce(None), None);
+        assert_eq!(
+            s.tree_flows(&Jtt::singleton(NodeId(0)), []).reduce(None),
+            None
+        );
     }
 }

@@ -248,24 +248,6 @@ impl Jtt {
         (nodes, edges)
     }
 
-    /// Validity as a query answer (Definition 3): every leaf must be a
-    /// matcher, and with `root` given, a single-child root must be a matcher
-    /// too. `is_matcher(pos)` says whether the node at a position matches
-    /// some query keyword.
-    pub fn is_reduced<F: Fn(usize) -> bool>(&self, root: Option<usize>, is_matcher: F) -> bool {
-        for (p, a) in self.adj.iter().enumerate() {
-            let deg = a.len();
-            let must_match = match root {
-                Some(r) if p == r => deg == 1, // single-child root
-                _ => deg <= 1,                 // leaf
-            };
-            if must_match && !is_matcher(p) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Positions on the unique path between two tree positions, inclusive.
     pub fn path(&self, from: usize, to: usize) -> Vec<usize> {
         let mut parent: HashMap<usize, usize> = HashMap::new();
@@ -407,19 +389,6 @@ mod tests {
         assert_eq!(a.canonical_key(), b.canonical_key());
         let c = Jtt::new(vec![n(1), n(2), n(3)], vec![(0, 2), (2, 1)]).unwrap();
         assert_ne!(a.canonical_key(), c.canonical_key());
-    }
-
-    #[test]
-    fn reduced_check() {
-        let c = chain4();
-        // Leaves are positions 0 and 3.
-        assert!(c.is_reduced(None, |p| p == 0 || p == 3));
-        assert!(!c.is_reduced(None, |p| p == 0));
-        // A single-child root must also match.
-        assert!(!c.is_reduced(Some(0), |p| p == 3));
-        let s = star4();
-        // Center as root has 4 children: no extra requirement on it.
-        assert!(s.is_reduced(Some(0), |p| p != 0));
     }
 
     #[test]

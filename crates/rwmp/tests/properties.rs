@@ -10,7 +10,7 @@
 )]
 
 use ci_graph::{Graph, GraphBuilder, NodeId};
-use ci_rwmp::{dampening_rate, Dampening, Jtt, NodeBinding, Scorer};
+use ci_rwmp::{dampening_rate, Dampening, Jtt, Scorer};
 use proptest::prelude::*;
 
 /// Random path graph with random positive importance and edge weights.
@@ -138,21 +138,33 @@ fn path_product_flow(
 }
 
 proptest! {
-    /// `flows_from` agrees with the independent per-path product formula
-    /// on arbitrary random trees (stars, chains, and everything between).
+    /// Every source row of `tree_flows` agrees with the independent
+    /// per-path product formula on arbitrary random trees (stars, chains,
+    /// and everything between).
     #[test]
-    fn flows_match_path_products(case in tree_case(9), gen in 0.1f64..100.0) {
+    fn flows_match_path_products(
+        case in tree_case(9),
+        gens in proptest::collection::vec(0.1f64..100.0, 9),
+    ) {
         let (graph, p, tree) = build_tree(&case);
         let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
         let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
-        let src = case.source % tree.size();
-        let flows = scorer.flows_from(&tree, src, gen);
-        for (dest, &flow) in flows.iter().enumerate() {
-            let expected = path_product_flow(&scorer, &graph, &tree, src, dest, gen);
-            prop_assert!(
-                (flow - expected).abs() <= 1e-9 * expected.max(1.0),
-                "flow[{dest}] = {flow} vs path product {expected}"
-            );
+        // Every position is a source, listed from `case.source` on, so the
+        // rows do not follow position order.
+        let n = tree.size();
+        let sources: Vec<(usize, f64)> =
+            (0..n).map(|i| ((case.source + i) % n, gens[i])).collect();
+        let flows = scorer.tree_flows(&tree, sources.iter().copied());
+        prop_assert_eq!(flows.sources().len(), n);
+        for (row, &(src, gen)) in sources.iter().enumerate() {
+            prop_assert_eq!(flows.sources()[row] as usize, src);
+            for (dest, &flow) in flows.row(row).iter().enumerate() {
+                let expected = path_product_flow(&scorer, &graph, &tree, src, dest, gen);
+                prop_assert!(
+                    (flow - expected).abs() <= 1e-9 * expected.max(1.0),
+                    "row {row}: flow[{dest}] = {flow} vs path product {expected}"
+                );
+            }
         }
     }
 
@@ -184,7 +196,8 @@ proptest! {
         let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
         let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
         let tree = path_tree(case.importance.len());
-        let flows = scorer.flows_from(&tree, 0, gen);
+        let flows = scorer.tree_flows(&tree, [(0, gen)]);
+        let flows = flows.row(0);
         prop_assert_eq!(flows[0], gen);
         for i in 1..flows.len() {
             prop_assert!(flows[i] >= 0.0);
@@ -207,11 +220,10 @@ proptest! {
         let n = case.importance.len();
         let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
         let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
-        let bind = |a: usize, b: usize| {
-            [
-                NodeBinding { pos: a, match_count: 1, word_count: 2 },
-                NodeBinding { pos: b, match_count: 1, word_count: 2 },
-            ]
+        // Eq. 4 score with one-keyword, two-word matchers at `a` and `b`.
+        let score = |tree: &Jtt, a: usize, b: usize| {
+            let sources = [a, b].map(|pos| (pos, scorer.generation(tree.node(pos), 1, 2)));
+            scorer.tree_flows(tree, sources).reduce(None).unwrap()
         };
         // Score of the prefix subchain [0..m] vs the full chain, matching
         // endpoints 0 and m (resp. 0 and n-1). The prefix tree positions
@@ -223,11 +235,11 @@ proptest! {
             (1..m).map(|i| (i - 1, i)).collect(),
         )
         .unwrap();
-        let s_prefix = scorer.score_tree(&prefix, &bind(0, m - 1)).score;
+        let s_prefix = score(&prefix, 0, m - 1);
         // In the full tree, matching the same endpoint m-1 yields the same
         // flows *except* node m-2's split now also leaks toward node m-1's
         // subtree... the last interior node gains a neighbor, so:
-        let s_same_span = scorer.score_tree(&full, &bind(0, m - 1)).score;
+        let s_same_span = score(&full, 0, m - 1);
         prop_assert!(
             s_same_span <= s_prefix + 1e-12,
             "extra hanging node must not raise the score: {s_same_span} vs {s_prefix}"
@@ -243,19 +255,20 @@ proptest! {
         let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
         let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
         let tree = path_tree(n);
-        let bindings = [
-            NodeBinding { pos: 0, match_count: 1, word_count: 3 },
-            NodeBinding { pos: n - 1, match_count: 2, word_count: 4 },
+        let sources = [
+            (0, scorer.generation(tree.node(0), 1, 3)),
+            (n - 1, scorer.generation(tree.node(n - 1), 2, 4)),
         ];
-        let ts = scorer.score_tree(&tree, &bindings);
-        let mean: f64 = ts.node_scores.iter().sum::<f64>() / ts.node_scores.len() as f64;
-        prop_assert!((ts.score - mean).abs() < 1e-12);
-        let max_gen = bindings
-            .iter()
-            .map(|b| scorer.generation(tree.node(b.pos), b.match_count, b.word_count))
-            .fold(0.0f64, f64::max);
-        prop_assert!(ts.score <= max_gen + 1e-12);
-        for &s in &ts.node_scores {
+        let mut node_scores = Vec::new();
+        let score = scorer
+            .tree_flows(&tree, sources)
+            .reduce(Some(&mut node_scores))
+            .unwrap();
+        let mean: f64 = node_scores.iter().map(|&(s, _)| s).sum::<f64>() / node_scores.len() as f64;
+        prop_assert!((score - mean).abs() < 1e-12);
+        let max_gen = sources.iter().map(|&(_, g)| g).fold(0.0f64, f64::max);
+        prop_assert!(score <= max_gen + 1e-12);
+        for &(s, _) in &node_scores {
             prop_assert!(s >= 0.0);
         }
     }

@@ -1,6 +1,6 @@
 use std::collections::HashSet;
 
-use ci_rwmp::{CanonicalKey, FlowState, Jtt, ParentTree, Scorer};
+use ci_rwmp::{CanonicalKey, Jtt, Scorer};
 
 use crate::query::QuerySpec;
 
@@ -15,25 +15,12 @@ pub struct Answer {
 
 /// Scores a tree under the query: its matcher nodes are the RWMP sources,
 /// and the flow kernel evaluates Eqs. 2–4 over the tree rooted at
-/// position 0. Returns `None` if the tree holds no matcher (not a query
-/// answer at all).
+/// position 0 ([`Scorer::tree_flows`]). Returns `None` if the tree holds
+/// no matcher (not a query answer at all).
 pub fn score_answer(scorer: &Scorer<'_>, query: &QuerySpec, tree: &Jtt) -> Option<f64> {
-    answer_flows(scorer, query, tree).1.reduce(None)
-}
-
-/// The flow matrix of an answer tree under `query`, with the parent
-/// positions (rooted at position 0) it was computed over — what
-/// [`score_answer`] and [`crate::explain_answer`] reduce.
-pub(crate) fn answer_flows(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    tree: &Jtt,
-) -> (Vec<u32>, FlowState) {
-    let parent = tree.parent_positions();
-    let rooted = ParentTree::new(tree.nodes(), &parent);
-    let mut flows = FlowState::default();
-    scorer.fill_flows(rooted, query.flow_sources(rooted), &mut flows);
-    (parent, flows)
+    scorer
+        .tree_flows(tree, query.flow_sources(tree.nodes()))
+        .reduce(None)
 }
 
 /// Bounded top-k answer list with canonical-tree deduplication.

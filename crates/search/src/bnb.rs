@@ -346,7 +346,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
             debug_assert!(false, "queue references a missing arena slot");
             continue;
         }
-        if run.scratch.trace.level().pops() {
+        if run.scratch.trace.level().full() {
             let pop = &run.scratch.pop_slot;
             let event = TraceEvent::Pop {
                 idx,
@@ -424,7 +424,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     /// trace buffer.
     fn truncate(&mut self, reason: TruncationReason) {
         self.stats.truncation = Some(reason);
-        if self.scratch.trace.level().pops() {
+        if self.scratch.trace.level().full() {
             self.scratch.trace.emit(TraceEvent::Truncated { reason });
         }
     }
@@ -680,11 +680,11 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             self.scorer
                 .grow_flows(prev, &mut pop_slot.flows, v, root_gen, &mut slot.flows);
             #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-            assert_grow_exact(self.scorer, self.query, slot.cand.tree(), &slot.flows);
+            assert_grow_exact(self.scorer, self.query, &slot.cand, &slot.flows);
         } else {
-            let tree = slot.cand.tree();
-            let sources = self.query.flow_sources(tree);
-            self.scorer.fill_flows(tree, sources, &mut slot.flows);
+            let sources = self.query.flow_sources(&slot.cand.nodes);
+            self.scorer
+                .fill_flows(slot.cand.tree(), sources, &mut slot.flows);
         }
     }
 
@@ -828,11 +828,11 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
 fn assert_grow_exact(
     scorer: &Scorer<'_>,
     query: &QuerySpec,
-    tree: ci_rwmp::ParentTree<'_>,
+    cand: &crate::candidate::Candidate,
     grown: &ci_rwmp::FlowState,
 ) {
     let mut fresh = ci_rwmp::FlowState::default();
-    scorer.fill_flows(tree, query.flow_sources(tree), &mut fresh);
+    scorer.fill_flows(cand.tree(), query.flow_sources(&cand.nodes), &mut fresh);
     assert_eq!(
         fresh.sources(),
         grown.sources(),
@@ -1161,7 +1161,8 @@ mod tests {
 
 /// The flow matrices the search builds — seeds and merges filled from
 /// scratch, grows advanced incrementally and self-checked — against the
-/// one-source reference [`Scorer::flows_from`], bit for bit.
+/// finished-tree reference [`Scorer::tree_flows`] over the candidate's
+/// [`Jtt`](ci_rwmp::Jtt), bit for bit.
 #[cfg(test)]
 mod flow_tests {
     use super::*;
@@ -1173,7 +1174,7 @@ mod flow_tests {
 
     /// A seed's or merge's flows, as `build` fills them.
     fn fill(s: &Scorer<'_>, q: &QuerySpec, cand: &Candidate, out: &mut FlowState) {
-        s.fill_flows(cand.tree(), q.flow_sources(cand.tree()), out);
+        s.fill_flows(cand.tree(), q.flow_sources(&cand.nodes), out);
     }
 
     /// A grow's flows, as `build` advances and self-checks them.
@@ -1187,7 +1188,7 @@ mod flow_tests {
         let root_gen = q.matcher(grown.root()).map(|m| m.gen);
         s.grow_flows(pop.tree(), prev, grown.root(), root_gen, out);
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-        assert_grow_exact(s, q, grown.tree(), out);
+        assert_grow_exact(s, q, grown, out);
     }
 
     fn query(matchers: Vec<(u32, u32, f64)>) -> QuerySpec {
@@ -1223,29 +1224,27 @@ mod flow_tests {
         Scorer::new(g, p, 0.05, Dampening::paper_default())
     }
 
-    fn assert_matches_flows_from(s: &Scorer<'_>, q: &QuerySpec, cand: &Candidate) {
+    fn assert_matches_tree_flows(s: &Scorer<'_>, q: &QuerySpec, cand: &Candidate) {
         let mut fs = FlowState::default();
         fill(s, q, cand, &mut fs);
-        let tree = cand.to_jtt();
-        let mut expected_sources = Vec::new();
-        for (pos, &v) in cand.nodes.iter().enumerate() {
-            let Some(m) = q.matcher(v) else { continue };
-            expected_sources.push(pos as u32);
-            let reference = s.flows_from(&tree, pos, m.gen);
-            let row_idx = expected_sources.len() - 1;
-            for (i, want) in reference.iter().enumerate() {
+        let sources: Vec<(usize, f64)> = (0..cand.size())
+            .filter_map(|pos| Some((pos, q.matcher(cand.nodes[pos])?.gen)))
+            .collect();
+        let reference = s.tree_flows(&cand.to_jtt(), sources.iter().copied());
+        assert_eq!(fs.sources(), reference.sources());
+        for (row, &(pos, _)) in sources.iter().enumerate() {
+            for (i, want) in reference.row(row).iter().enumerate() {
                 assert_eq!(
-                    fs.value(row_idx, i).to_bits(),
+                    fs.value(row, i).to_bits(),
                     want.to_bits(),
                     "source pos {pos}, tree pos {i}"
                 );
             }
         }
-        assert_eq!(fs.sources(), expected_sources.as_slice());
     }
 
     #[test]
-    fn from_scratch_matches_flows_from_bitwise() {
+    fn from_scratch_matches_tree_flows_bitwise() {
         let (g, p) = graph6();
         let s = scorer(&g, &p);
         let q = query(vec![(0, 0b001, 2.0), (3, 0b010, 1.5), (5, 0b100, 0.75)]);
@@ -1254,7 +1253,7 @@ mod flow_tests {
             .grow(NodeId(2), &q)
             .grow(NodeId(1), &q)
             .grow(NodeId(0), &q);
-        assert_matches_flows_from(&s, &q, &c);
+        assert_matches_tree_flows(&s, &q, &c);
         // Star-ish: root 1 with subtrees toward 2—3 and 4—5.
         let left = Candidate::seed(NodeId(3), 0b010)
             .grow(NodeId(2), &q)
@@ -1263,9 +1262,9 @@ mod flow_tests {
             .grow(NodeId(4), &q)
             .grow(NodeId(1), &q);
         let merged = left.merge(&right).expect("disjoint");
-        assert_matches_flows_from(&s, &q, &merged);
+        assert_matches_tree_flows(&s, &q, &merged);
         // Single node.
-        assert_matches_flows_from(&s, &q, &Candidate::seed(NodeId(5), 0b100));
+        assert_matches_tree_flows(&s, &q, &Candidate::seed(NodeId(5), 0b100));
     }
 
     #[test]
@@ -1282,7 +1281,7 @@ mod flow_tests {
             let grown = cand.grow(next, &q);
             let mut out = FlowState::default();
             grow(&s, &q, (&cand, &mut flows), &grown, &mut out);
-            assert_matches_flows_from(&s, &q, &grown);
+            assert_matches_tree_flows(&s, &q, &grown);
             cand = grown;
             flows = out;
         }
@@ -1293,7 +1292,7 @@ mod flow_tests {
 
         /// Random small trees over a random weighted graph: the flow state
         /// (from scratch and grown incrementally) must match
-        /// `Scorer::flows_from` bit for bit. The debug self-check after
+        /// `Scorer::tree_flows` bit for bit. The debug self-check after
         /// every grow makes it a bitwise comparison on its own.
         #[test]
         fn flow_state_matches_reference(
@@ -1330,7 +1329,7 @@ mod flow_tests {
             let mut cand = Candidate::seed(NodeId(seed_node), q.mask_of(NodeId(seed_node)));
             let mut flows = FlowState::default();
             fill(&s, &q, &cand, &mut flows);
-            assert_matches_flows_from(&s, &q, &cand);
+            assert_matches_tree_flows(&s, &q, &cand);
             for &raw in &grow_order {
                 let next = NodeId(raw as u32);
                 if cand.contains(next) || s.graph().edge_weight(cand.root(), next).is_none() {
@@ -1339,7 +1338,7 @@ mod flow_tests {
                 let grown = cand.grow(next, &q);
                 let mut out = FlowState::default();
                 grow(&s, &q, (&cand, &mut flows), &grown, &mut out);
-                assert_matches_flows_from(&s, &q, &grown);
+                assert_matches_tree_flows(&s, &q, &grown);
                 cand = grown;
                 flows = out;
             }

@@ -269,7 +269,7 @@ mod tests {
         cand: &Candidate,
     ) -> f64 {
         let mut flows = FlowState::default();
-        scorer.fill_flows(cand.tree(), query.flow_sources(cand.tree()), &mut flows);
+        scorer.fill_flows(cand.tree(), query.flow_sources(&cand.nodes), &mut flows);
         let mut roots = RootTable::default();
         roots.begin(query.keyword_count());
         bound_parts_from(scorer, query, oracle, &mut roots, cand, &flows).ub()

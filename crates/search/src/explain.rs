@@ -6,7 +6,7 @@
 //! delivers to every tree node (Eq. 2 dampening applied hop by hop), which
 //! source's message type was the Eq. 3 per-node minimum, and the Eq. 4
 //! mean. It does not replay the arithmetic: it runs the same flow kernel
-//! as [`crate::score_answer`] and the search bounds ([`ci_rwmp::FlowState`],
+//! as [`crate::score_answer`] and the search bounds ([`Scorer::tree_flows`],
 //! over the tree rooted at position 0) and asks the kernel's Eq. 3–4
 //! reducer to record each node's minimum and its arg-min source. The
 //! reported `score` is therefore bit-identical to [`crate::score_answer`]
@@ -18,7 +18,6 @@
 use ci_graph::NodeId;
 use ci_rwmp::{Jtt, Scorer};
 
-use crate::answer::answer_flows;
 use crate::query::QuerySpec;
 
 /// One tree node of an explained answer, with the flow it receives from
@@ -103,7 +102,8 @@ pub fn explain_answer(
     query: &QuerySpec,
     tree: &Jtt,
 ) -> Option<ScoreExplanation> {
-    let (parent, flows) = answer_flows(scorer, query, tree);
+    let flows = scorer.tree_flows(tree, query.flow_sources(tree.nodes()));
+    let parent = tree.parent_positions();
     let mut per_source = Vec::new();
     let score = flows.reduce(Some(&mut per_source))?;
     let sources = flows

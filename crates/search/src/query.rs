@@ -1,5 +1,5 @@
 use ci_graph::NodeId;
-use ci_rwmp::{ParentTree, Scorer};
+use ci_rwmp::Scorer;
 
 /// A non-free node of the query: which keywords it contains and its RWMP
 /// message generation statistics.
@@ -47,8 +47,6 @@ pub struct QuerySpec {
     table: Vec<u64>,
     /// Matchers of each keyword, sorted by descending generation count.
     per_keyword: Vec<Vec<NodeId>>,
-    /// `R_k`: the largest generation count among keyword `k`'s matchers.
-    best_gen: Vec<f64>,
     /// Every matcher node, sorted by descending generation count.
     all_sorted: Vec<NodeId>,
 }
@@ -106,7 +104,6 @@ impl QuerySpec {
         );
         let full = Self::full_mask_for(kc);
         let mut per_keyword = vec![Vec::new(); kc];
-        let mut best_gen = vec![0.0f64; kc];
         for m in &matchers {
             assert!(
                 m.mask != 0 && m.mask & !full == 0,
@@ -121,9 +118,6 @@ impl QuerySpec {
                 if m.mask & (1 << k) != 0 {
                     if let Some(list) = per_keyword.get_mut(k) {
                         list.push(m.node);
-                    }
-                    if let Some(best) = best_gen.get_mut(k) {
-                        *best = best.max(m.gen);
                     }
                 }
             }
@@ -153,7 +147,6 @@ impl QuerySpec {
             infos,
             table,
             per_keyword,
-            best_gen,
         }
     }
 
@@ -244,13 +237,6 @@ impl QuerySpec {
         self.per_keyword.get(k).map_or(&[], Vec::as_slice)
     }
 
-    /// `R_k`: the best generation count among matchers of keyword `k`
-    /// (0.0 when the keyword matches nothing — the query is then
-    /// unanswerable under AND semantics).
-    pub fn best_gen(&self, k: usize) -> f64 {
-        self.best_gen.get(k).copied().unwrap_or(0.0)
-    }
-
     /// All matcher nodes, sorted by descending generation count.
     pub fn matchers_sorted(&self) -> &[NodeId] {
         &self.all_sorted
@@ -261,16 +247,19 @@ impl QuerySpec {
         self.per_keyword.iter().all(|l| !l.is_empty())
     }
 
-    /// The RWMP message sources of `tree` under this query — every matcher
-    /// position, ascending, with its generation count — in the form
-    /// [`Scorer::fill_flows`] takes. Bounds, answer scores and
-    /// explanations all name their flow rows through it, so they agree
-    /// bit for bit.
+    /// The RWMP message sources of a tree with `nodes` at its positions
+    /// under this query — every matcher position, ascending, with its
+    /// generation count — in the form [`Scorer::fill_flows`] and
+    /// [`Scorer::tree_flows`] take. Bounds, answer scores and explanations
+    /// all name their flow rows through it, so they agree bit for bit.
     pub fn flow_sources<'a>(
         &'a self,
-        tree: ParentTree<'a>,
+        nodes: &'a [NodeId],
     ) -> impl Iterator<Item = (usize, f64)> + 'a {
-        (0..tree.size()).filter_map(move |pos| Some((pos, self.matcher(tree.node(pos)?)?.gen)))
+        nodes
+            .iter()
+            .enumerate()
+            .filter_map(move |(pos, &v)| Some((pos, self.matcher(v)?.gen)))
     }
 }
 
@@ -299,8 +288,8 @@ mod tests {
         assert_eq!(q.full_mask(), 0b11);
         assert_eq!(q.matchers_of(0), &[NodeId(2), NodeId(0)]); // sorted by gen
         assert_eq!(q.matchers_of(1), &[NodeId(1), NodeId(2)]);
-        assert_eq!(q.best_gen(0), 2.0);
-        assert_eq!(q.best_gen(1), 3.0);
+        assert_eq!(q.matcher(q.matchers_of(0)[0]).unwrap().gen, 2.0);
+        assert_eq!(q.matcher(q.matchers_of(1)[0]).unwrap().gen, 3.0);
         assert!(q.answerable());
         assert_eq!(q.mask_of(NodeId(2)), 0b11);
         assert_eq!(q.mask_of(NodeId(9)), 0);
@@ -310,7 +299,7 @@ mod tests {
     fn unanswerable_when_keyword_unmatched() {
         let q = QuerySpec::new(vec!["a".into(), "b".into()], vec![mi(0, 0b01, 1.0)]);
         assert!(!q.answerable());
-        assert_eq!(q.best_gen(1), 0.0);
+        assert!(q.matchers_of(1).is_empty());
     }
 
     #[test]

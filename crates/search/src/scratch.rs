@@ -769,7 +769,7 @@ mod tests {
             vec![(NodeId(0), 0b01, 1), (NodeId(4), 0b10, 1)],
         );
         let fill = |cand: &Candidate, out: &mut FlowState| {
-            scorer.fill_flows(cand.tree(), q.flow_sources(cand.tree()), out);
+            scorer.fill_flows(cand.tree(), q.flow_sources(&cand.nodes), out);
         };
         // A grow chain from node 0, each step stored as admission would.
         let run = |s: &mut SearchScratch| {

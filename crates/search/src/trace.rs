@@ -40,33 +40,22 @@
 use crate::budget::TruncationReason;
 use ci_graph::NodeId;
 
-/// How much of the search a [`SearchTrace`] records.
-///
-/// Ordered by verbosity: every level records everything the previous one
-/// does. The default ([`TraceLevel::Off`]) records nothing and costs
-/// nothing.
+/// How much of the search a [`SearchTrace`] records: nothing
+/// ([`TraceLevel::Off`], the default, which costs nothing) or every
+/// event ([`TraceLevel::Full`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// No tracing. Emission sites reduce to one branch; the event buffer
     /// never allocates.
     #[default]
     Off,
-    /// Record queue pops ([`TraceEvent::Pop`]) and budget truncations
-    /// ([`TraceEvent::Truncated`]) — the coarse shape of the run.
-    Pops,
-    /// Record everything: pops, every enumerated grow and merge attempt,
-    /// per-candidate admissions and prune reasons, and oracle-cache
-    /// hit/miss transitions.
+    /// Record everything: pops, budget truncations, every enumerated
+    /// grow and merge attempt, per-candidate admissions and prune
+    /// reasons, and oracle-cache hit/miss transitions.
     Full,
 }
 
 impl TraceLevel {
-    /// True at [`TraceLevel::Pops`] and above.
-    #[inline]
-    pub fn pops(self) -> bool {
-        !matches!(self, TraceLevel::Off)
-    }
-
     /// True only at [`TraceLevel::Full`].
     #[inline]
     pub fn full(self) -> bool {
@@ -100,7 +89,7 @@ pub enum PruneReason {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A candidate was popped from the priority queue for expansion
-    /// (recorded at [`TraceLevel::Pops`] and above).
+    /// ([`TraceLevel::Full`]).
     Pop {
         /// Arena index of the popped candidate.
         idx: usize,
@@ -167,9 +156,8 @@ pub enum TraceEvent {
         /// Keyword coverage bitmask.
         mask: u32,
     },
-    /// A budget axis stopped the run early (recorded at
-    /// [`TraceLevel::Pops`] and above); mirrors
-    /// [`crate::SearchStats::truncation`].
+    /// A budget axis stopped the run early ([`TraceLevel::Full`]);
+    /// mirrors [`crate::SearchStats::truncation`].
     Truncated {
         /// The exhausted budget axis.
         reason: TruncationReason,
@@ -294,7 +282,7 @@ mod tests {
     fn off_buffer_never_allocates() {
         let mut t = SearchTrace::default();
         t.begin(TraceLevel::Off, 1024);
-        assert!(!t.level().pops());
+        assert!(!t.level().full());
         assert_eq!(t.buffer_capacity(), 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
@@ -323,9 +311,8 @@ mod tests {
 
     #[test]
     fn levels_are_ordered() {
-        assert!(!TraceLevel::Off.pops() && !TraceLevel::Off.full());
-        assert!(TraceLevel::Pops.pops() && !TraceLevel::Pops.full());
-        assert!(TraceLevel::Full.pops() && TraceLevel::Full.full());
+        assert!(!TraceLevel::Off.full());
+        assert!(TraceLevel::Full.full());
         assert_eq!(TraceLevel::default(), TraceLevel::Off);
     }
 

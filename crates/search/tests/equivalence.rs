@@ -103,7 +103,8 @@ fn build_query(scorer: &Scorer<'_>, case: &RandomCase) -> Option<QuerySpec> {
 }
 
 /// Every answer's ranked score, its re-score and its explanation agree bit
-/// for bit, and the explanation's incoming flows are `Scorer::flows_from`'s.
+/// for bit, and the explanation's incoming flows are the one-source rows of
+/// `Scorer::tree_flows`.
 fn assert_scores_agree(name: &str, scorer: &Scorer<'_>, query: &QuerySpec, answers: &[Answer]) {
     for a in answers {
         let rescore = score_answer(scorer, query, &a.tree).expect("answers have matchers");
@@ -115,7 +116,8 @@ fn assert_scores_agree(name: &str, scorer: &Scorer<'_>, query: &QuerySpec, answe
             "{name}: explain_answer"
         );
         for (s, src) in ex.sources.iter().enumerate() {
-            let flows = scorer.flows_from(&a.tree, src.pos, src.generation);
+            let flows = scorer.tree_flows(&a.tree, [(src.pos, src.generation)]);
+            let flows = flows.row(0);
             for (pos, node) in ex.nodes.iter().enumerate() {
                 assert_eq!(
                     node.incoming[s].to_bits(),
@@ -288,7 +290,7 @@ proptest! {
 
     /// One flow kernel: for every answer of either search, the ranked
     /// score, `score_answer` and `explain_answer` agree bitwise, and the
-    /// explanation's flows equal `Scorer::flows_from`. Naive-search trees
+    /// explanation's flows equal `Scorer::tree_flows`'s. Naive-search trees
     /// are numbered by path union, so they cover trees whose positions are
     /// not a candidate rooting.
     #[test]

@@ -60,9 +60,9 @@
 //!    recording site would let an entry point drift out of the registry
 //!    (or count a query twice).
 //! 9. **The trace level selects no code path** — in non-test code under
-//!    `crates/search/src`, a `level().full()` / `level().pops()` result
-//!    may only guard an emission directly (`if ….level().full() {`): it
-//!    may not be bound with `let` or combined with `&&` / `||`. Tracing
+//!    `crates/search/src`, a `level().full()` result may only guard an
+//!    emission directly (`if ….level().full() {`): it may not be bound
+//!    with `let` or combined with `&&` / `||`. Tracing
 //!    records the run the engine does; a level stored in a variable or
 //!    mixed into another condition is how a trace level starts steering
 //!    the enumeration, so that a traced run does different work.
@@ -644,8 +644,8 @@ fn check_single_metered_path(root: &Path, findings: &mut Vec<String>) {
 }
 
 /// Rule 9: the trace level selects no code path. In non-test code under
-/// `crates/search/src`, a `level().full()` / `level().pops()` result may
-/// not be bound with `let` or combined with `&&` / `||`.
+/// `crates/search/src`, a `level().full()` result may not be bound with
+/// `let` or combined with `&&` / `||`.
 fn check_trace_level_guards(root: &Path, findings: &mut Vec<String>) {
     for path in rust_files(&root.join("crates/search/src")) {
         let Ok(src) = fs::read_to_string(&path) else {
@@ -713,11 +713,11 @@ fn per_field_stats_hits(src: &str) -> Vec<usize> {
 }
 
 /// 1-based line numbers in the non-test region of `src` of statements
-/// that read `level().full()` or `level().pops()` and either start with
-/// `let` or contain `&&` / `||`. A statement runs from the line after the
+/// that read `level().full()` and either start with `let` or contain
+/// `&&` / `||`. A statement runs from the line after the
 /// previous one ending in `;`, `{` or `}` to the next such line, so a
 /// method chain or condition rustfmt splits over lines counts whole. The
-/// line reported is the one holding `.full()` / `.pops()`.
+/// line reported is the one holding `.full()`.
 fn trace_level_hits(src: &str) -> Vec<usize> {
     let code: Vec<String> = non_test_region(src)
         .map(|line| {
@@ -734,7 +734,7 @@ fn trace_level_hits(src: &str) -> Vec<usize> {
     };
     let mut hits = Vec::new();
     for (n, line) in code.iter().enumerate() {
-        if !line.contains(".full()") && !line.contains(".pops()") {
+        if !line.contains(".full()") {
             continue;
         }
         let mut start = n;
@@ -753,8 +753,9 @@ fn trace_level_hits(src: &str) -> Vec<usize> {
             .collect::<Vec<_>>()
             .join(" ");
         let compact: String = stmt.split_whitespace().collect();
-        let reads_level = compact.contains("level().full()") || compact.contains("level().pops()");
-        if reads_level && (stmt.starts_with("let ") || stmt.contains("&&") || stmt.contains("||")) {
+        if compact.contains("level().full()")
+            && (stmt.starts_with("let ") || stmt.contains("&&") || stmt.contains("||"))
+        {
             hits.push(n + 1);
         }
     }
@@ -1097,9 +1098,9 @@ mod tests {
         assert_eq!(trace_level_hits(bound), vec![2]);
         let combined = "fn f() {\n    if !run.scratch.trace.level().full() && run.gate().is_none() {\n        continue;\n    }\n}\n";
         assert_eq!(trace_level_hits(combined), vec![2]);
-        let split = "fn f() {\n    if ready\n        || self\n            .scratch\n            .trace\n            .level()\n            .pops()\n    {\n    }\n}\n";
+        let split = "fn f() {\n    if ready\n        || self\n            .scratch\n            .trace\n            .level()\n            .full()\n    {\n    }\n}\n";
         assert_eq!(trace_level_hits(split), vec![7]);
-        let guard = "fn f() {\n    if self.scratch.trace.level().full() {\n        emit();\n    }\n    if !self.scratch.trace.level().pops() {\n        return;\n    }\n    let ok = a && b;\n}\n";
+        let guard = "fn f() {\n    if self.scratch.trace.level().full() {\n        emit();\n    }\n    if !self.scratch.trace.level().full() {\n        return;\n    }\n    let ok = a && b;\n}\n";
         assert!(trace_level_hits(guard).is_empty());
         let elsewhere =
             "fn f() {\n    let n = self.full();\n    // let full = trace.level().full() && x;\n}\n";
