@@ -47,5 +47,5 @@ mod weights;
 pub use builder::GraphBuilder;
 pub use csr::{tuple_id_from_row, EdgeRef, Graph, NodeId};
 pub use mapping::{build_graph, MergeSpec};
-pub use traverse::{bfs_within, hop_bounded_costs, Reached};
+pub use traverse::{bfs_within, hop_bounded_costs, HopScratch, Reached};
 pub use weights::WeightConfig;

@@ -1,21 +1,21 @@
-use std::collections::HashMap;
-
-use ci_graph::{hop_bounded_costs, Graph, NodeId};
+use ci_graph::{Graph, NodeId};
 
 use crate::oracle::DistanceOracle;
-use crate::parallel::{map_sources, serialize_tables};
+use crate::parallel::PairRows;
 
 /// §V-A naive index: exact shortest distances and maximal retention factors
 /// for every node pair within `cap` hops.
 ///
-/// Build cost is one hop-layered DP ([`ci_graph::hop_bounded_costs`],
-/// `O(cap · |E|)`) per node; space is `O(|V|²)` in the worst case (the
-/// paper's motivation for star indexing). Use it on samples or as the
-/// exactness oracle in tests.
+/// Build cost is one hop-layered DP ([`ci_graph::hop_bounded_costs`]) per
+/// node, which relaxes only the edges out of nodes whose cost fell in the
+/// layer before (`O(cap · |E|)` at worst); the pairs land in flat
+/// per-source rows in source order, so nothing is hashed or sorted. Space
+/// is `O(|V|²)` in the worst case (the paper's motivation for star
+/// indexing). Use it on samples or as the exactness oracle in tests.
 pub struct NaiveIndex {
     cap: u32,
     // (u, v) -> (distance, retention upper bound)
-    entries: HashMap<(u32, u32), (u32, f64)>,
+    rows: PairRows,
     damp: Vec<f64>,
     d_max: f64,
 }
@@ -40,39 +40,9 @@ impl NaiveIndex {
             "dampening vector length mismatch"
         );
         let d_max = damp.iter().cloned().fold(0.0f64, f64::max).min(1.0);
-        let sources: Vec<NodeId> = graph.nodes().collect();
-        let rows = map_sources(&sources, threads, |u| {
-            // Hop-layered DP: exact hop distance plus the best retention
-            // among paths of ≤ cap hops (−ln d edge costs; a plain
-            // Dijkstra would drop nodes whose globally cheapest path
-            // exceeds the hop cap).
-            let mut row: Vec<(u32, (u32, f64))> = Vec::new();
-            for (node, (cost, dist)) in hop_bounded_costs(graph, u, cap, |_, to| {
-                -damp.get(to.idx()).copied().unwrap_or(1.0).ln()
-            }) {
-                // A frontier cut at the cap must drop the row entirely —
-                // storing a clamped distance would make `distance()` claim
-                // exactness for an out-of-range pair.
-                debug_assert!(
-                    dist <= cap,
-                    "BFS row beyond cap must be dropped, not clamped"
-                );
-                if node == u.0 || dist > cap {
-                    continue;
-                }
-                row.push((node, (dist, (-cost).exp())));
-            }
-            row
-        });
-        let mut entries = HashMap::new();
-        for (u, row) in sources.iter().zip(rows) {
-            for (node, entry) in row {
-                entries.insert((u.0, node), entry);
-            }
-        }
         NaiveIndex {
             cap,
-            entries,
+            rows: PairRows::build(graph, damp, cap, threads, |_| true),
             damp: damp.to_vec(),
             d_max,
         }
@@ -84,7 +54,7 @@ impl NaiveIndex {
     /// produce equal bytes here iff their tables are identical bit for
     /// bit; the parallel-build determinism harness compares these.
     pub fn table_bytes(&self) -> Vec<u8> {
-        serialize_tables(&self.entries)
+        self.rows.table_bytes()
     }
 
     /// The hop cap the index was built with.
@@ -94,12 +64,12 @@ impl NaiveIndex {
 
     /// Number of stored pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// True if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.len() == 0
     }
 
     /// Exact distance, if the pair lies within the cap.
@@ -107,7 +77,7 @@ impl NaiveIndex {
         if u == v {
             return Some(0);
         }
-        self.entries.get(&(u.0, v.0)).map(|e| e.0)
+        self.rows.get(u, v).map(|e| e.0)
     }
 }
 
@@ -116,8 +86,8 @@ impl DistanceOracle for NaiveIndex {
         if u == v {
             return 0;
         }
-        match self.entries.get(&(u.0, v.0)) {
-            Some(&(d, _)) => d,
+        match self.rows.get(u, v) {
+            Some((d, _)) => d,
             // Not reachable within cap hops ⇒ distance ≥ cap + 1.
             None => self.cap + 1,
         }
@@ -127,21 +97,21 @@ impl DistanceOracle for NaiveIndex {
         if u == v {
             return 1.0;
         }
-        match self.entries.get(&(u.0, v.0)) {
-            Some(&(_, r)) => r.min(self.damp.get(v.idx()).copied().unwrap_or(1.0)),
+        match self.rows.get(u, v) {
+            Some((_, r)) => r.min(self.damp.get(v.idx()).copied().unwrap_or(1.0)),
             // Any path has more than `cap` hops, each retaining ≤ d_max.
             None => self.d_max.powi(self.cap as i32 + 1),
         }
     }
 
     /// Both bounds out of a single `DS`/`LS` row lookup — the memo layer's
-    /// miss path calls this, halving the hash-map traffic per probe.
+    /// miss path calls this, one row search per probe.
     fn probe(&self, u: NodeId, v: NodeId) -> (u32, f64) {
         if u == v {
             return (0, 1.0);
         }
-        match self.entries.get(&(u.0, v.0)) {
-            Some(&(d, r)) => (d, r.min(self.damp.get(v.idx()).copied().unwrap_or(1.0))),
+        match self.rows.get(u, v) {
+            Some((d, r)) => (d, r.min(self.damp.get(v.idx()).copied().unwrap_or(1.0))),
             None => (self.cap + 1, self.d_max.powi(self.cap as i32 + 1)),
         }
     }

@@ -1,55 +1,65 @@
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
 
-use ci_graph::{hop_bounded_costs, Graph, NodeId};
+use ci_graph::{Graph, NodeId};
 
 use crate::oracle::DistanceOracle;
-use crate::parallel::{map_sources, serialize_tables};
+use crate::parallel::PairRows;
+
+/// How often each relation tag occurs in `tags`, indexed by tag.
+fn count_tags(tags: impl Iterator<Item = u16>) -> Vec<usize> {
+    let mut count = Vec::new();
+    for t in tags.map(usize::from) {
+        if count.len() <= t {
+            count.resize(t + 1, 0);
+        }
+        if let Some(c) = count.get_mut(t) {
+            *c += 1;
+        }
+    }
+    count
+}
+
+/// The entry of `tag` in a [`count_tags`] table (0 past its end).
+fn tag_count(count: &[usize], tag: u16) -> usize {
+    count.get(usize::from(tag)).copied().unwrap_or(0)
+}
 
 /// Greedy detection of star relations: the smallest set of relation tags
 /// (tables) such that every edge of the graph touches a node of one of
 /// them. For the paper's schemas this finds `{Movie}` on IMDB and
 /// `{Paper}` on DBLP.
 pub fn detect_star_relations(graph: &Graph) -> Vec<u16> {
-    let mut uncovered: Vec<(u32, u32)> = Vec::new();
+    // The relation tags of each undirected edge's endpoints.
+    let mut uncovered: Vec<(u16, u16)> = Vec::new();
     for u in graph.nodes() {
         for e in graph.edges(u) {
             if u.0 < e.to.0 {
-                uncovered.push((u.0, e.to.0));
+                uncovered.push((graph.relation(u), graph.relation(e.to)));
             }
         }
     }
+    let rel_nodes = count_tags(graph.nodes().map(|v| graph.relation(v)));
     let mut chosen: Vec<u16> = Vec::new();
     while !uncovered.is_empty() {
-        let mut count: HashMap<u16, usize> = HashMap::new();
-        for &(a, b) in &uncovered {
-            let ra = graph.relation(NodeId(a));
-            let rb = graph.relation(NodeId(b));
-            *count.entry(ra).or_insert(0) += 1;
-            if rb != ra {
-                *count.entry(rb).or_insert(0) += 1;
-            }
-        }
+        let count = count_tags(
+            uncovered
+                .iter()
+                .flat_map(|&(ra, rb)| [Some(ra), (rb != ra).then_some(rb)])
+                .flatten(),
+        );
         // Prefer maximal edge coverage; break ties toward the relation with
         // fewer nodes (a smaller index) and then the smaller tag.
-        let mut rel_nodes: HashMap<u16, usize> = HashMap::new();
-        for v in graph.nodes() {
-            *rel_nodes.entry(graph.relation(v)).or_insert(0) += 1;
-        }
-        let Some((&best, _)) = count.iter().max_by_key(|&(&rel, &c)| {
-            (
-                c,
-                std::cmp::Reverse(rel_nodes.get(&rel).copied().unwrap_or(0)),
-                std::cmp::Reverse(rel),
-            )
-        }) else {
+        let Some((best, _)) = (0..=u16::MAX)
+            .zip(count)
+            .filter(|&(_, c)| c > 0)
+            .max_by_key(|&(rel, c)| (c, Reverse(tag_count(&rel_nodes, rel)), Reverse(rel)))
+        else {
             // Unreachable: a non-empty uncovered set always yields
             // candidate relations. Stop rather than spin.
             break;
         };
         chosen.push(best);
-        uncovered.retain(|&(a, b)| {
-            graph.relation(NodeId(a)) != best && graph.relation(NodeId(b)) != best
-        });
+        uncovered.retain(|&(ra, rb)| ra != best && rb != best);
     }
     chosen.sort_unstable();
     chosen
@@ -75,7 +85,7 @@ pub fn detect_star_relations(graph: &Graph) -> Vec<u16> {
 pub struct StarIndex {
     cap: u32,
     star: Vec<bool>,
-    entries: HashMap<(u32, u32), (u32, f64)>,
+    rows: PairRows,
     damp: Vec<f64>,
     d_max: f64,
 }
@@ -115,10 +125,10 @@ impl StarIndex {
             graph.node_count(),
             "dampening vector length mismatch"
         );
-        let rels: HashSet<u16> = star_relations.iter().copied().collect();
+        let rels = count_tags(star_relations.iter().copied());
         let star: Vec<bool> = graph
             .nodes()
-            .map(|v| rels.contains(&graph.relation(v)))
+            .map(|v| tag_count(&rels, graph.relation(v)) > 0)
             .collect();
         let starred = |v: NodeId| star.get(v.idx()).copied().unwrap_or(false);
         for u in graph.nodes() {
@@ -133,35 +143,12 @@ impl StarIndex {
             }
         }
         let d_max = damp.iter().cloned().fold(0.0f64, f64::max).min(1.0);
-        let sources: Vec<NodeId> = graph.nodes().filter(|&v| starred(v)).collect();
-        let rows = map_sources(&sources, threads, |u| {
-            // Hop-layered DP (see NaiveIndex::build): exact hop distance
-            // and best retention among ≤ cap-hop paths.
-            let mut row: Vec<(u32, (u32, f64))> = Vec::new();
-            for (node, (cost, dist)) in hop_bounded_costs(graph, u, cap, |_, to| {
-                -damp.get(to.idx()).copied().unwrap_or(1.0).ln()
-            }) {
-                debug_assert!(
-                    dist <= cap,
-                    "BFS row beyond cap must be dropped, not clamped"
-                );
-                if node == u.0 || dist > cap || !starred(NodeId(node)) {
-                    continue;
-                }
-                row.push((node, (dist, (-cost).exp())));
-            }
-            row
-        });
-        let mut entries = HashMap::new();
-        for (u, row) in sources.iter().zip(rows) {
-            for (node, entry) in row {
-                entries.insert((u.0, node), entry);
-            }
-        }
+        // The hop-layered DP of NaiveIndex::build, from and to star nodes.
+        let rows = PairRows::build(graph, damp, cap, threads, starred);
         StarIndex {
             cap,
             star,
-            entries,
+            rows,
             damp: damp.to_vec(),
             d_max,
         }
@@ -173,7 +160,7 @@ impl StarIndex {
     /// and the star partition agree exactly.
     pub fn table_bytes(&self) -> Vec<u8> {
         let mut out: Vec<u8> = self.star.iter().map(|&s| u8::from(s)).collect();
-        out.extend_from_slice(&serialize_tables(&self.entries));
+        out.extend_from_slice(&self.rows.table_bytes());
         out
     }
 
@@ -190,12 +177,12 @@ impl StarIndex {
 
     /// Number of stored star-node pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// True if no pairs are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.len() == 0
     }
 
     /// The hop cap the index was built with.
@@ -221,14 +208,24 @@ impl StarIndex {
         if u == v {
             return (0, 1.0);
         }
-        match self.entries.get(&(u.0, v.0)) {
-            Some(&(d, r)) => (d, r),
-            None => (self.cap + 1, self.d_max.powi(self.cap as i32 + 1)),
-        }
+        self.rows
+            .get(u, v)
+            .unwrap_or((self.cap + 1, self.d_max.powi(self.cap as i32 + 1)))
     }
 
-    fn star_neighbors(&self, graph: &Graph, v: NodeId) -> Vec<NodeId> {
-        graph.neighbors(v).filter(|&n| self.is_star(n)).collect()
+    /// The star neighbors of a non-star node, straight off its CSR row:
+    /// by the star property (checked at build) every neighbor of a
+    /// non-star node is a star node, so there are `graph.out_degree(v)`
+    /// of them.
+    fn star_neighbors<'a>(
+        &'a self,
+        graph: &'a Graph,
+        v: NodeId,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        debug_assert!(!self.is_star(v), "star neighbors of a star node");
+        graph
+            .neighbors(v)
+            .inspect(|&n| debug_assert!(self.is_star(n), "star property violated at {n}"))
     }
 }
 
@@ -266,31 +263,26 @@ impl<'g, I: std::borrow::Borrow<StarIndex>> DistanceOracle for StarOracle<'g, I>
             // lands on a star neighbor h, so d(u,v) ≥ 1 + min_h d(star, h).
             (true, false) | (false, true) => {
                 let (s, ns) = if ix.is_star(u) { (u, v) } else { (v, u) };
-                let nbrs = ix.star_neighbors(self.graph, ns);
-                if nbrs.is_empty() {
-                    return 0; // isolated non-star node: no information
-                }
-                1 + nbrs
-                    .iter()
-                    .map(|&h| ix.star_pair(s, h).0)
+                // An isolated non-star node gives no information: 0.
+                ix.star_neighbors(self.graph, ns)
+                    .map(|h| ix.star_pair(s, h).0)
                     .min()
-                    .unwrap_or(0)
+                    .map_or(0, |m| 1 + m)
             }
             // Case 3: both non-star — both first hops land on star nodes.
             (false, false) => {
-                let nu = ix.star_neighbors(self.graph, u);
-                let nv = ix.star_neighbors(self.graph, v);
-                if nu.is_empty() || nv.is_empty() {
+                let (du, dv) = (self.graph.out_degree(u), self.graph.out_degree(v));
+                if du == 0 || dv == 0 {
                     return 0;
                 }
-                if nu.len() * nv.len() > PAIR_SCAN_LIMIT {
+                if du * dv > PAIR_SCAN_LIMIT {
                     // Hub pair: the quadratic scan costs more than it
                     // prunes. Non-adjacent non-star nodes are ≥ 2 apart.
                     return 2;
                 }
                 let mut m = u32::MAX;
-                for &a in &nu {
-                    for &b in &nv {
+                for a in ix.star_neighbors(self.graph, u) {
+                    for b in ix.star_neighbors(self.graph, v) {
                         m = m.min(ix.star_pair(a, b).0);
                     }
                 }
@@ -314,42 +306,39 @@ impl<'g, I: std::borrow::Borrow<StarIndex>> DistanceOracle for StarOracle<'g, I>
             (true, true) => ix.star_pair(u, v).1,
             // Star u ⇒ ... ⇒ h → v: retention = ρ(u⇒h) · d_v ≤ ρ(u,h) · d_v.
             (true, false) => {
-                let nbrs = ix.star_neighbors(self.graph, v);
-                if nbrs.is_empty() {
+                if self.graph.out_degree(v) == 0 {
                     return 1.0;
                 }
-                let best = nbrs
-                    .iter()
-                    .map(|&h| ix.star_pair(u, h).1)
+                let best = ix
+                    .star_neighbors(self.graph, v)
+                    .map(|h| ix.star_pair(u, h).1)
                     .fold(0.0f64, f64::max);
                 (best * ix.damp_of(v)).min(1.0)
             }
             // Non-star u → h ⇒ ... ⇒ v: retention = d_h · ρ(h⇒v) ≤ d_h · ρ(h,v).
             (false, true) => {
-                let nbrs = ix.star_neighbors(self.graph, u);
-                if nbrs.is_empty() {
+                if self.graph.out_degree(u) == 0 {
                     return 1.0;
                 }
-                nbrs.iter()
-                    .map(|&h| ix.damp_of(h) * ix.star_pair(h, v).1)
+                ix.star_neighbors(self.graph, u)
+                    .map(|h| ix.damp_of(h) * ix.star_pair(h, v).1)
                     .fold(0.0f64, f64::max)
                     .min(1.0)
             }
             // Non-star u → a ⇒ ... ⇒ b → v: d_a · ρ(a,b) · d_v.
             (false, false) => {
-                let nu = ix.star_neighbors(self.graph, u);
-                let nv = ix.star_neighbors(self.graph, v);
-                if nu.is_empty() || nv.is_empty() {
+                let (du, dv) = (self.graph.out_degree(u), self.graph.out_degree(v));
+                if du == 0 || dv == 0 {
                     return 1.0;
                 }
-                if nu.len() * nv.len() > PAIR_SCAN_LIMIT {
+                if du * dv > PAIR_SCAN_LIMIT {
                     // Hub pair: fall back to the hop-composition bound
                     // d_max (first star hop) · d_v (destination).
                     return (ix.d_max * ix.damp_of(v)).min(1.0);
                 }
                 let mut best = 0.0f64;
-                for &a in &nu {
-                    for &b in &nv {
+                for a in ix.star_neighbors(self.graph, u) {
+                    for b in ix.star_neighbors(self.graph, v) {
                         best = best.max(ix.damp_of(a) * ix.star_pair(a, b).1);
                     }
                 }
@@ -387,6 +376,23 @@ mod tests {
     fn detects_the_movie_relation_as_star() {
         let (g, _) = imdb_like();
         assert_eq!(detect_star_relations(&g), vec![1]);
+    }
+
+    #[test]
+    fn detection_ties_go_to_fewer_nodes_then_the_smaller_tag() {
+        // One edge between relations 2 and 1: both cover it.
+        let tie = |extra_rel1_node: bool| {
+            let mut b = GraphBuilder::new();
+            let x = b.add_node(2, vec![]);
+            let y = b.add_node(1, vec![]);
+            if extra_rel1_node {
+                b.add_node(1, vec![]);
+            }
+            b.add_pair(x, y, 1.0, 1.0);
+            detect_star_relations(&b.build())
+        };
+        assert_eq!(tie(true), vec![2], "relation 1 has more nodes");
+        assert_eq!(tie(false), vec![1], "equal sizes: the smaller tag");
     }
 
     #[test]

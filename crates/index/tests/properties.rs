@@ -69,11 +69,13 @@ proptest! {
         let cap = 5;
         let idx = NaiveIndex::build(&g, &damp, cap);
         for u in g.nodes() {
-            let truth: std::collections::HashMap<u32, u32> =
-                bfs_within(&g, u, cap).into_iter().map(|r| (r.node.0, r.dist)).collect();
+            let mut truth = vec![None; g.node_count()];
+            for r in bfs_within(&g, u, cap) {
+                truth[r.node.idx()] = Some(r.dist);
+            }
             for v in g.nodes() {
-                match truth.get(&v.0) {
-                    Some(&d) => prop_assert_eq!(idx.distance(u, v), Some(d)),
+                match truth[v.idx()] {
+                    Some(d) => prop_assert_eq!(idx.distance(u, v), Some(d)),
                     None => {
                         prop_assert_eq!(idx.distance(u, v), None);
                         prop_assert_eq!(idx.dist_lb(u, v), cap + 1);

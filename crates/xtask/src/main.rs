@@ -34,17 +34,24 @@
 //!    a detached spawn would force `'static` bounds (cloning the graph) or
 //!    leak a running worker past an early error return. Tests may still
 //!    spawn freely (e.g. the concurrent-serving harness).
-//! 6. **No hashed containers in the branch-and-bound inner loop** — the
+//! 6. **No hashed containers in the branch-and-bound inner loop or the
+//!    index build** — the
 //!    files the per-candidate hot path runs through
 //!    (`crates/search/src/{bnb,bounds,cache,candidate,scratch,query,validity}.rs`)
-//!    must not mention `HashMap`, `HashSet` or `BTreeMap` outside their
-//!    test modules. The query hot path replaced every per-candidate map
+//!    must not mention `HashMap`, `HashSet`, `BTreeMap` or `BTreeSet`
+//!    outside their test modules. The query hot path replaced every per-candidate map
 //!    and set with flat structures (the oracle-cache slab, the intrusive
 //!    root chains, the open-addressing admission dedup set and matcher
 //!    table); a hashed container slipping back in would silently
 //!    reintroduce SipHash and per-key allocation per candidate. The top-k's
 //!    answer set (touched once per complete answer) is outside the rule's
-//!    files. A `LINT-EXEMPT(reason)` comment within 8 lines above the use
+//!    files. The same holds for the §V index build
+//!    (`crates/graph/src/traverse.rs`,
+//!    `crates/index/src/{naive,star,parallel}.rs`): its hop-layered DP
+//!    keeps dense per-node arrays and its pair tables are flat per-source
+//!    rows, where a map per traversal and one for the table once cost
+//!    most of the build in hashing. `BTreeSet` is banned with the others.
+//!    A `LINT-EXEMPT(reason)` comment within 8 lines above the use
 //!    exempts audited cases.
 //! 7. **One Eq. 2 kernel** — non-test code in `crates/search/src` and
 //!    `crates/rwmp/src` may call `edge_weight(` only in
@@ -552,28 +559,52 @@ const INNER_LOOP_FILES: &[&str] = &[
     "crates/search/src/validity.rs",
 ];
 
-/// Rule 6: no `HashMap`/`HashSet`/`BTreeMap` in the branch-and-bound
-/// inner-loop files. The hot path replaced per-candidate maps and sets
-/// with flat structures (oracle-cache slab, intrusive root chains, the
-/// flat per-run candidate store, open-addressing dedup set, matcher table
-/// and run-stamped root table); this keeps them from regressing. Tests may still use them, and
-/// an audited use can be tagged `LINT-EXEMPT(reason)`.
+/// The §V index-build files rule 6 covers.
+const INDEX_BUILD_FILES: &[&str] = &[
+    "crates/graph/src/traverse.rs",
+    "crates/index/src/naive.rs",
+    "crates/index/src/star.rs",
+    "crates/index/src/parallel.rs",
+];
+
+/// Rule 6: no hashed or ordered std container in the branch-and-bound
+/// inner-loop files or the index-build files. The hot path replaced
+/// per-candidate maps and sets with flat structures (oracle-cache slab,
+/// intrusive root chains, the flat per-run candidate store,
+/// open-addressing dedup set, matcher table and run-stamped root table),
+/// and the index build its per-traversal hop maps and pair-table map with
+/// dense per-node arrays and flat per-source rows; this keeps them from
+/// regressing. Tests may still use them, and an audited use can be tagged
+/// `LINT-EXEMPT(reason)`.
 fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
-    for rel in INNER_LOOP_FILES {
-        let path = root.join(rel);
-        let Ok(src) = fs::read_to_string(&path) else {
-            findings.push(format!("{}: cannot read file", path.display()));
-            continue;
-        };
-        for n in inner_loop_map_hits(&src) {
-            findings.push(format!(
-                "{}:{}: hashed/ordered container in a branch-and-bound \
-                 inner-loop file — use the flat structures (oracle-cache \
-                 slab, root chains, candidate store, dedup set, matcher \
-                 table) or tag an audited exemption with LINT-EXEMPT(reason)",
-                path.display(),
-                n
-            ));
+    let groups = [
+        (
+            INNER_LOOP_FILES,
+            "a branch-and-bound inner-loop file — use the flat structures \
+             (oracle-cache slab, root chains, candidate store, dedup set, \
+             matcher table)",
+        ),
+        (
+            INDEX_BUILD_FILES,
+            "an index-build file — keep the DP's dense per-node arrays and \
+             the flat per-source pair rows",
+        ),
+    ];
+    for (files, fix) in groups {
+        for rel in files {
+            let path = root.join(rel);
+            let Ok(src) = fs::read_to_string(&path) else {
+                findings.push(format!("{}: cannot read file", path.display()));
+                continue;
+            };
+            for n in inner_loop_map_hits(&src) {
+                findings.push(format!(
+                    "{}:{}: hashed/ordered container in {fix} or tag an \
+                     audited exemption with LINT-EXEMPT(reason)",
+                    path.display(),
+                    n
+                ));
+            }
         }
     }
 }
@@ -792,7 +823,7 @@ fn edge_weight_hits(src: &str) -> Vec<usize> {
 }
 
 /// 1-based line numbers in the non-test region of `src` that mention
-/// `HashMap`, `HashSet` or `BTreeMap` outside comments, string literals,
+/// `HashMap`, `HashSet`, `BTreeMap` or `BTreeSet` outside comments, string literals,
 /// and `LINT-EXEMPT` coverage.
 fn inner_loop_map_hits(src: &str) -> Vec<usize> {
     let lines: Vec<&str> = non_test_region(src).collect();
@@ -802,7 +833,7 @@ fn inner_loop_map_hits(src: &str) -> Vec<usize> {
             continue;
         }
         let code = strip_strings(line);
-        if !["HashMap", "HashSet", "BTreeMap"]
+        if !["HashMap", "HashSet", "BTreeMap", "BTreeSet"]
             .iter()
             .any(|name| code.contains(name))
         {
@@ -1016,6 +1047,24 @@ mod tests {
         let exempted = "// LINT-EXEMPT(demo): audited cold-path map\n\
                         use std::collections::HashMap;\n";
         assert!(inner_loop_map_hits(exempted).is_empty());
+    }
+
+    #[test]
+    fn index_build_maps_flagged() {
+        let root = workspace_root();
+        for rel in INDEX_BUILD_FILES {
+            assert!(root.join(rel).is_file(), "{rel} is listed but missing");
+        }
+        // The hash-map build: hop counts and pair tables in maps.
+        let parent = "use std::collections::HashMap;\n\
+                      let mut hops: HashMap<u32, u32> = HashMap::from([(src.0, 0)]);\n\
+                      fn f(e: &HashMap<(u32, u32), (u32, f64)>) {}\n\
+                      let rels: HashSet<u16> = star_relations.iter().copied().collect();\n";
+        assert_eq!(inner_loop_map_hits(parent), vec![1, 2, 3, 4]);
+        assert_eq!(
+            inner_loop_map_hits("let s: BTreeSet<u32> = BTreeSet::new();\n"),
+            vec![1]
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ use ci_datagen::{dblp_workload, generate_dblp, sample_database, DblpConfig};
 use ci_graph::WeightConfig;
 use ci_index::DistIndex;
 use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind};
+use ci_rank_suite::fingerprint::Fnv;
 use ci_search::SearchStats;
 use ci_storage::Database;
 
@@ -151,6 +152,37 @@ fn snapshots_are_bit_identical_across_thread_counts() {
             }
         }
     }
+}
+
+/// FNV-1a of each index's canonical table bytes, per dataset, captured
+/// from the hash-map build before the frontier DP and the flat pair rows
+/// replaced it. The §V tables are the contract of an index build: any
+/// change to which pairs are stored, their hop distances or the bits of
+/// their retentions moves these.
+const TABLE_PINS: [(&str, &str, u64); 4] = [
+    ("sampled", "naive", 0x936f_62c9_2540_4798),
+    ("sampled", "star", 0xb504_9f21_ab55_bc8d),
+    ("zipf", "naive", 0x83dd_6268_b8ac_e6d6),
+    ("zipf", "star", 0x6121_4be4_019f_c0e5),
+];
+
+#[test]
+fn index_tables_match_pins() {
+    let datasets = [
+        ("sampled", sampled_dataset()),
+        ("zipf", skewed_dataset().db),
+    ];
+    let mut got = Vec::new();
+    for (ds_name, db) in &datasets {
+        for (ix_name, kind) in index_kinds() {
+            let mut h = Fnv::new();
+            for b in index_bytes(&build(db, kind, 1)) {
+                h.byte(b);
+            }
+            got.push((*ds_name, ix_name, h.0));
+        }
+    }
+    assert_eq!(got, TABLE_PINS, "DS/LS table bytes moved");
 }
 
 /// A fully deterministic fingerprint of one query's outcome: either the
